@@ -262,10 +262,13 @@ WORKLOADS = {
         converge("Q3-exp-dirac", Q3, dirac(0.25, 0.5, 0.75), "exp_sum", (2, 4, 8, 16), 12),
     ],
     # The dense simplex Bernstein basis dominates (lp_error on K2 and K3).
+    # K3 stops at n = 6: at n = 8 a basis chunk no longer fits in L2, and that
+    # operation's time swung 2.5x from pass to pass (see README.md).
     "simplex-lp": [
         converge("K2-exp-leb", K2, LEBESGUE, "exp_sum", (4, 8, 16, 32, 64), 40),
         converge("K2-exp-leb-a2", K2, LEBESGUE, "exp_sum", (4, 8, 16, 32, 64), 40, a=2.0),
-        converge("K3-exp-leb", K3, LEBESGUE, "exp_sum", (4, 8), 12),
+        converge("K3-exp-leb", K3, LEBESGUE, "exp_sum", (4, 6), 12),
+        converge("K3-exp-leb-a2", K3, LEBESGUE, "exp_sum", (4, 6), 12, a=2.0),
         Op("K2-verify", "verify", {
             "domain": K2,
             "operator": {"a": 1.0, "measures": LEBESGUE},
