@@ -18,7 +18,7 @@ import numpy as np
 
 from .bernstein import eval_Bn
 from .errors import ConfigError
-from .geometry import HYPERCUBE, SIMPLEX, Domain, simplex_from_cube, uniform_grid
+from .geometry import SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid
 from .kantorovich import (
     AffineForm,
     OperatorConfig,
@@ -94,32 +94,29 @@ class BoundReport:
 # norms and random inputs
 
 
-def lp_norm(domain: Domain, g, p: float, level: int = 8) -> float:
-    """(integral of |g|^p over the domain, plain Lebesgue)^(1/p).
-
-    Composite Gauss rule with ``level`` panels per axis (rounded up to
-    even so that midpoint kinks sit on panel boundaries).
-    """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+def lp_grid(domain: Domain, level: int = 8) -> ProductGrid:
+    """The composite Gauss grid of :func:`lp_norm`: ``level`` panels per
+    axis (rounded up to even so that midpoint kinks sit on panel
+    boundaries), 6 nodes per panel (7 on the simplex, collapsed)."""
     panels = max(2, int(level))
     panels += panels % 2
-    order = 7 if domain.kind == SIMPLEX else 6
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    gx = (gx + 1.0) / 2.0
+    gx, gw = gauss01(7 if domain.kind == SIMPLEX else 6)
     nodes1 = ((np.arange(panels)[:, None] + gx[None, :]) / panels).reshape(-1)
-    weights1 = np.tile(gw / (2.0 * panels), panels)
-    d = domain.dim
-    grids = np.meshgrid(*([nodes1] * d), indexing="ij")
-    nodes = np.stack([g2.reshape(-1) for g2 in grids], axis=1)
-    weights = np.ones(nodes.shape[0])
-    for wg in np.meshgrid(*([weights1] * d), indexing="ij"):
-        weights = weights * wg.reshape(-1)
-    if domain.kind == SIMPLEX:
-        nodes, jac = simplex_from_cube(nodes)
-        weights = weights * jac
-    vals = np.abs(np.asarray(g(nodes), dtype=float))
-    return float((weights @ vals**p) ** (1.0 / p))
+    return ProductGrid(domain, nodes1, np.tile(gw / panels, panels))
+
+
+def _grid_norm(grid: ProductGrid, values, p: float) -> float:
+    vals = np.abs(np.asarray(values, dtype=float))
+    return float((grid.weights @ vals**p) ** (1.0 / p))
+
+
+def lp_norm(domain: Domain, g, p: float, level: int = 8) -> float:
+    """(integral of |g|^p over the domain, plain Lebesgue)^(1/p) on
+    the grid :func:`lp_grid`."""
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    grid = lp_grid(domain, level)
+    return _grid_norm(grid, g(grid.points), p)
 
 
 def random_points(domain: Domain, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,8 +157,11 @@ def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.n
 
 def lp_error(cfg: OperatorConfig, n: int, f, p: float, level: int = 8) -> float:
     """L^p distance between C_n(f) and f (cell form where available)."""
-    cn = _cn_evaluator(cfg, n, f)
-    return lp_norm(cfg.domain, lambda pts: cn(pts) - np.asarray(f(pts)), p, level)
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    grid = lp_grid(cfg.domain, level)
+    cn = _cn_evaluator(cfg, n, f)(grid)
+    return _grid_norm(grid, cn - np.asarray(f(grid.points)), p)
 
 
 def _phi_diffs(cfg: OperatorConfig, n: int) -> list:
@@ -357,10 +357,10 @@ def _check_lp_equibounded(cfg, f, n_list, level, p):
         raise ConfigError("lp_equibounded needs a > 0")
     fnorm = lp_norm(cfg.domain, f, float(p), level)
     bound = equibounded_constant(cfg.domain, cfg.a) ** (1.0 / float(p)) * fnorm
+    grid = lp_grid(cfg.domain, level)
     rows = []
     for n in n_list:
-        cn = _cn_evaluator(cfg, n, f)
-        measured = lp_norm(cfg.domain, cn, float(p), level)
+        measured = _grid_norm(grid, _cn_evaluator(cfg, n, f)(grid), float(p))
         rows.append(BoundRow(n, measured, bound, _ratio(measured, bound)))
     return rows
 
@@ -538,12 +538,6 @@ def loglog_slope(ns: Sequence[int], errors: Sequence[float]) -> float:
 def tau_delta_argument(a: float, n: int) -> float:
     """Argument fed to the averaged modulus in the L^p rate estimate."""
     return math.sqrt((3.0 * n + a**2) / (12.0 * (n + a) ** 2))
-
-
-def berens_rate_constant(domain: Domain, a: float) -> float:
-    """Constant M with lambda_{n,inf} <= M/(n+a) for the canonical ops."""
-    r = domain.modulus_scale
-    return max(2.0 * a * r, (2.0 * a + 2.0 * a * domain.dim + 2.0) * r**2)
 
 
 def convergence_table(

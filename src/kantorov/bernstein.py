@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, as_point, as_points, contains
+from .geometry import SIMPLEX, Domain, ProductGrid, as_point, as_points, contains
 
 # Above this order, basis evaluation moves to log-gamma form.
 _DIRECT_N = 60
@@ -124,6 +124,8 @@ def _simplex_basis_block(domain: Domain, n: int, xs: np.ndarray) -> np.ndarray:
 def _check_batch(domain: Domain, xs: np.ndarray) -> None:
     if xs.size == 0:
         raise ValueError("empty point batch")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("batch contains non-finite coordinates")
     if np.min(xs) < 0.0 or (domain.kind != SIMPLEX and np.max(xs) > 1.0):
         raise ValueError("batch contains points outside the domain")
     if domain.kind == SIMPLEX and np.max(xs.sum(axis=1)) > 1.0 + 1e-12:
@@ -144,21 +146,10 @@ def basis_weights(domain: Domain, n: int, xs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Contract lattice values against the basis at each point.
-
-    ``values`` has one entry per lattice multi-index (in ``lattice``
-    order); returns ``sum_h basis(h, x) * values[h]`` for each row of
-    ``xs``, using a per-axis tensor contraction on the hypercube.
-    """
-    _check_batch(domain, xs)
+def _apply_block(domain: Domain, n: int, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     d = domain.dim
     if domain.kind == SIMPLEX:
-        out = np.empty(xs.shape[0])
-        for i in range(0, xs.shape[0], _CHUNK):
-            block = _simplex_basis_block(domain, n, xs[i : i + _CHUNK])
-            out[i : i + _CHUNK] = block @ values
-        return out
+        return _simplex_basis_block(domain, n, xs) @ values
     tensor = values.reshape((n + 1,) * d)
     if d == 1:
         return _bern1d(n, xs[:, 0]) @ tensor
@@ -168,6 +159,60 @@ def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, xs: np.ndar
     tmp = np.einsum("gi,ijk->gjk", _bern1d(n, xs[:, 0]), tensor)
     tmp = np.einsum("gj,gjk->gk", _bern1d(n, xs[:, 1]), tmp)
     return np.einsum("gk,gk->g", _bern1d(n, xs[:, 2]), tmp)
+
+
+def _apply_grid(domain: Domain, n: int, values: np.ndarray, grid: ProductGrid) -> np.ndarray:
+    """Axis-by-axis contraction on a product grid, innermost axis first.
+
+    On the cube every axis applies the rows ``b^n(u_i)``.  On the
+    simplex, in the collapsed coordinates ``x = simplex_from_cube(u)``,
+    the basis factors as ``B_h(x) = prod_i b^{n-h_1-...-h_{i-1}}_{h_i}(u_i)``
+    (Ainsworth, Andriamaro & Davydov 2011), so axis i applies the row of
+    order ``n - |h_<i|``.  Cost O(q n^d + q^d n) for q nodes per axis.
+    """
+    d, u = domain.dim, grid.nodes_1d
+    if domain.kind == SIMPLEX:
+        coeffs = np.zeros((n + 1,) * d)
+        coeffs[tuple(lattice(domain, n).T)] = values
+    else:
+        coeffs = values.reshape((n + 1,) * d)
+    rows = {}
+    for axis in reversed(range(d)):
+        lead = coeffs.shape[:axis]
+        flat = coeffs.reshape(-1, n + 1, u.size ** (d - 1 - axis))
+        used = sum(np.indices(lead, sparse=True)) if domain.kind == SIMPLEX else 0
+        budget = np.broadcast_to(n - used, lead).reshape(-1)
+        out = np.zeros((flat.shape[0], u.size, flat.shape[2]))
+        for m in np.unique(budget[budget >= 0]):
+            if m not in rows:
+                rows[m] = _bern1d(int(m), u)
+            sel = budget == m
+            out[sel] = rows[m] @ flat[sel, : m + 1]
+        coeffs = out.reshape(lead + (u.size,) * (d - axis))
+    return coeffs.reshape(-1)
+
+
+def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, xs) -> np.ndarray:
+    """Contract lattice values against the basis at each point.
+
+    ``values`` has one entry per lattice multi-index (in ``lattice``
+    order); returns ``sum_h basis(h, x) * values[h]`` for each point.
+    A :class:`ProductGrid` is contracted axis by axis (results in the
+    order of ``grid.points``); a ``(G, d)`` batch of scattered points is
+    contracted point by point, in blocks of ``_CHUNK`` rows on Q3 and
+    the simplex.
+    """
+    if isinstance(xs, ProductGrid):
+        if xs.domain != domain:
+            raise ValueError("grid domain does not match")
+        return _apply_grid(domain, n, values, xs)
+    _check_batch(domain, xs)
+    # below three cube axes the rows take O(G n) memory, like the output
+    step = _CHUNK if domain.kind == SIMPLEX or domain.dim == 3 else xs.shape[0]
+    out = np.empty(xs.shape[0])
+    for i in range(0, xs.shape[0], step):
+        out[i : i + step] = _apply_block(domain, n, values, xs[i : i + step])
+    return out
 
 
 def _validate_index(domain: Domain, n: int, h) -> np.ndarray:

@@ -50,6 +50,7 @@ from .kantorovich import (
     cn_affine_moment,
     cn_quadratic_moment,
     eval_Cn,
+    ladder_counts,
 )
 from .markov import MarkovOpId, canonical_markov
 from .measures import (
@@ -461,8 +462,21 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _quadrature_since(before: dict) -> dict:
+    """Ladder outcome counts of this run; warns on stderr when a ladder
+    ended without two levels agreeing."""
+    counts = {key: value - before[key] for key, value in ladder_counts().items()}
+    unconverged = counts["unconverged_at_cap"] + counts["stopped_by_node_budget"]
+    if unconverged:
+        print(f"warning: {unconverged} of {counts['ladders']} quadrature ladder(s) did not "
+              f"converge ({counts['unconverged_at_cap']} at the level cap, "
+              f"{counts['stopped_by_node_budget']} stopped by the node budget)",
+              file=sys.stderr)
+    return counts
+
+
 def _write_outputs(plan: RunPlan, header: str, rows: list[dict], summary: dict,
-                   started: float) -> None:
+                   started: float, quadrature: dict) -> None:
     columns = header.split(",")
     if plan.csv_path:
         lines = [header]
@@ -480,6 +494,7 @@ def _write_outputs(plan: RunPlan, header: str, rows: list[dict], summary: dict,
                     "python": platform.python_version(),
                 },
                 "wall_time_s": time.perf_counter() - started,
+                "quadrature": quadrature,
             },
             "summary": summary,
             "rows": rows,
@@ -712,8 +727,10 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be >= 1")
         raw = load_config(args.config)
         plan = parse_config(raw, args.command, args.seed)
+        before = ladder_counts()
         header, rows, summary, ok = _RUNNERS[plan.command](plan)
-        _write_outputs(plan, header, rows, summary, started)
+        quadrature = _quadrature_since(before)
+        _write_outputs(plan, header, rows, summary, started, quadrature)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -174,10 +175,14 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be positive")
 
 
-def _gauss01(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(level)
-    return (x + 1.0) / 2.0, w / 2.0
+@lru_cache(maxsize=None)
+def gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights mapped to [0, 1] (cached, read-only)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _tensor(nodes_1d: np.ndarray, weights_1d: np.ndarray, d: int):
@@ -209,6 +214,58 @@ def simplex_from_cube(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, jac
 
 
+@dataclass(frozen=True, eq=False)
+class ProductGrid:
+    """Tensor grid with the same 1-D nodes and weights on every axis.
+
+    On the interval/hypercube the points are ``nodes_1d^d``; on the
+    simplex they are the image of that cube grid under
+    :func:`simplex_from_cube`, and the weights carry its Jacobian.
+    Points are in C order over the axis indices (first axis slowest).
+    ``shape``, ``ndim`` and ``len`` are those of the ``(G, d)`` point
+    batch the grid stands for.
+    """
+
+    domain: Domain
+    nodes_1d: np.ndarray
+    weights_1d: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes_1d, dtype=float)
+        weights = np.asarray(self.weights_1d, dtype=float)
+        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
+            raise ValueError("grid needs matching non-empty 1-D nodes and weights")
+        if not np.all((nodes >= 0.0) & (nodes <= 1.0)):
+            raise ValueError("grid nodes must lie in [0, 1]")
+        object.__setattr__(self, "nodes_1d", nodes)
+        object.__setattr__(self, "weights_1d", weights)
+
+    ndim = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nodes_1d.size ** self.domain.dim, self.domain.dim)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        nodes, weights = _tensor(self.nodes_1d, self.weights_1d, self.domain.dim)
+        if self.domain.kind == SIMPLEX:
+            nodes, jac = simplex_from_cube(nodes)
+            weights = weights * jac
+        return nodes, weights
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._rule[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._rule[1]
+
+
 def quadrature_rule(domain: Domain, level: int) -> QuadratureRule:
     """Rule exact for all monomials of total degree <= 2*level - 1.
 
@@ -221,11 +278,11 @@ def quadrature_rule(domain: Domain, level: int) -> QuadratureRule:
         raise ValueError("quadrature level must be >= 1")
     d = domain.dim
     if domain.kind == SIMPLEX:
-        n1, w1 = _gauss01(level + 1)
+        n1, w1 = gauss01(level + 1)
         unodes, uweights = _tensor(n1, w1, d)
         nodes, jac = simplex_from_cube(unodes)
         return QuadratureRule(nodes, uweights * jac)
-    n1, w1 = _gauss01(level)
+    n1, w1 = gauss01(level)
     nodes, weights = _tensor(n1, w1, d)
     return QuadratureRule(nodes, weights)
 

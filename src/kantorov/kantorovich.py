@@ -14,6 +14,7 @@ provided as analytic oracles for the quadrature paths.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bernstein import apply_lattice_values, basis_weights, lattice, lattice_points
 from .errors import ConfigError, NumericError
-from .geometry import SIMPLEX, Domain, as_points, contains, quadrature_rule
+from .geometry import SIMPLEX, Domain, ProductGrid, as_points, contains, quadrature_rule
 from .markov import MarkovOpId, markov_values
 from .measures import (
     CONSTANT_LEBESGUE,
@@ -38,6 +39,19 @@ from .measures import (
 _MAX_LEVEL = 32
 _LADDER_TOL = 1e-11
 _BLOCK_POINTS = 1 << 21
+
+# Outcomes of the Gauss ladders run in this process: "ladders" counts
+# every ladder, "unconverged_at_cap" those that reached _MAX_LEVEL without
+# two successive levels agreeing to _LADDER_TOL, and
+# "stopped_by_node_budget" those that MAX_RULE_NODES stopped before two
+# levels agreed.
+_LADDER_COUNTS = Counter()
+
+
+def ladder_counts() -> dict:
+    """Snapshot of the ladder outcome counters, by outcome name."""
+    return {key: _LADDER_COUNTS[key]
+            for key in ("ladders", "unconverged_at_cap", "stopped_by_node_budget")}
 
 
 @dataclass(frozen=True)
@@ -120,12 +134,32 @@ def _blend_at_level(
     return out
 
 
+def _ladder(at_level, level: int, fits=lambda level: True) -> np.ndarray:
+    """Values of ``at_level``, doubling the level until two successive
+    values agree within ``_LADDER_TOL`` (capped at ``_MAX_LEVEL``, and
+    only to levels for which ``fits`` holds); the outcome is counted."""
+    _LADDER_COUNTS["ladders"] += 1
+    vals = at_level(level)
+    while level < _MAX_LEVEL:
+        nxt = min(2 * level, _MAX_LEVEL)
+        if not fits(nxt):
+            _LADDER_COUNTS["stopped_by_node_budget"] += 1
+            return vals
+        nxt_vals = at_level(nxt)
+        done = float(np.max(np.abs(nxt_vals - vals))) <= _LADDER_TOL
+        vals, level = nxt_vals, nxt
+        if done:
+            return vals
+    _LADDER_COUNTS["unconverged_at_cap"] += 1
+    return vals
+
+
 def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.ndarray:
     """Adaptive version of :func:`_blend_at_level`.
 
     Exact measures (discrete / power-of-discrete) are applied once; the
-    quadrature-backed ones double the level until two successive values
-    agree within 1e-11 (capped, and bounded by the rule node budget).
+    quadrature-backed ones climb the :func:`_ladder`, bounded by the rule
+    node budget.
     """
     if cfg.a == 0.0:
         vals = np.asarray(f(base), dtype=float)
@@ -133,21 +167,13 @@ def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.nda
             raise NumericError("function non-finite on the lattice")
         return vals
     mu = _resolved(cfg, n)
-    exact = mu.kind == "discrete" or (mu.kind == "power" and mu.base.kind == "discrete")
-    level = cfg.quad_level
-    vals = _blend_at_level(cfg, mu, n, f, base, level)
-    if exact:
-        return vals
-    while level < _MAX_LEVEL:
-        nxt = min(2 * level, _MAX_LEVEL)
-        if rule_node_count(mu, cfg.domain, nxt) > MAX_RULE_NODES:
-            break
-        nxt_vals = _blend_at_level(cfg, mu, n, f, base, nxt)
-        done = float(np.max(np.abs(nxt_vals - vals))) <= _LADDER_TOL
-        vals, level = nxt_vals, nxt
-        if done:
-            break
-    return vals
+    if mu.kind == "discrete" or (mu.kind == "power" and mu.base.kind == "discrete"):
+        return _blend_at_level(cfg, mu, n, f, base, cfg.quad_level)
+    return _ladder(
+        lambda level: _blend_at_level(cfg, mu, n, f, base, level),
+        cfg.quad_level,
+        lambda level: rule_node_count(mu, cfg.domain, level) <= MAX_RULE_NODES,
+    )
 
 
 @lru_cache(maxsize=512)
@@ -173,17 +199,25 @@ def eval_In(cfg: OperatorConfig, n: int, f, x):
     return float(out[0]) if single else out
 
 
-def eval_Cn(cfg: OperatorConfig, n: int, f, x):
-    """C_n(f) at a point or batch via cached inner integrals."""
-    _check_n(n)
-    values = _inner_values(cfg, n, f)
-    xs, single = as_points(cfg.domain, x)
+def _contract(domain: Domain, n: int, values: np.ndarray, x):
+    """sum_h basis(h, x) * values[h] at a point (compensated sum), a
+    batch or a :class:`ProductGrid` (axis-by-axis contraction)."""
+    if isinstance(x, ProductGrid):
+        return apply_lattice_values(domain, n, values, x)
+    xs, single = as_points(domain, x)
     if single:
-        if not contains(cfg.domain, xs[0]):
+        if not contains(domain, xs[0]):
             raise ValueError(f"point {xs[0]} outside the domain")
-        w = basis_weights(cfg.domain, n, xs)[0]
+        w = basis_weights(domain, n, xs)[0]
         return math.fsum((w * values).tolist())
-    return apply_lattice_values(cfg.domain, n, values, xs)
+    return apply_lattice_values(domain, n, values, xs)
+
+
+def eval_Cn(cfg: OperatorConfig, n: int, f, x):
+    """C_n(f) at a point, a batch or a :class:`ProductGrid`, via cached
+    inner integrals."""
+    _check_n(n)
+    return _contract(cfg.domain, n, _inner_values(cfg, n, f), x)
 
 
 def _cell_values_at_level(cfg: OperatorConfig, n: int, f, level: int) -> np.ndarray:
@@ -210,16 +244,7 @@ def _cell_values_at_level(cfg: OperatorConfig, n: int, f, level: int) -> np.ndar
 
 @lru_cache(maxsize=512)
 def _cell_values(cfg: OperatorConfig, n: int, f) -> np.ndarray:
-    level = cfg.quad_level
-    vals = _cell_values_at_level(cfg, n, f, level)
-    while level < _MAX_LEVEL:
-        nxt = min(2 * level, _MAX_LEVEL)
-        nxt_vals = _cell_values_at_level(cfg, n, f, nxt)
-        done = float(np.max(np.abs(nxt_vals - vals))) <= _LADDER_TOL
-        vals, level = nxt_vals, nxt
-        if done:
-            break
-    return vals
+    return _ladder(lambda level: _cell_values_at_level(cfg, n, f, level), cfg.quad_level)
 
 
 def eval_Cn_cells(cfg: OperatorConfig, n: int, f, x):
@@ -233,14 +258,7 @@ def eval_Cn_cells(cfg: OperatorConfig, n: int, f, x):
     _check_n(n)
     if cfg.a <= 0.0 or cfg.measures.kind != CONSTANT_LEBESGUE:
         raise ConfigError("cell form needs a > 0 and constant Lebesgue measures")
-    values = _cell_values(cfg, n, f)
-    xs, single = as_points(cfg.domain, x)
-    if single:
-        if not contains(cfg.domain, xs[0]):
-            raise ValueError(f"point {xs[0]} outside the domain")
-        w = basis_weights(cfg.domain, n, xs)[0]
-        return math.fsum((w * values).tolist())
-    return apply_lattice_values(cfg.domain, n, values, xs)
+    return _contract(cfg.domain, n, _cell_values(cfg, n, f), x)
 
 
 def measure_moments(cfg: OperatorConfig, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,23 +13,27 @@ from kantorov.analysis import (
     lipschitz_preservation,
     loglog_slope,
     lp_error,
+    lp_grid,
     lp_norm,
     random_points,
     sandwich_check,
     sup_error,
     tau_delta_argument,
 )
+from kantorov import bernstein
 from kantorov.bernstein import eval_Bn
 from kantorov.catalog import lookup
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, contains
-from kantorov.kantorovich import OperatorConfig, eval_Cn
+from kantorov.kantorovich import OperatorConfig, eval_Cn, eval_Cn_cells
 from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue, dirac_shift, lebesgue_measure, power_of_base
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
+Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
+K3 = Domain.simplex(3)
 
 
 def cfg_for(domain, a, measures=None):
@@ -238,3 +242,48 @@ def test_tau_delta_argument_decays():
     assert tau_delta_argument(1.0, 100) == pytest.approx(
         math.sqrt(301.0 / (12.0 * 101.0**2)), abs=1e-15
     )
+
+
+def _dense_lp_error(cfg, n, f, p, level):
+    """lp_error with C_n evaluated at the grid's points one by one (the
+    dense per-point contraction)."""
+    cn = eval_Cn_cells if cfg.a > 0.0 and cfg.measures.kind == "constant_lebesgue" else eval_Cn
+    return lp_norm(cfg.domain, lambda pts: cn(cfg, n, f, pts) - f(pts), p, level)
+
+
+@pytest.mark.parametrize("dom,a,measures,n,level", [
+    (I, 1.0, None, 40, 8),
+    (I, 0.0, None, 7, 8),
+    (Q2, 1.0, None, 16, 8),
+    (Q2, 2.0, dirac_shift([0.25, 0.75]), 9, 8),
+    (Q3, 1.0, None, 6, 4),
+    (K2, 1.0, None, 64, 8),
+    (K2, 2.0, power_of_base(lebesgue_measure(), 2), 5, 6),
+    (K3, 1.0, None, 6, 4),
+], ids=lambda c: f"{c.kind}{c.dim}" if isinstance(c, Domain) else None)
+def test_lp_error_matches_dense_path(dom, a, measures, n, level):
+    cfg = cfg_for(dom, a, measures)
+    f = lookup("exp_sum", (), dom)
+    for p in (1.0, 2.0):
+        got = lp_error(cfg, n, f, p, level)
+        assert got == pytest.approx(_dense_lp_error(cfg, n, f, p, level), rel=1e-12, abs=0.0)
+
+
+def test_lp_grid_is_a_product_grid():
+    grid = lp_grid(K2, 3)  # rounded up to 4 panels of 7 nodes
+    assert grid.nodes_1d.shape == (28,) and len(grid) == 28**2
+    assert grid.points.shape == grid.shape == (784, 2)
+    assert math.fsum(grid.weights) == pytest.approx(0.5, abs=1e-14)
+    assert lp_grid(Q3, 2).shape == (12**3, 3)
+
+
+def test_lp_norms_of_cn_skip_the_dense_simplex_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense simplex basis built on a product grid")
+
+    monkeypatch.setattr(bernstein, "_simplex_basis_block", refuse)
+    for dom, n, level in ((K2, 32, 8), (K3, 6, 4)):
+        f = lookup("exp_sum", (), dom)
+        for cfg in (cfg_for(dom, 1.0), cfg_for(dom, 2.0, dirac_shift([0.25] * dom.dim))):
+            assert 0.0 < lp_error(cfg, n, f, 2.0, level) < 0.1
+        assert check_bound(cfg_for(dom, 1.0), f, [n], "lp_equibounded", level).passed

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kantorov import bernstein
+from kantorov.analysis import lp_grid
 from kantorov.bernstein import (
     apply_lattice_values,
     basis,
@@ -10,7 +12,7 @@ from kantorov.bernstein import (
     eval_Bn,
     lattice_points,
 )
-from kantorov.geometry import Domain, uniform_grid
+from kantorov.geometry import Domain, ProductGrid, uniform_grid
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
@@ -143,3 +145,56 @@ def test_bn_monotone_in_x_for_monotone_f():
     # symmetric convex data: operator output symmetric and dips at 1/2
     np.testing.assert_allclose(vals, vals[::-1], atol=1e-13)
     assert vals.min() == pytest.approx(vals[10], abs=1e-13)
+
+
+GRID_CASES = [(I, 1), (I, 9), (I, 150), (Q2, 1), (Q2, 7), (Q2, 40), (Q3, 1), (Q3, 5),
+              (Q3, 16), (K2, 1), (K2, 7), (K2, 33), (K2, 64), (K2, 80), (K3, 1),
+              (K3, 6), (K3, 12)]
+
+
+@pytest.mark.parametrize("dom,n", GRID_CASES, ids=lambda c: str(c) if isinstance(c, int)
+                         else f"{c.kind}{c.dim}")
+def test_grid_contraction_matches_scattered_points(dom, n):
+    # the axis-by-axis contraction on lp_norm's grid equals the dense
+    # per-point one at the grid's points (n = 64, 80 pass _DIRECT_N)
+    grid = lp_grid(dom, 4 if dom.dim == 3 else 8)
+    vals = np.random.default_rng(n).uniform(-1.0, 1.0, lattice_points(dom, n).shape[0])
+    got = apply_lattice_values(dom, n, vals, grid)
+    dense = apply_lattice_values(dom, n, vals, grid.points)
+    assert got.shape == (len(grid),)
+    np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-13)
+
+
+def test_grid_contraction_partition_of_unity():
+    for dom in ALL:
+        grid = ProductGrid(dom, np.array([0.0, 0.3, 1.0]), np.full(3, 1.0 / 3.0))
+        ones = np.ones(lattice_points(dom, 5).shape[0])
+        np.testing.assert_allclose(apply_lattice_values(dom, 5, ones, grid), 1.0, atol=1e-14)
+
+
+def test_grid_contraction_checks_domain():
+    with pytest.raises(ValueError, match="grid domain"):
+        apply_lattice_values(Q2, 2, np.ones(9), lp_grid(K2, 2))
+
+
+def test_scattered_cube_contraction_is_chunked(monkeypatch):
+    # blocks of _CHUNK rows give the same values as one block
+    xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(203, 3))
+    vals = np.random.default_rng(4).normal(size=lattice_points(Q3, 6).shape[0])
+    whole = apply_lattice_values(Q3, 6, vals, xs)
+    monkeypatch.setattr(bernstein, "_CHUNK", 16)
+    chunked = apply_lattice_values(Q3, 6, vals, xs)
+    np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(chunked, basis_weights(Q3, 6, xs) @ vals, atol=1e-13)
+
+
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_nonfinite_coordinates_rejected(dom, bad):
+    xs = np.full((2, dom.dim), 0.25)
+    xs[1, -1] = bad
+    vals = np.ones(lattice_points(dom, 3).shape[0])
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_lattice_values(dom, 3, vals, xs)
+    with pytest.raises(ValueError, match="non-finite"):
+        basis_weights(dom, 3, xs)

@@ -258,3 +258,33 @@ def test_power_measure_config(tmp_path):
     assert main(["verify", "--config", str(cfgp)]) == 0
     rows = csv.read_text().splitlines()[1:]
     assert all(r.endswith("true") for r in rows)
+
+
+def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
+    # the Gauss ladder stalls at its cap on the kink of |t - 1/2|: two
+    # inner-value ladders (sup_error) and two cell ladders (lp_error)
+    js = tmp_path / "out.json"
+    cfgp = write_config(
+        tmp_path, "c.json",
+        experiment={"n_list": [4, 16], "p": 2, "grid_resolution": 100},
+        output={"json_path": str(js)},
+    )
+    assert main(["converge", "--config", str(cfgp)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: 4 of 4 quadrature ladder(s)")
+    quad = json.loads(js.read_text())["meta"]["quadrature"]
+    assert quad == {"ladders": 4, "unconverged_at_cap": 4, "stopped_by_node_budget": 0}
+
+
+def test_converged_ladders_do_not_warn(tmp_path, capsys):
+    js = tmp_path / "out.json"
+    cfgp = write_config(
+        tmp_path, "c.json",
+        function={"name": "exp_sum", "params": []},
+        experiment={"n_list": [4, 16], "p": 2, "grid_resolution": 100},
+        output={"json_path": str(js)},
+    )
+    assert main(["converge", "--config", str(cfgp)]) == 0
+    assert capsys.readouterr().err == ""
+    quad = json.loads(js.read_text())["meta"]["quadrature"]
+    assert quad == {"ladders": 4, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}

@@ -6,7 +6,9 @@ import pytest
 from kantorov.errors import NumericError
 from kantorov.geometry import (
     Domain,
+    ProductGrid,
     contains,
+    gauss01,
     integrate,
     quadrature_rule,
     simplex_from_cube,
@@ -134,3 +136,30 @@ def test_integrate_rejects_nonfinite():
         with pytest.raises(NumericError) as err:
             integrate(I, lambda p: 1.0 / (p[:, 0] - rule.nodes[0, 0]), rule)
     assert err.value.point is not None
+
+
+def test_gauss01_is_cached_and_read_only():
+    x, w = gauss01(5)
+    assert gauss01(5)[0] is x and gauss01(5)[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+    assert float(w @ x**9) == pytest.approx(0.1, abs=1e-15)  # exact to degree 9
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+def test_product_grid_points_and_weights():
+    nodes, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    cube = ProductGrid(Q2, nodes, weights)
+    np.testing.assert_array_equal(cube.points, [[0.25, 0.25], [0.25, 0.75],
+                                                [0.75, 0.25], [0.75, 0.75]])
+    np.testing.assert_allclose(cube.weights, 0.25)
+    tri = ProductGrid(K2, nodes, weights)
+    mapped, jac = simplex_from_cube(cube.points)
+    np.testing.assert_array_equal(tri.points, mapped)
+    np.testing.assert_allclose(tri.weights, 0.25 * jac)
+    assert len(tri) == 4 and tri.shape == (4, 2)
+    with pytest.raises(ValueError):
+        ProductGrid(I, np.array([0.5, 1.5]), weights)
+    with pytest.raises(ValueError):
+        ProductGrid(I, nodes, np.ones(3))

@@ -6,6 +6,7 @@ import pytest
 from kantorov.bernstein import eval_Bn
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, uniform_grid
+from kantorov import kantorovich
 from kantorov.kantorovich import (
     AffineForm,
     OperatorConfig,
@@ -16,6 +17,7 @@ from kantorov.kantorovich import (
     eval_Cn,
     eval_Cn_cells,
     eval_In,
+    ladder_counts,
     measure_moments,
 )
 from kantorov.markov import canonical_markov
@@ -250,3 +252,30 @@ def test_monotone_in_f():
 def test_invalid_n():
     with pytest.raises(ValueError):
         eval_Cn(KANT1, 0, ID, [0.5])
+
+
+def _ladder_outcome(at_level, level, fits=lambda level: True):
+    before = ladder_counts()
+    vals = kantorovich._ladder(at_level, level, fits)
+    return vals, {k: v - before[k] for k, v in ladder_counts().items()}
+
+
+def test_ladder_outcomes_are_counted():
+    levels = []
+
+    def stalls(level):
+        levels.append(level)
+        return np.array([1.0 / level])
+
+    vals, outcome = _ladder_outcome(stalls, 8)
+    assert levels == [8, 16, 32] and vals[0] == 1.0 / 32
+    assert outcome == {"ladders": 1, "unconverged_at_cap": 1, "stopped_by_node_budget": 0}
+
+    levels.clear()
+    vals, outcome = _ladder_outcome(stalls, 8, fits=lambda level: level <= 8)
+    assert levels == [8] and vals[0] == 1.0 / 8
+    assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 1}
+
+    vals, outcome = _ladder_outcome(lambda level: np.array([2.0]), 8)
+    assert vals[0] == 2.0
+    assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
