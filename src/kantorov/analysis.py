@@ -548,9 +548,11 @@ def convergence_table(
     p: Optional[float] = None,
     level: int = 8,
 ) -> list[ErrorRow]:
-    """sup / L^p error rows for a list of n (sorted)."""
+    """sup / L^p error rows for a list of n (sorted).  ``lp_error`` reuses
+    the inner integrals that ``sup_error`` computed."""
     rows = []
     for n in sorted(int(n) for n in n_list):
+        sup = sup_error(cfg, n, f, m)
         lp = lp_error(cfg, n, f, float(p), level) if p is not None else None
-        rows.append(ErrorRow(n, sup_error(cfg, n, f, m), lp))
+        rows.append(ErrorRow(n, sup, lp))
     return rows

@@ -54,6 +54,7 @@ from .kantorovich import (
 )
 from .markov import MarkovOpId, canonical_markov
 from .measures import (
+    EXPLICIT_LIST,
     MeasureSeqSpec,
     constant_lebesgue,
     dirac_shift,
@@ -379,6 +380,10 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
     else:
         plan.n_list = sorted(_int_list(_get(exp_raw, "n_list", "experiment"),
                                        "experiment.n_list"))
+        if measures.kind == EXPLICIT_LIST and plan.n_list[-1] > len(measures.measures):
+            raise ConfigError(
+                f"operator.measures.measures: {len(measures.measures)} measure(s) listed, "
+                f"one per n, but experiment.n_list reaches n = {plan.n_list[-1]}")
 
     if command == "eval":
         pts_raw = _get(exp_raw, "points", "experiment")
@@ -714,8 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a UTF-8 JSON config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config RNG seed (default 42)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; the driver currently runs serially")
     return ap
 
 
@@ -723,8 +726,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         raw = load_config(args.config)
         plan = parse_config(raw, args.command, args.seed)
         before = ladder_counts()

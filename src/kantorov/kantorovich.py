@@ -14,6 +14,7 @@ provided as analytic oracles for the quadrature paths.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +23,7 @@ import numpy as np
 
 from .bernstein import apply_lattice_values, basis_weights, lattice, lattice_points
 from .errors import ConfigError, NumericError
-from .geometry import SIMPLEX, Domain, ProductGrid, as_points, contains, quadrature_rule
+from .geometry import Domain, ProductGrid, as_points, contains
 from .markov import MarkovOpId, markov_values
 from .measures import (
     CONSTANT_LEBESGUE,
@@ -38,7 +39,11 @@ from .measures import (
 
 _MAX_LEVEL = 32
 _LADDER_TOL = 1e-11
-_BLOCK_POINTS = 1 << 21
+# Integrand points per block of _blend_at_level (1.5 MB of coordinates on
+# Q3).  Block rows come in groups of 4, the row group of OpenBLAS's
+# dgemv_t, so on one BLAS thread a row's weighted sum has the same bits
+# whatever the budget.
+_BLOCK_POINTS = 1 << 16
 
 # Outcomes of the Gauss ladders run in this process: "ladders" counts
 # every ladder, "unconverged_at_cap" those that reached _MAX_LEVEL without
@@ -105,6 +110,9 @@ class OperatorConfig:
             raise ConfigError("Markov operator domain does not match config domain")
         if self.measures.kind == DIRAC_SHIFT and self.a == 0.0:
             raise ConfigError("dirac_shift measure sequences require a > 0")
+        if isinstance(self.quad_level, bool) or not isinstance(self.quad_level, numbers.Integral):
+            raise ConfigError(f"quad_level must be an integer, got {self.quad_level!r}")
+        object.__setattr__(self, "quad_level", int(self.quad_level))
         if self.quad_level < 1:
             raise ConfigError("quad_level must be >= 1")
 
@@ -121,16 +129,19 @@ def _blend_at_level(
     c = cfg.a / (n + cfg.a)
     m, q, d = base.shape[0], nodes.shape[0], cfg.domain.dim
     out = np.empty(m)
-    block = max(1, _BLOCK_POINTS // q)
-    for i in range(0, m, block):
-        pb = base[i : i + block]
+    block = max(4, _BLOCK_POINTS // q // 4 * 4)
+    starts = list(range(0, m, block))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()  # a lone last row would take numpy's 1-row kernel
+    for i, stop in zip(starts, starts[1:] + [m]):
+        pb = base[i:stop]
         pts = (pb[:, None, :] + c * nodes[None, :, :]).reshape(-1, d)
         vals = np.asarray(f(pts), dtype=float)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             pt = pts[np.nonzero(bad)[0][0]]
             raise NumericError(f"function non-finite at {pt}", point=pt)
-        out[i : i + block] = vals.reshape(pb.shape[0], q) @ weights
+        out[i:stop] = vals.reshape(pb.shape[0], q) @ weights
     return out
 
 
@@ -220,45 +231,20 @@ def eval_Cn(cfg: OperatorConfig, n: int, f, x):
     return _contract(cfg.domain, n, _inner_values(cfg, n, f), x)
 
 
-def _cell_values_at_level(cfg: OperatorConfig, n: int, f, level: int) -> np.ndarray:
-    """Per-cell averages of f over the lattice cells, explicit geometry."""
-    domain, a = cfg.domain, cfg.a
-    latt = lattice(domain, n)
-    rule = quadrature_rule(domain, level)
-    scale = a / (n + a)
-    norm = math.factorial(domain.dim) if domain.kind == SIMPLEX else 1.0
-    out = np.empty(latt.shape[0])
-    q = rule.nodes.shape[0]
-    block = max(1, _BLOCK_POINTS // q)
-    for i in range(0, latt.shape[0], block):
-        lo = latt[i : i + block] / (n + a)
-        pts = (lo[:, None, :] + scale * rule.nodes[None, :, :]).reshape(-1, domain.dim)
-        vals = np.asarray(f(pts), dtype=float)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            pt = pts[np.nonzero(bad)[0][0]]
-            raise NumericError(f"function non-finite at {pt}", point=pt)
-        out[i : i + block] = vals.reshape(lo.shape[0], q) @ (norm * rule.weights)
-    return out
-
-
-@lru_cache(maxsize=512)
-def _cell_values(cfg: OperatorConfig, n: int, f) -> np.ndarray:
-    return _ladder(lambda level: _cell_values_at_level(cfg, n, f, level), cfg.quad_level)
-
-
 def eval_Cn_cells(cfg: OperatorConfig, n: int, f, x):
     """C_n(f) via basis-weighted cell averages.
 
     Each lattice index h owns the cell with corner h/(n+a) and edge
     scale a/(n+a) (an axis box on the hypercube, a shrunken copy of the
     reference simplex on the simplex); requires a > 0 and Lebesgue
-    measures, where C_n(f) = sum_h basis(h, x) * avg_{cell(h)} f.
+    measures, where C_n(f) = sum_h basis(h, x) * avg_{cell(h)} f.  The
+    cell averages are the inner integrals J_{n,h} of :func:`eval_Cn`, so
+    this validates the configuration and shares its cache.
     """
     _check_n(n)
     if cfg.a <= 0.0 or cfg.measures.kind != CONSTANT_LEBESGUE:
         raise ConfigError("cell form needs a > 0 and constant Lebesgue measures")
-    return _contract(cfg.domain, n, _cell_values(cfg, n, f), x)
+    return eval_Cn(cfg, n, f, x)
 
 
 def measure_moments(cfg: OperatorConfig, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -102,6 +102,7 @@ def test_criterion_02_classical_paths_agree():
     xs = uniform_grid(I, 100)
     assert xs.shape[0] == 101
     worst = 0.0
+    worst_exact = 0.0
     for name, params in (("abs_dist", (0.5,)), ("monomial", (1, 3)), ("exp_sum", ())):
         f = lookup(name, params, I)
         for n in (1, 10, 100):
@@ -114,11 +115,21 @@ def test_criterion_02_classical_paths_agree():
                 float(np.max(np.abs(direct - composed))),
                 float(np.max(np.abs(cells - composed))),
             )
+            if name == "exp_sum":
+                # C_n(e^x)(x) = M (1 - x + x e^{1/(n+a)})^n, M = (e^c - 1)/c,
+                # c = a/(n+a): the cell averages of e^t times the Bernstein
+                # generating function
+                c = cfg.a / (n + cfg.a)
+                t = xs[:, 0]
+                exact = math.expm1(c) / c * (1.0 - t + t * math.exp(1.0 / (n + cfg.a))) ** n
+                worst_exact = max(worst_exact, *(float(np.max(np.abs(path - exact)))
+                                                 for path in (direct, cells, composed)))
     assert _line(
         2,
-        worst <= 1e-9,
+        worst <= 1e-9 and worst_exact <= 1e-12,
         f"eval_Cn / eval_Cn_cells / Bn(In) pairwise gap {worst:.2e} on 101 points, "
-        f"n in {{1, 10, 100}} (tol 1e-9)",
+        f"n in {{1, 10, 100}} (tol 1e-9); exp_sum against its closed form "
+        f"{worst_exact:.2e} (tol 1e-12)",
     )
 
 

@@ -261,8 +261,8 @@ def test_power_measure_config(tmp_path):
 
 
 def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
-    # the Gauss ladder stalls at its cap on the kink of |t - 1/2|: two
-    # inner-value ladders (sup_error) and two cell ladders (lp_error)
+    # the Gauss ladder stalls at its cap on the kink of |t - 1/2|: one
+    # ladder per n, which sup_error runs and lp_error reuses
     js = tmp_path / "out.json"
     cfgp = write_config(
         tmp_path, "c.json",
@@ -271,9 +271,9 @@ def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
     )
     assert main(["converge", "--config", str(cfgp)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("warning: 4 of 4 quadrature ladder(s)")
+    assert len(err) == 1 and err[0].startswith("warning: 2 of 2 quadrature ladder(s)")
     quad = json.loads(js.read_text())["meta"]["quadrature"]
-    assert quad == {"ladders": 4, "unconverged_at_cap": 4, "stopped_by_node_budget": 0}
+    assert quad == {"ladders": 2, "unconverged_at_cap": 2, "stopped_by_node_budget": 0}
 
 
 def test_converged_ladders_do_not_warn(tmp_path, capsys):
@@ -287,4 +287,19 @@ def test_converged_ladders_do_not_warn(tmp_path, capsys):
     assert main(["converge", "--config", str(cfgp)]) == 0
     assert capsys.readouterr().err == ""
     quad = json.loads(js.read_text())["meta"]["quadrature"]
-    assert quad == {"ladders": 4, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
+    assert quad == {"ladders": 2, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
+
+
+def test_short_explicit_list_is_a_config_error(tmp_path, capsys):
+    # one measure serves n = 1 only; n = 3 used to escape as an IndexError
+    cfgp = write_config(
+        tmp_path, "e.json",
+        operator={"a": 1.0, "measures": {"kind": "explicit_list",
+                                         "measures": [{"kind": "lebesgue"}]}},
+        experiment={"n_list": [1, 3], "grid_resolution": 50},
+    )
+    assert main(["converge", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "operator.measures.measures" in captured.err and "n = 3" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+

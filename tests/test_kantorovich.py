@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +65,12 @@ def test_config_validation():
         cfg_for(I, 0.0, dirac_shift([0.5]))  # blend point needs a > 0
     with pytest.raises(ConfigError):
         cfg_for(I, 1.0, level=0)
+
+
+@pytest.mark.parametrize("level", [2.5, 8.0, "8", True])
+def test_quad_level_must_be_an_integer(level):
+    with pytest.raises(ConfigError, match="quad_level"):
+        cfg_for(I, 1.0, level=level)
 
 
 def test_affine_form():
@@ -279,3 +289,45 @@ def test_ladder_outcomes_are_counted():
     vals, outcome = _ladder_outcome(lambda level: np.array([2.0]), 8)
     assert vals[0] == 2.0
     assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
+
+
+# Runs in a fresh interpreter with one BLAS thread: threaded OpenBLAS
+# splits a block's rows among its threads, and that split, not the block
+# size, then decides the last bits.  Prints, per budget, the rows whose
+# inner values differ from those under a 2^21-point budget.
+_BLOCK_SCRIPT = """
+import json, sys
+import numpy as np
+from kantorov import kantorovich
+from kantorov.catalog import lookup
+from kantorov.geometry import Domain
+from kantorov.markov import canonical_markov
+from kantorov.measures import constant_lebesgue, lebesgue_measure, power_of_base
+
+I, Q3 = Domain.interval(), Domain.hypercube(3)
+cases = [
+    # the kink of |x - c| on Q3 at level 32: 125 lattice rows, 1 mod 4
+    (Q3, constant_lebesgue(), 32, 4, lookup("abs_dist", (0.5, 0.5, 0.5), Q3)),
+    # Lebesgue squared on I, 64 -> 1024 nodes: 1025 rows, 1 mod every block
+    (I, power_of_base(lebesgue_measure(), 2), 8, 1024, lookup("abs_dist", (0.3,), I)),
+]
+dom, measures, level, n, f = cases[int(sys.argv[1])]
+cfg = kantorovich.OperatorConfig(dom, canonical_markov(dom), 1.0, measures, level)
+values = []
+for budget in (1 << 21, 1 << 16, 1):
+    kantorovich._BLOCK_POINTS = budget
+    values.append(kantorovich._inner_values.__wrapped__(cfg, n, f))
+print(json.dumps([np.nonzero(v != values[0])[0].tolist() for v in values[1:]]))
+"""
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_inner_values_do_not_depend_on_the_block_size(case):
+    src = os.path.dirname(os.path.dirname(kantorovich.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_SCRIPT, str(case)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
