@@ -35,7 +35,7 @@ from .kantorovich import (
     measure_moments,
 )
 from .catalog import CatalogFunction, FunctionMeta, catalog_names, lookup
-from .moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p, total_modulus_upper
+from .moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p
 from .analysis import (
     BOUND_IDS,
     BoundReport,
@@ -70,7 +70,7 @@ __all__ = [
     "eval_In", "eval_Cn", "eval_Cn_cells", "measure_moments",
     "cn_affine_moment", "cn_quadratic_moment", "cn_bilinear_moment",
     "CatalogFunction", "FunctionMeta", "catalog_names", "lookup",
-    "omega1", "omega2", "tau_p", "omega_kp", "lipschitz_estimate", "total_modulus_upper",
+    "omega1", "omega2", "tau_p", "omega_kp", "lipschitz_estimate",
     "BOUND_IDS", "BoundReport", "ErrorRow", "ConvexityReport", "SandwichReport",
     "LipschitzReport", "check_bound", "convergence_table", "convexity_report",
     "equibounded_constant", "lambda_n", "lambda_p_bound_value",

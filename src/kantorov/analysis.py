@@ -11,7 +11,7 @@ match).  Closed-form sides use a 1e-6 tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .kantorovich import (
 )
 from .markov import markov_values
 from .measures import CONSTANT_LEBESGUE
-from .moduli import lipschitz_estimate, omega1
+from .moduli import _pair_blocks, _pair_dist, _positions, lipschitz_estimate
 
 TOL_CLOSED = 1e-6
 TOL_GRID = 0.02
@@ -56,8 +56,6 @@ class ErrorRow:
     n: int
     sup_error: float
     lp_error: Optional[float] = None
-    bound_value: Optional[float] = None
-    bound_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -226,13 +224,10 @@ class _GridOmega:
         fv = np.asarray(f(pts), dtype=float)
         self._width = domain.diameter / self._BINS
         binmax = np.zeros(self._BINS + 1)
-        block = 512
-        for i in range(0, pts.shape[0], block):
-            diff = pts[i : i + block, None, :] - pts[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=-1))
-            gaps = np.abs(fv[i : i + block, None] - fv[None, :])
+        for a, b in _pair_blocks(domain, m):
+            dist = _pair_dist(pts, a, b, "l2")
             idx = np.minimum(np.ceil(dist / self._width).astype(int), self._BINS)
-            np.maximum.at(binmax, idx.reshape(-1), gaps.reshape(-1))
+            np.maximum.at(binmax, idx, np.abs(fv[a] - fv[b]))
         self._pref = np.maximum.accumulate(binmax)
 
     def __call__(self, delta) -> np.ndarray:
@@ -413,7 +408,22 @@ class ConvexityReport:
         return self.passed
 
 
-_MODES = ("convex", "coordinate_convex", "axially_convex")
+def _on_axis(ks: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(ks, axis=1) == 1
+
+
+def _on_axis_or_edge(ks: np.ndarray) -> np.ndarray:
+    # along e_i, or along e_i - e_j (two opposite equal steps)
+    edge = (np.count_nonzero(ks, axis=1) == 2) & (ks.sum(axis=1) == 0)
+    return _on_axis(ks) | edge
+
+
+# offset filter of each mode; None admits every pair
+_MODES = {
+    "convex": None,
+    "coordinate_convex": _on_axis,
+    "axially_convex": _on_axis_or_edge,
+}
 
 
 def convexity_report(
@@ -435,39 +445,17 @@ def convexity_report(
     g2 = np.asarray(g(pts2) if callable(g) else g, dtype=float)
     if g2.shape != (pts2.shape[0],):
         raise ValueError("g must provide values on the doubled grid")
-    idx = np.rint(pts * m).astype(int)
-    shape = (2 * m + 1,) * domain.dim
-    if domain.kind == SIMPLEX:
-        posmap = np.full(shape, -1)
-        full = np.indices(shape).reshape(domain.dim, -1).T
-        keep = full.sum(axis=1) <= 2 * m
-        posmap[tuple(full[keep].T)] = np.arange(int(keep.sum()))
-    else:
-        posmap = np.arange(np.prod(shape)).reshape(shape)
-    gv = g2[posmap[tuple((2 * idx).T)]]
+    # the m grid's points are the rows of the 2m grid at even indices
+    even = _positions(domain, 2 * m)[(slice(None, None, 2),) * domain.dim]
+    gv = g2[even[even >= 0]]
     worst = -math.inf
     witness = None
-    block = 512
-    for i in range(0, pts.shape[0], block):
-        ib = idx[i : i + block]
-        delta = ib[:, None, :] - idx[None, :, :]
-        nz = np.count_nonzero(delta, axis=2)
-        if mode == "convex":
-            mask = nz > 0
-        elif mode == "coordinate_convex":
-            mask = nz == 1
-        else:
-            # moves along e_i, or along e_i - e_j (two opposite equal steps)
-            axis_pairs = nz == 1
-            diag_pairs = (nz == 2) & (delta.sum(axis=2) == 0)
-            mask = axis_pairs | diag_pairs
-        mid = posmap[tuple((ib[:, None, :] + idx[None, :, :]).transpose(2, 0, 1))]
-        viol = g2[mid] - 0.5 * (gv[i : i + block, None] + gv[None, :])
-        viol = np.where(mask, viol, -math.inf)
-        j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    for a, b, mid in _pair_blocks(domain, m, _MODES[mode], midpoints=True):
+        viol = g2[mid] - 0.5 * (gv[a] + gv[b])
+        j = int(np.argmax(viol))
         if viol[j] > worst:
             worst = float(viol[j])
-            witness = (pts[i + j[0]].copy(), pts[j[1]].copy())
+            witness = (pts[a[j]].copy(), pts[b[j]].copy())
     return ConvexityReport(mode, worst <= tol, worst, witness, tol)
 
 
@@ -533,11 +521,6 @@ def loglog_slope(ns: Sequence[int], errors: Sequence[float]) -> float:
     if keep.sum() < 2:
         return 0.0
     return float(np.polyfit(np.log(ns[keep]), np.log(errors[keep]), 1)[0])
-
-
-def tau_delta_argument(a: float, n: int) -> float:
-    """Argument fed to the averaged modulus in the L^p rate estimate."""
-    return math.sqrt((3.0 * n + a**2) / (12.0 * (n + a) ** 2))
 
 
 def convergence_table(

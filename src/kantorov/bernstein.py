@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
+from .errors import check_n
 from .geometry import SIMPLEX, Domain, ProductGrid, as_point, as_points, contains
 
 # Above this order, basis evaluation moves to log-gamma form.
@@ -252,8 +253,7 @@ def eval_Bn(domain: Domain, n: int, f, x):
 
     The scalar path uses compensated summation over the lattice.
     """
-    if n < 1:
-        raise ValueError("operator index n must be >= 1")
+    check_n(n)
     values = np.asarray(f(lattice_points(domain, n)), dtype=float)
     bad = ~np.isfinite(values)
     if np.any(bad):

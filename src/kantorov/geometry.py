@@ -14,7 +14,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NumericError
 
 INTERVAL = "interval"
 HYPERCUBE = "hypercube"
@@ -285,19 +284,3 @@ def quadrature_rule(domain: Domain, level: int) -> QuadratureRule:
     n1, w1 = gauss01(level)
     nodes, weights = _tensor(n1, w1, d)
     return QuadratureRule(nodes, weights)
-
-
-def integrate(domain: Domain, f, rule: QuadratureRule) -> float:
-    """Apply the rule to ``f`` with compensated summation.
-
-    Raises :class:`NumericError` (carrying the node) if ``f`` produces a
-    non-finite value.
-    """
-    values = np.asarray(f(rule.nodes), dtype=float)
-    if values.shape != (rule.nodes.shape[0],):
-        raise ValueError("integrand must map (Q, d) nodes to (Q,) values")
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        node = rule.nodes[np.nonzero(bad)[0][0]]
-        raise NumericError(f"integrand non-finite at node {node}", point=node)
-    return math.fsum((rule.weights * values).tolist())

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bernstein import apply_lattice_values, basis_weights, lattice, lattice_points
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_n
 from .geometry import Domain, ProductGrid, as_points, contains
 from .markov import MarkovOpId, markov_values
 from .measures import (
@@ -194,14 +194,9 @@ def _inner_values(cfg: OperatorConfig, n: int, f) -> np.ndarray:
     return _blend_integrals(cfg, n, f, base)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("operator index n must be >= 1")
-
-
 def eval_In(cfg: OperatorConfig, n: int, f, x):
     """I_n(f) at a point or batch: the measure-blended pullback of f."""
-    _check_n(n)
+    check_n(n)
     xs, single = as_points(cfg.domain, x)
     if cfg.a == 0.0:
         out = np.asarray(f(xs), dtype=float)
@@ -227,7 +222,7 @@ def _contract(domain: Domain, n: int, values: np.ndarray, x):
 def eval_Cn(cfg: OperatorConfig, n: int, f, x):
     """C_n(f) at a point, a batch or a :class:`ProductGrid`, via cached
     inner integrals."""
-    _check_n(n)
+    check_n(n)
     return _contract(cfg.domain, n, _inner_values(cfg, n, f), x)
 
 
@@ -241,7 +236,7 @@ def eval_Cn_cells(cfg: OperatorConfig, n: int, f, x):
     cell averages are the inner integrals J_{n,h} of :func:`eval_Cn`, so
     this validates the configuration and shares its cache.
     """
-    _check_n(n)
+    check_n(n)
     if cfg.a <= 0.0 or cfg.measures.kind != CONSTANT_LEBESGUE:
         raise ConfigError("cell form needs a > 0 and constant Lebesgue measures")
     return eval_Cn(cfg, n, f, x)
@@ -262,7 +257,7 @@ def measure_moments(cfg: OperatorConfig, n: int) -> tuple[np.ndarray, np.ndarray
 
 def cn_affine_moment(cfg: OperatorConfig, n: int, h: AffineForm, x):
     """Closed form C_n(h) = (a/(n+a)) mean_mu(h) + (n/(n+a)) h."""
-    _check_n(n)
+    check_n(n)
     xs, single = as_points(cfg.domain, x)
     if cfg.a == 0.0:
         mean = 0.0
@@ -279,7 +274,7 @@ def cn_quadratic_moment(cfg: OperatorConfig, n: int, i: int, x):
     (1/n) pr_i + ((n-1)/n) pr_i^2, which holds for all three canonical
     vertex selections.
     """
-    _check_n(n)
+    check_n(n)
     if not 0 <= i < cfg.domain.dim:
         raise ValueError(f"coordinate index {i} out of range")
     xs, single = as_points(cfg.domain, x)
@@ -301,7 +296,7 @@ def cn_quadratic_moment(cfg: OperatorConfig, n: int, i: int, x):
 
 def cn_bilinear_moment(cfg: OperatorConfig, n: int, h: AffineForm, k: AffineForm, x):
     """Closed form for C_n(h k) with affine h, k."""
-    _check_n(n)
+    check_n(n)
     xs, single = as_points(cfg.domain, x)
     a = cfg.a
     denom = (n + a) ** 2

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,34 +75,3 @@ def markov_values(op: MarkovOpId, f, xs) -> np.ndarray:
     fv = np.asarray(f(op.domain.vertices()), dtype=float)
     out = selection_weights(op, xs) @ fv
     return out[0] if single else out
-
-
-def apply_markov(op: MarkovOpId, f, x) -> float:
-    """T(f)(x) = sum of f over the selection atoms."""
-    mu = selection(op, x)
-    values = np.asarray(f(mu.atoms), dtype=float)
-    return math.fsum((mu.weights * values).tolist())
-
-
-@dataclass(frozen=True)
-class AffineCheckReport:
-    passed: bool
-    max_deviation: float
-    tol: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def verify_affine_invariance(op: MarkovOpId, grid, tol: float = 1e-12) -> AffineCheckReport:
-    """Check T(h) = h for h in {1, pr_1, ..., pr_d} on the grid."""
-    xs = np.atleast_2d(np.asarray(grid, dtype=float))
-    if xs.shape[0] == 0:
-        raise ValueError("grid must be nonempty")
-    verts = op.domain.vertices()
-    weights = selection_weights(op, xs)
-    worst = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
-    for i in range(op.domain.dim):
-        dev = np.abs(weights @ verts[:, i] - xs[:, i])
-        worst = max(worst, float(np.max(dev)))
-    return AffineCheckReport(worst <= tol, worst, tol)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_n
 from .geometry import SIMPLEX, Domain, as_point, contains, quadrature_rule
 
 LEBESGUE = "lebesgue"
@@ -159,8 +159,7 @@ def explicit_list(measures: Sequence[MeasureSpec]) -> MeasureSeqSpec:
 
 def resolve(seq: MeasureSeqSpec, n: int, domain: Optional[Domain] = None) -> MeasureSpec:
     """Measure mu_n of the sequence (list indexing starts at n = 1)."""
-    if n < 1:
-        raise ValueError("operator index n must be >= 1")
+    check_n(n)
     if seq.kind == CONSTANT_LEBESGUE:
         return lebesgue_measure()
     if seq.kind == DIRAC_SHIFT:
@@ -171,7 +170,7 @@ def resolve(seq: MeasureSeqSpec, n: int, domain: Optional[Domain] = None) -> Mea
     if seq.kind == POWER_OF_BASE:
         return power_measure(seq.base, seq.exponent)
     if n > len(seq.measures):
-        raise IndexError(
+        raise ConfigError(
             f"explicit measure list has {len(seq.measures)} entries; n={n} out of range"
         )
     return seq.measures[n - 1]
@@ -263,10 +262,3 @@ def integrate_measure(mu: MeasureSpec, domain: Domain, f, level: int = 8) -> flo
     """Integral of ``f`` against ``mu`` (probability-normalized)."""
     nodes, weights, _ = measure_nodes(mu, domain, level)
     return apply_rule(nodes, weights, f)
-
-
-def power_average_integral(
-    base: MeasureSpec, a: int, domain: Domain, f, level: int = 8
-) -> float:
-    """Integral of ``f((y_1 + ... + y_a)/a)`` over i.i.d. draws from ``base``."""
-    return integrate_measure(power_measure(base, a), domain, f, level)

@@ -15,14 +15,22 @@ import numpy as np
 
 from .geometry import SIMPLEX, Domain, uniform_grid
 
-_BLOCK = 512
+# Flat row pairs per block of _pair_blocks.
+_PAIRS_PER_BLOCK = 1 << 16
+# delta * m is rounded in floats (0.29 * 100 is 28.999999999999996); a
+# relative slack far below one grid step keeps the offsets that lie at
+# exactly distance delta.
+_RADIUS_SLACK = 1.0 + 1e-12
 
 
-def _dist(diff: np.ndarray, metric: str) -> np.ndarray:
+def _pair_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Float distance between the rows ``a`` and ``b`` of ``pts``, summed
+    axis by axis in axis order."""
+    cols = pts.T
     if metric == "l2":
-        return np.sqrt((diff**2).sum(axis=-1))
+        return np.sqrt(sum((x[a] - x[b]) ** 2 for x in cols))
     if metric == "l1":
-        return np.abs(diff).sum(axis=-1)
+        return sum(np.abs(x[a] - x[b]) for x in cols)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -33,33 +41,100 @@ def _values(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _positions(domain: Domain, m: int) -> np.ndarray:
+    """Row of each index tuple in ``uniform_grid(domain, m)``, as an
+    ``(m+1,)*d`` tensor; -1 outside the simplex."""
+    shape = (m + 1,) * domain.dim
+    if domain.kind != SIMPLEX:
+        return np.arange(np.prod(shape)).reshape(shape)
+    inside = np.indices(shape).sum(axis=0) <= m
+    pos = np.full(shape, -1)
+    pos[inside] = np.arange(int(inside.sum()))
+    return pos
+
+
+def _ball(radius: float, metric: str = "l2"):
+    """(keep, reach) for :func:`_pair_blocks` admitting the offsets
+    within ``radius`` grid steps, decided on the integer offset."""
+    if metric == "l2":
+        limit = math.floor(radius**2 * _RADIUS_SLACK)
+        return (lambda ks: (ks**2).sum(axis=1) <= limit), math.isqrt(limit)
+    if metric == "l1":
+        limit = math.floor(radius * _RADIUS_SLACK)
+        return (lambda ks: np.abs(ks).sum(axis=1) <= limit), limit
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def _pair_blocks(domain: Domain, m: int, keep=None, reach=None, midpoints=False):
+    """Every unordered pair of distinct ``uniform_grid(domain, m)`` rows,
+    once, in blocks of about ``_PAIRS_PER_BLOCK`` flat row pairs.
+
+    A pair is a row ``a`` at index ``i`` and a row ``b`` at index
+    ``i + k``, for the integer offsets ``k`` whose first non-zero entry
+    is positive, ``|k_j| <= reach`` and, if given, ``keep(ks)`` true on
+    the ``(K, d)`` offset array.  Yields ``(a, b)``, or ``(a, b, mid)``
+    with ``mid`` the row of ``2i + k`` in ``uniform_grid(domain, 2m)``.
+    """
+    d = domain.dim
+    pos = _positions(domain, m)
+    pos2 = _positions(domain, 2 * m) if midpoints else None
+    r = m if reach is None else min(reach, m)
+    ks = np.indices((2 * r + 1,) * d).reshape(d, -1).T - r
+    ks = ks[ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)] > 0]
+    if keep is not None:
+        ks = ks[keep(ks)]
+    if not len(ks):
+        return
+    # ks is in lexicographic order.  A run of offsets that share all but
+    # the last entry, and fall in one window of _PAIRS_PER_BLOCK pairs
+    # (counted on the cube), takes one slicing of the leading axes.
+    window = np.cumsum(np.prod(m + 1 - np.abs(ks), axis=1)) // _PAIRS_PER_BLOCK
+    new = np.any(ks[1:, :-1] != ks[:-1, :-1], axis=1) | (window[1:] != window[:-1])
+    parts, count = [], 0
+    for run in np.split(ks, np.flatnonzero(new) + 1):
+        lead, last = run[0, :-1].tolist(), run[:, -1]
+        # last-axis index of the first row of each pair, and its step
+        length = m + 1 - np.abs(last)
+        step = np.repeat(last, length)
+        first = np.arange(length.sum()) + np.repeat(
+            np.maximum(-last, 0) - np.cumsum(length) + length, length
+        )
+        part = [
+            pos[tuple(slice(max(-c, 0), m + 1 - max(c, 0)) for c in lead)]
+            .reshape(-1, m + 1)[:, first],
+            pos[tuple(slice(max(c, 0), m + 1 - max(-c, 0)) for c in lead)]
+            .reshape(-1, m + 1)[:, first + step],
+        ]
+        if midpoints:
+            part.append(
+                pos2[tuple(slice(abs(c), 2 * m + 1 - abs(c), 2) for c in lead)]
+                .reshape(-1, 2 * m + 1)[:, 2 * first + step]
+            )
+        part = [rows.ravel() for rows in part]
+        if domain.kind == SIMPLEX:
+            inside = (part[0] >= 0) & (part[1] >= 0)
+            part = [rows[inside] for rows in part]
+        parts.append(part)
+        count += part[0].size
+        if count >= _PAIRS_PER_BLOCK:
+            yield tuple(np.concatenate(rows) for rows in zip(*parts))
+            parts, count = [], 0
+    if count:
+        yield tuple(np.concatenate(rows) for rows in zip(*parts))
+
+
 def omega1(f, domain: Domain, delta: float, m: int, metric: str = "l2") -> float:
     """First modulus: sup |f(x)-f(y)| over grid pairs with dist <= delta."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if m < 2:
         raise ValueError("resolution m must be >= 2")
-    pts = uniform_grid(domain, m)
-    fv = _values(f, pts)
+    keep, reach = _ball(delta * m, metric)
+    fv = _values(f, uniform_grid(domain, m))
     best = 0.0
-    for i in range(0, pts.shape[0], _BLOCK):
-        diff = pts[i : i + _BLOCK, None, :] - pts[None, :, :]
-        mask = _dist(diff, metric) <= delta
-        gaps = np.abs(fv[i : i + _BLOCK, None] - fv[None, :])
-        best = max(best, float(np.max(np.where(mask, gaps, 0.0))))
+    for a, b in _pair_blocks(domain, m, keep, reach):
+        best = max(best, float(np.max(np.abs(fv[a] - fv[b]))))
     return best
-
-
-def _midpoint_index(domain: Domain, m: int) -> np.ndarray:
-    """Map a multi-index on the 2m grid to its flat grid position."""
-    shape = (2 * m + 1,) * domain.dim
-    if domain.kind != SIMPLEX:
-        return np.arange(np.prod(shape)).reshape(shape)
-    posmap = np.full(shape, -1)
-    idx = np.indices(shape).reshape(domain.dim, -1).T
-    keep = idx.sum(axis=1) <= 2 * m
-    posmap[tuple(idx[keep].T)] = np.arange(int(keep.sum()))
-    return posmap
 
 
 def omega2(f, domain: Domain, delta: float, m: int) -> float:
@@ -68,20 +143,12 @@ def omega2(f, domain: Domain, delta: float, m: int) -> float:
         raise ValueError("delta must be positive")
     if m < 2:
         raise ValueError("resolution m must be >= 2")
-    pts = uniform_grid(domain, m)
-    pts2 = uniform_grid(domain, 2 * m)
-    fv = _values(f, pts)
-    fv2 = _values(f, pts2)
-    idx = np.rint(pts * m).astype(int)
-    posmap = _midpoint_index(domain, m)
+    fv = _values(f, uniform_grid(domain, m))
+    fv2 = _values(f, uniform_grid(domain, 2 * m))
+    keep, reach = _ball(2.0 * delta * m)
     best = 0.0
-    for i in range(0, pts.shape[0], _BLOCK):
-        ib = idx[i : i + _BLOCK]
-        diff = pts[i : i + _BLOCK, None, :] - pts[None, :, :]
-        mask = _dist(diff, "l2") <= 2.0 * delta
-        midpos = posmap[tuple((ib[:, None, :] + idx[None, :, :]).transpose(2, 0, 1))]
-        second = np.abs(fv[i : i + _BLOCK, None] - 2.0 * fv2[midpos] + fv[None, :])
-        best = max(best, float(np.max(np.where(mask, second, 0.0))))
+    for a, b, mid in _pair_blocks(domain, m, keep, reach, midpoints=True):
+        best = max(best, float(np.max(np.abs(fv[a] + fv[b] - 2.0 * fv2[mid]))))
     return best
 
 
@@ -109,16 +176,13 @@ def tau_p(f, domain: Domain, delta: float, p: float, m: int) -> float:
         raise ValueError("delta must be positive")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    pts = uniform_grid(domain, m)
-    fv = _values(f, pts)
-    lo = np.empty(pts.shape[0])
-    hi = np.empty(pts.shape[0])
-    for i in range(0, pts.shape[0], _BLOCK):
-        diff = pts[i : i + _BLOCK, None, :] - pts[None, :, :]
-        mask = _dist(diff, "l2") <= delta / 2.0
-        vals = np.where(mask, fv[None, :], np.nan)
-        hi[i : i + _BLOCK] = np.nanmax(vals, axis=1)
-        lo[i : i + _BLOCK] = np.nanmin(vals, axis=1)
+    fv = _values(f, uniform_grid(domain, m))
+    lo, hi = fv.copy(), fv.copy()
+    for a, b in _pair_blocks(domain, m, *_ball(delta * m / 2.0)):
+        np.maximum.at(hi, a, fv[b])
+        np.maximum.at(hi, b, fv[a])
+        np.minimum.at(lo, a, fv[b])
+        np.minimum.at(lo, b, fv[a])
     osc = hi - lo
     w = _grid_quad_weights(domain, m)
     return float((w @ osc**p) ** (1.0 / p))
@@ -187,16 +251,7 @@ def lipschitz_estimate(f, domain: Domain, m: int, metric: str = "l2") -> float:
     pts = uniform_grid(domain, m)
     fv = _values(f, pts)
     best = 0.0
-    for i in range(0, pts.shape[0], _BLOCK):
-        diff = pts[i : i + _BLOCK, None, :] - pts[None, :, :]
-        dist = _dist(diff, metric)
-        gaps = np.abs(fv[i : i + _BLOCK, None] - fv[None, :])
-        quot = np.where(dist > 0.0, gaps / np.where(dist > 0.0, dist, 1.0), 0.0)
+    for a, b in _pair_blocks(domain, m):
+        quot = np.abs(fv[a] - fv[b]) / _pair_dist(pts, a, b, metric)
         best = max(best, float(np.max(quot)))
     return best
-
-
-def total_modulus_upper(f, domain: Domain, delta: float, m: int) -> float:
-    """Upper bound for the total modulus via the plain first modulus at
-    the domain-scaled argument (an equality on the interval)."""
-    return omega1(f, domain, delta * domain.modulus_scale, m)

@@ -18,7 +18,6 @@ from kantorov.analysis import (
     random_points,
     sandwich_check,
     sup_error,
-    tau_delta_argument,
 )
 from kantorov import bernstein
 from kantorov.bernstein import eval_Bn
@@ -158,13 +157,19 @@ def test_convexity_preserved_on_interval():
         assert rep.passed, rep.worst_violation
 
 
+def _witness_violation(g, rep):
+    """g at the witness pair's midpoint above the chord."""
+    x, y = rep.witness
+    return float(g(((x + y) / 2.0)[None, :])[0] - 0.5 * (g(x[None, :])[0] + g(y[None, :])[0]))
+
+
 def test_convexity_scan_flags_violations():
     # a genuinely non-convex function is caught with a witness
     g = lambda p: -((p[:, 0] - 0.5) ** 2)
     rep = convexity_report(g, I, "convex", 40)
     assert not rep.passed
     assert rep.worst_violation > 1e-3
-    assert rep.witness is not None
+    assert _witness_violation(g, rep) == pytest.approx(rep.worst_violation, abs=1e-15)
 
 
 def test_product12_counterexample_on_square():
@@ -176,6 +181,7 @@ def test_product12_counterexample_on_square():
     rep = convexity_report(vals, Q2, "convex", 16)
     assert not rep.passed
     assert rep.worst_violation == pytest.approx(0.25, abs=1e-12)
+    assert _witness_violation(vals, rep) == pytest.approx(rep.worst_violation, abs=1e-15)
 
 
 def test_axially_convex_on_simplex():
@@ -183,7 +189,9 @@ def test_axially_convex_on_simplex():
     vals = lambda p: eval_Bn(K2, 2, f, p)
     assert convexity_report(vals, K2, "axially_convex", 16).passed
     # the same surface fails the full convexity scan
-    assert not convexity_report(vals, K2, "convex", 16).passed
+    rep = convexity_report(vals, K2, "convex", 16)
+    assert not rep.passed
+    assert _witness_violation(vals, rep) == pytest.approx(rep.worst_violation, abs=1e-15)
     with pytest.raises(ValueError):
         convexity_report(vals, Q2, "axially_convex", 8)
 
@@ -234,14 +242,6 @@ def test_loglog_slope_recovers_exponent():
     ns = [4, 8, 16, 32]
     errs = [3.0 * n ** -0.5 for n in ns]
     assert loglog_slope(ns, errs) == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_tau_delta_argument_decays():
-    vals = [tau_delta_argument(1.0, n) for n in (1, 10, 100)]
-    assert vals[0] > vals[1] > vals[2]
-    assert tau_delta_argument(1.0, 100) == pytest.approx(
-        math.sqrt(301.0 / (12.0 * 101.0**2)), abs=1e-15
-    )
 
 
 def _dense_lp_error(cfg, n, f, p, level):

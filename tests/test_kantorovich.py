@@ -156,7 +156,7 @@ def test_explicit_list_sequences():
     cfg = cfg_for(I, 1.0, seq)
     # n = 2 uses the coin: mean 1/2, so C_2(id)(1/2) = 1/2
     assert eval_Cn(cfg, 2, ID, [0.5]) == pytest.approx(0.5, abs=1e-14)
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError, match="explicit measure list"):
         eval_Cn(cfg, 3, ID, [0.5])
 
 
@@ -260,8 +260,15 @@ def test_monotone_in_f():
 
 
 def test_invalid_n():
-    with pytest.raises(ValueError):
-        eval_Cn(KANT1, 0, ID, [0.5])
+    # one check, at every entry point that takes n
+    for n in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ConfigError, match="operator index"):
+            eval_Cn(KANT1, n, ID, [0.5])
+        with pytest.raises(ConfigError, match="operator index"):
+            eval_Bn(I, n, ID, [0.5])
+        with pytest.raises(ConfigError, match="operator index"):
+            resolve(constant_lebesgue(), n)
+    assert eval_Cn(KANT1, np.int64(3), ID, 0.5) == pytest.approx(eval_Cn(KANT1, 3, ID, 0.5))
 
 
 def _ladder_outcome(at_level, level, fits=lambda level: True):

@@ -1,15 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from kantorov.geometry import Domain, uniform_grid
 from kantorov.markov import (
     MarkovOpId,
-    apply_markov,
     canonical_markov,
     markov_values,
     selection,
     selection_weights,
-    verify_affine_invariance,
 )
 
 I = Domain.interval()
@@ -66,8 +66,10 @@ def test_selection_measure():
 def test_apply_markov_scalar():
     op = canonical_markov(Q2)
     # S2(xy) at x: product of coordinates again (vertex values 0,0,0,1)
-    got = apply_markov(op, lambda p: p[:, 0] * p[:, 1], [0.3, 0.8])
-    assert got == pytest.approx(0.24, abs=1e-15)
+    f = lambda p: p[:, 0] * p[:, 1]
+    mu = selection(op, [0.3, 0.8])
+    assert math.fsum(mu.weights * f(mu.atoms)) == pytest.approx(0.24, abs=1e-15)
+    assert markov_values(op, f, [0.3, 0.8]) == pytest.approx(0.24, abs=1e-15)
 
 
 def test_markov_squares_give_coordinates():
@@ -80,8 +82,12 @@ def test_markov_squares_give_coordinates():
             np.testing.assert_allclose(got, xs[:, i], atol=1e-14)
 
 
-def test_affine_invariance_report():
+def test_affine_functions_are_fixed():
+    # T(h) = h for h in {1, pr_1, ..., pr_d}
     for dom in (I, Q2, Q3, K2):
-        rep = verify_affine_invariance(canonical_markov(dom), uniform_grid(dom, 6))
-        assert rep
-        assert rep.max_deviation <= 1e-12
+        op, xs = canonical_markov(dom), uniform_grid(dom, 6)
+        one = markov_values(op, lambda p: np.ones(p.shape[0]), xs)
+        np.testing.assert_allclose(one, 1.0, rtol=0.0, atol=1e-12)
+        for i in range(dom.dim):
+            got = markov_values(op, lambda p, i=i: p[:, i], xs)
+            np.testing.assert_allclose(got, xs[:, i], rtol=0.0, atol=1e-12)

@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from kantorov.geometry import Domain
+from kantorov import moduli
+from kantorov.analysis import _MODES
+from kantorov.geometry import Domain, uniform_grid
 from kantorov.moduli import (
+    _ball,
+    _pair_blocks,
     lipschitz_estimate,
     omega1,
     omega2,
     omega_kp,
     tau_p,
-    total_modulus_upper,
 )
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
+Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
+K3 = Domain.simplex(3)
 
 SQ = lambda p: p[:, 0] ** 2
 ID = lambda p: p[:, 0]
@@ -31,6 +36,15 @@ def test_omega1_abs_oracle():
     f = lambda p: np.abs(p[:, 0] - 0.5)
     for delta in (0.1, 0.3, 0.6):
         assert omega1(f, I, delta, 800) == pytest.approx(min(delta, 0.5), abs=2e-3)
+
+
+def test_omega1_keeps_pairs_at_exactly_delta():
+    # 0.8 - 0.7 is 0.10000000000000009 in floats, but the pair lies one
+    # grid step apart, which is delta
+    step = lambda p: (p[:, 0] >= 0.75).astype(float)
+    assert omega1(step, I, 0.1, 10) == 1.0
+    # 0.29 * 100 rounds to 28.999999999999996
+    assert omega1(ID, I, 0.29, 100) == pytest.approx(0.29, abs=1e-15)
 
 
 def test_omega1_monotone_in_delta():
@@ -72,6 +86,21 @@ def test_tau_p_identity_oracle():
     # local oscillation of id over [x-0.1, x+0.1] is 0.2 inside, less at
     # the ends: integral = 0.2*0.8 + 2*(0.15 average over 0.1) = 0.19
     assert tau_p(ID, I, 0.2, 1.0, 2000) == pytest.approx(0.19, abs=2e-3)
+
+
+def test_tau_p_counts_pairs_on_the_ball_boundary():
+    # x^2 + y^2 on Q2, m = 40: the ball of radius delta/2 = 5 grid steps,
+    # decided on integer index offsets
+    m, f = 40, lambda p: (p**2).sum(axis=1)
+    idx = np.indices((m + 1, m + 1)).reshape(2, -1).T
+    near = ((idx[:, None, :] - idx[None, :, :]) ** 2).sum(axis=-1) <= 25
+    fv = f(idx / m)
+    osc = np.where(near, fv, -np.inf).max(axis=1) - np.where(near, fv, np.inf).min(axis=1)
+    w1 = np.full(m + 1, 1.0 / m)
+    w1[[0, -1]] = 0.5 / m
+    got = tau_p(f, Q2, 0.25, 1.0, m)
+    assert got == pytest.approx(float(np.outer(w1, w1).reshape(-1) @ osc), abs=1e-15)
+    assert got == pytest.approx(0.3608, abs=1e-4)
 
 
 def test_tau_p_monotone_in_p():
@@ -118,15 +147,41 @@ def test_lipschitz_estimate():
     assert lipschitz_estimate(g, Q2, 30, metric="l2") == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
-def test_total_modulus_upper_dominates_plain_omega():
-    f = lambda p: np.exp(p[:, 0])
-    for delta in (0.1, 0.3):
-        assert total_modulus_upper(f, I, delta, 300) >= omega1(f, I, delta, 300) - 1e-12
-
-
 def test_scaled_metric_on_hypercube():
     # the hypercube modulus scale is sqrt(d): radial distance reaches
     # delta * sqrt(2) between opposite corners
     f = lambda p: p.sum(axis=1)
     w = omega1(f, Q2, math.sqrt(2.0), 40)
     assert w == pytest.approx(2.0, abs=1e-12)
+
+
+_FILTERS = {
+    "all": (None, None),
+    "ball": _ball(2.0),
+    "coordinate": (_MODES["coordinate_convex"], None),
+    "axial": (_MODES["axially_convex"], None),
+}
+
+
+@pytest.mark.parametrize("block", [moduli._PAIRS_PER_BLOCK, 7])
+@pytest.mark.parametrize("name", sorted(_FILTERS))
+@pytest.mark.parametrize("dom,m", [(I, 6), (Q2, 4), (Q3, 3), (K2, 5), (K3, 3)])
+def test_pair_blocks_yield_each_admitted_pair_once(dom, m, name, block, monkeypatch):
+    monkeypatch.setattr(moduli, "_PAIRS_PER_BLOCK", block)
+    keep, reach = _FILTERS[name]
+    idx = np.rint(uniform_grid(dom, m) * m).astype(int)
+    idx2 = np.rint(uniform_grid(dom, 2 * m) * 2 * m).astype(int)
+    expect = set()
+    for p in range(len(idx)):
+        for q in range(p + 1, len(idx)):
+            k = idx[q] - idx[p]
+            if keep is None or keep(k[None, :])[0]:
+                if reach is None or np.abs(k).max() <= reach:
+                    expect.add((p, q))
+    got = []
+    for a, b, mid in _pair_blocks(dom, m, keep, reach, midpoints=True):
+        assert a.shape == b.shape == mid.shape
+        np.testing.assert_array_equal(idx2[mid], idx[a] + idx[b])
+        got += [(min(p, q), max(p, q)) for p, q in zip(a.tolist(), b.tolist())]
+    assert len(got) == len(set(got))
+    assert set(got) == expect
