@@ -56,6 +56,7 @@ from .markov import MarkovOpId, canonical_markov
 from .measures import (
     EXPLICIT_LIST,
     MeasureSeqSpec,
+    check_rule_budget,
     constant_lebesgue,
     dirac_shift,
     discrete_measure,
@@ -64,6 +65,7 @@ from .measures import (
     lebesgue_measure,
     power_measure,
     power_of_base,
+    resolve,
 )
 from .moduli import omega1, omega2, omega_kp, tau_p
 
@@ -384,6 +386,11 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
             raise ConfigError(
                 f"operator.measures.measures: {len(measures.measures)} measure(s) listed, "
                 f"one per n, but experiment.n_list reaches n = {plan.n_list[-1]}")
+        for n in plan.n_list:
+            try:
+                check_rule_budget(resolve(measures, n, domain), domain, quad_level)
+            except ConfigError as exc:
+                raise ConfigError(f"operator.measures: n = {n}: {exc}") from None
 
     if command == "eval":
         pts_raw = _get(exp_raw, "points", "experiment")

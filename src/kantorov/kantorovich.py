@@ -23,7 +23,7 @@ import numpy as np
 
 from .bernstein import apply_lattice_values, basis_weights, lattice, lattice_points
 from .errors import ConfigError, NumericError, check_n
-from .geometry import Domain, ProductGrid, as_points, contains
+from .geometry import Domain, ProductGrid, as_points
 from .markov import MarkovOpId, markov_values
 from .measures import (
     CONSTANT_LEBESGUE,
@@ -212,8 +212,6 @@ def _contract(domain: Domain, n: int, values: np.ndarray, x):
         return apply_lattice_values(domain, n, values, x)
     xs, single = as_points(domain, x)
     if single:
-        if not contains(domain, xs[0]):
-            raise ValueError(f"point {xs[0]} outside the domain")
         w = basis_weights(domain, n, xs)[0]
         return math.fsum((w * values).tolist())
     return apply_lattice_values(domain, n, values, xs)

@@ -4,7 +4,10 @@ Measures come in three concrete flavors: normalized Lebesgue (mass 1,
 i.e. ``d! * lambda_d`` on the simplex), discrete, and the "averaging
 power" of a base measure (the law of the mean of ``exponent`` i.i.d.
 draws).  Power measures are kept lazy (base + exponent) and only turned
-into finite node/weight rules inside integrals.
+into finite node/weight rules inside integrals.  On the interval and the
+hypercube each coordinate of the mean of ``k`` uniform draws has the
+cardinal B-spline density of order ``k`` on the knots ``j/k`` (Curry &
+Schoenberg 1966), so that power of Lebesgue is a product of 1-D rules.
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError, check_n
-from .geometry import SIMPLEX, Domain, as_point, contains, quadrature_rule
+from .geometry import SIMPLEX, Domain, ProductGrid, contains, gauss01, quadrature_rule
 
 LEBESGUE = "lebesgue"
 DISCRETE = "discrete"
 POWER = "power"
 
-# Cost ceiling for tensor integration of power-of-Lebesgue measures.
-MAX_POWER_DIMS = 6
 # Node budget for a single materialized measure rule.
 MAX_RULE_NODES = 4_000_000
 
@@ -184,18 +185,50 @@ def _lebesgue_nodes(domain: Domain, level: int) -> tuple[np.ndarray, np.ndarray]
     return rule.nodes, weights
 
 
+def _bspline_rule(k: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-D rule for the mean of ``k`` uniform draws on [0, 1].
+
+    Gauss-Legendre with ``level`` nodes on each knot interval
+    ``[j/k, (j+1)/k]``, weighted by the cardinal B-spline density there.
+    The density comes from the Cox-de Boor recursion, a sum of
+    non-negative terms at every order, so every weight is positive.
+    """
+    x, w = gauss01(level)
+    # vals[j] = M_r(x + j), the order-r cardinal B-spline on [0, r]
+    vals = np.ones((1, x.size))
+    for r in range(2, k + 1):
+        s = x + np.arange(r)[:, None]
+        nxt = np.zeros((r, x.size))
+        nxt[:-1] += s[:-1] * vals
+        nxt[1:] += (r - s[1:]) * vals
+        vals = nxt / (r - 1)
+    nodes = (np.arange(k)[:, None] + x) / k
+    return nodes.reshape(-1), (w * vals).reshape(-1)
+
+
 def rule_node_count(mu: MeasureSpec, domain: Domain, level: int) -> int:
     """Number of nodes ``measure_nodes`` would materialize."""
-    d = domain.dim
-    per_level = (level + 1) ** d if domain.kind == SIMPLEX else level**d
-    if mu.kind == LEBESGUE:
-        return per_level
     if mu.kind == DISCRETE:
         return mu.discrete.atoms.shape[0]
-    if mu.base.kind == DISCRETE:
+    if mu.base is not None and mu.base.kind == DISCRETE:
         k = mu.base.discrete.atoms.shape[0]
         return math.comb(k + mu.exponent - 1, mu.exponent)
-    return per_level**mu.exponent
+    # Lebesgue or its power (a Lebesgue spec has exponent 1)
+    if domain.kind == SIMPLEX:
+        return (level + 1) ** (domain.dim * mu.exponent)
+    return (mu.exponent * level) ** domain.dim
+
+
+def check_rule_budget(mu: MeasureSpec, domain: Domain, level: int) -> None:
+    """Refuse a power-of-Lebesgue rule above ``MAX_RULE_NODES`` nodes."""
+    if mu.kind == POWER and mu.base.kind == LEBESGUE:
+        count = rule_node_count(mu, domain, level)
+        if count > MAX_RULE_NODES:
+            raise ConfigError(
+                f"power measure with exponent {mu.exponent} on the {domain.dim}-d "
+                f"{domain.kind} needs {count} rule nodes at level {level} "
+                f"(limit {MAX_RULE_NODES})"
+            )
 
 
 def measure_nodes(
@@ -204,7 +237,10 @@ def measure_nodes(
     """Finite rule (nodes, weights, exact) integrating against ``mu``.
 
     ``exact`` is True when the rule represents the measure with no
-    quadrature error (discrete and power-of-discrete cases).
+    quadrature error (discrete and power-of-discrete cases).  Powers of
+    Lebesgue get ``(exponent * level)^d`` nodes on the interval and the
+    hypercube (a product of B-spline rules) and the ``exponent``-fold
+    tensor of the Lebesgue rule on the simplex.
     """
     if mu.kind == LEBESGUE:
         nodes, weights = _lebesgue_nodes(domain, level)
@@ -230,17 +266,12 @@ def measure_nodes(
             weights.append(coef * w)
         return np.array(nodes), np.array(weights), True
 
-    if a * domain.dim > MAX_POWER_DIMS:
-        raise ConfigError(
-            f"power measure with exponent {a} on a {domain.dim}-d Lebesgue base "
-            f"needs {a * domain.dim} tensor dimensions (limit {MAX_POWER_DIMS})"
-        )
+    check_rule_budget(mu, domain, level)
+    if domain.kind != SIMPLEX:
+        grid = ProductGrid(domain, *_bspline_rule(a, level))
+        return grid.points, grid.weights, False
     bnodes, bweights = _lebesgue_nodes(domain, level)
     q = bnodes.shape[0]
-    if q**a > MAX_RULE_NODES:
-        raise ConfigError(
-            f"power measure rule would need {q**a} nodes (limit {MAX_RULE_NODES})"
-        )
     idx = np.indices((q,) * a).reshape(a, -1)
     nodes = bnodes[idx].mean(axis=0)
     weights = np.ones(idx.shape[1])

@@ -260,6 +260,29 @@ def test_power_measure_config(tmp_path):
     assert all(r.endswith("true") for r in rows)
 
 
+@pytest.mark.parametrize("domain,exponent", [
+    ({"kind": "simplex", "dim": 3}, 3),  # (9^3)^3 nodes at level 8
+    ({"kind": "hypercube", "dim": 3}, 20),  # (8 * 20)^3 = 4,096,000 nodes
+])
+def test_power_rule_over_the_node_budget_exits_before_any_work(tmp_path, capsys,
+                                                                domain, exponent):
+    csv = tmp_path / "pw.csv"
+    cfgp = write_config(
+        tmp_path, "pw.json",
+        domain=domain,
+        operator={"a": 1.0, "measures": {"kind": "power_of_base",
+                                         "base": {"kind": "lebesgue"}, "exponent": exponent}},
+        function={"name": "exp_sum", "params": []},
+        experiment={"n_list": [2, 4], "grid_resolution": 4},
+        output={"csv_path": str(csv)},
+    )
+    assert main(["converge", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "operator.measures: n = 2" in captured.err and "rule nodes" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not csv.exists()
+
+
 def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
     # the Gauss ladder stalls at its cap on the kink of |t - 1/2|: one
     # ladder per n, which sup_error runs and lp_error reuses

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kantorov.bernstein import eval_Bn
+from kantorov.catalog import lookup
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, uniform_grid
 from kantorov import kantorovich
@@ -39,6 +41,7 @@ from kantorov.measures import (
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
+Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
 
 ID = lambda p: p[:, 0]
@@ -160,6 +163,86 @@ def test_explicit_list_sequences():
         eval_Cn(cfg, 3, ID, [0.5])
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_power_three_on_q3_matches_the_closed_form(n):
+    # C_n(e^(x_1+x_2+x_3)) = prod_i M (1 - x_i + x_i e^(1/(n+a)))^n with
+    # M = E e^(cT) = ((e^(c/k) - 1)/(c/k))^k, c = a/(n+a), T the mean of k
+    # uniforms
+    a, k = 1.0, 3
+    cfg = cfg_for(Q3, a, power_of_base(lebesgue_measure(), k))
+    x = np.array([0.2, 0.5, 0.9])
+    c = a / (n + a)
+    m = (math.expm1(c / k) / (c / k)) ** k
+    exact = math.prod(m * (1 - xi + xi * math.exp(1 / (n + a))) ** n for xi in x)
+    got = eval_Cn(cfg, n, lookup("exp_sum", (), Q3), x)
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def _ladder_outcome_of(run):
+    before = ladder_counts()
+    result = run()
+    return result, {k: v - before[k] for k, v in ladder_counts().items()}
+
+
+def test_power_kink_on_a_knot_converges_on_q3():
+    # (h + 2T)/6 = 1/2 puts the kink of |x - 1/2| at T = 1/2, a knot of the
+    # density of T; C_4 at the centre is exactly 7/16
+    cfg = cfg_for(Q3, 2.0, power_of_base(lebesgue_measure(), 2))
+    f = lookup("abs_dist", (0.5, 0.5, 0.5), Q3)
+    got, outcome = _ladder_outcome_of(lambda: eval_Cn(cfg, 4, f, [0.5, 0.5, 0.5]))
+    assert got == pytest.approx(7 / 16, abs=1e-12)
+    assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
+
+
+def _mean_abs_affine(c0, c1, pieces):
+    """E|c0 + c1 T| in exact rationals, for T with the piecewise polynomial
+    density ``pieces`` = [(lo, hi, coeffs of t^0, t^1, ...)]."""
+    total = Fraction(0)
+    for lo, hi, coeffs in pieces:
+        cuts = [lo, hi]
+        if lo < -c0 / c1 < hi:
+            cuts.insert(1, -c0 / c1)
+        for u, v in zip(cuts, cuts[1:]):
+            sign = 1 if c0 + c1 * (u + v) / 2 >= 0 else -1
+            for m, c in enumerate(coeffs):
+                total += sign * c * (c0 * (v ** (m + 1) - u ** (m + 1)) / (m + 1)
+                                     + c1 * (v ** (m + 2) - u ** (m + 2)) / (m + 2))
+    return total
+
+
+def test_power_inner_values_match_exact_rationals_at_a_knot():
+    # J_h = E|(h + 2T)/10 - 1/2| with T the mean of two uniforms (density
+    # 4t, then 4(1 - t)); at h = 4 the kink falls on the knot T = 1/2
+    n, a = 8, 2
+    cfg = cfg_for(I, float(a), power_of_base(lebesgue_measure(), 2))
+    triangle = [(Fraction(0), Fraction(1, 2), [0, 4]), (Fraction(1, 2), Fraction(1), [4, -4])]
+    exact = [float(_mean_abs_affine(Fraction(h, n + a) - Fraction(1, 2), Fraction(a, n + a),
+                                    triangle)) for h in range(n + 1)]
+    got, outcome = _ladder_outcome_of(
+        lambda: kantorovich._inner_values(cfg, n, lookup("abs_dist", (0.5,), I)))
+    np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
+    assert outcome["unconverged_at_cap"] == 0
+
+
+def test_single_points_and_batches_are_admitted_alike():
+    # a simplex point over the boundary by rounding noise passes both ways;
+    # a larger excess and a NaN fail both ways
+    cfg = cfg_for(K2, 1.0)
+    f = lookup("exp_sum", (), K2)
+    inside = np.array([0.5, 0.5 + 1e-13])
+    assert eval_Cn(cfg, 4, f, inside) == pytest.approx(eval_Cn(cfg, 4, f, inside[None])[0],
+                                                       rel=1e-15)
+    assert eval_Bn(K2, 4, f, inside) == pytest.approx(eval_Bn(K2, 4, f, inside[None])[0],
+                                                      rel=1e-15)
+    for bad in ([0.5, 0.5 + 1e-11], [0.5, np.nan]):
+        x = np.array(bad)
+        for evaluate in (lambda y: eval_Cn(cfg, 4, f, y), lambda y: eval_Bn(K2, 4, f, y)):
+            with pytest.raises(ValueError):
+                evaluate(x)
+            with pytest.raises(ValueError):
+                evaluate(x[None])
+
+
 def test_measure_moments():
     m1, m2 = measure_moments(KANT1, 5)
     np.testing.assert_allclose(m1, [0.5])
@@ -272,9 +355,7 @@ def test_invalid_n():
 
 
 def _ladder_outcome(at_level, level, fits=lambda level: True):
-    before = ladder_counts()
-    vals = kantorovich._ladder(at_level, level, fits)
-    return vals, {k: v - before[k] for k, v in ladder_counts().items()}
+    return _ladder_outcome_of(lambda: kantorovich._ladder(at_level, level, fits))
 
 
 def test_ladder_outcomes_are_counted():
@@ -315,8 +396,10 @@ I, Q3 = Domain.interval(), Domain.hypercube(3)
 cases = [
     # the kink of |x - c| on Q3 at level 32: 125 lattice rows, 1 mod 4
     (Q3, constant_lebesgue(), 32, 4, lookup("abs_dist", (0.5, 0.5, 0.5), Q3)),
-    # Lebesgue squared on I, 64 -> 1024 nodes: 1025 rows, 1 mod every block
-    (I, power_of_base(lebesgue_measure(), 2), 8, 1024, lookup("abs_dist", (0.3,), I)),
+    # Lebesgue squared on I, 16 -> 32 -> 64 nodes (the kink at 0.45 is on no
+    # knot, so the ladder reaches its cap): 1025 rows, 1 mod the 1024-row
+    # blocks of the 2^16 budget and the 4-row blocks of budget 1
+    (I, power_of_base(lebesgue_measure(), 2), 8, 1024, lookup("abs_dist", (0.45,), I)),
 ]
 dom, measures, level, n, f = cases[int(sys.argv[1])]
 cfg = kantorovich.OperatorConfig(dom, canonical_markov(dom), 1.0, measures, level)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain
 from kantorov.measures import (
+    MAX_RULE_NODES,
+    check_rule_budget,
     constant_lebesgue,
     dirac,
     dirac_shift,
@@ -23,7 +26,9 @@ from kantorov.measures import (
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
+Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
+K3 = Domain.simplex(3)
 
 COIN = discrete_measure([[0.0], [1.0]], [0.5, 0.5], I)
 
@@ -122,14 +127,88 @@ def test_power_average_integral_agrees():
 
 
 def test_rule_node_count_matches():
-    for mu in (
-        lebesgue_measure(),
-        discrete_spec(COIN),
-        power_measure(discrete_spec(COIN), 3),
-        power_measure(lebesgue_measure(), 2),
-    ):
-        nodes, _, _ = measure_nodes(mu, I, level=5)
-        assert rule_node_count(mu, I, 5) == nodes.shape[0]
+    for dom in (I, Q2, Q3, K2):
+        measures = [lebesgue_measure(), power_measure(lebesgue_measure(), 2)]
+        if dom.kind != "simplex":
+            measures.append(power_measure(lebesgue_measure(), 3))
+        if dom == I:
+            measures += [discrete_spec(COIN), power_measure(discrete_spec(COIN), 3)]
+        for mu in measures:
+            nodes, _, _ = measure_nodes(mu, dom, level=5)
+            assert rule_node_count(mu, dom, 5) == nodes.shape[0]
+
+
+def mean_of_uniforms_density(k):
+    """Density of the mean of k uniforms on [0, 1] in exact rationals, as
+    ``(lo, hi, coeffs)`` per knot interval, ``coeffs[m]`` the coefficient
+    of t^m (the Irwin-Hall truncated-power sum, rescaled to [0, 1])."""
+    pieces = []
+    for j in range(k):
+        coeffs = [Fraction(0)] * k
+        for i in range(j + 1):
+            # k/(k-1)! (-1)^i C(k, i) (k t - i)^(k-1)
+            scale = Fraction(k * (-1) ** i * math.comb(k, i), math.factorial(k - 1))
+            for m in range(k):
+                coeffs[m] += scale * math.comb(k - 1, m) * k**m * (-i) ** (k - 1 - m)
+        pieces.append((Fraction(j, k), Fraction(j + 1, k), coeffs))
+    return pieces
+
+
+def exact_moment(k, j):
+    """E T^j for T the mean of k uniforms on [0, 1]."""
+    return sum(
+        c * (hi ** (m + j + 1) - lo ** (m + j + 1)) / (m + j + 1)
+        for lo, hi, coeffs in mean_of_uniforms_density(k)
+        for m, c in enumerate(coeffs)
+    )
+
+
+def test_exact_density_oracle():
+    # the triangle density 4t, 4(1 - t) of the mean of two uniforms
+    assert mean_of_uniforms_density(2) == [
+        (Fraction(0), Fraction(1, 2), [0, 4]),
+        (Fraction(1, 2), Fraction(1), [4, -4]),
+    ]
+    assert exact_moment(3, 0) == 1 and exact_moment(3, 1) == Fraction(1, 2)
+    assert exact_moment(4, 2) == Fraction(1, 4) + Fraction(1, 48)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_power_of_lebesgue_rule_is_positive_with_exact_moments(k):
+    # the alternating truncated-power sum, evaluated in floats, gives
+    # negative weights at k = 8 on levels 16 and 32
+    moments = [float(exact_moment(k, j)) for j in range(5)]
+    for level in (8, 16, 32):
+        nodes, weights, exact = measure_nodes(power_measure(lebesgue_measure(), k), I, level)
+        assert not exact and nodes.shape == (level * k, 1)
+        assert np.all(weights > 0.0)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+        t = nodes[:, 0]
+        for j in range(5):
+            got = math.fsum((weights * t**j).tolist())
+            assert got == pytest.approx(moments[j], abs=1e-14)
+
+
+def test_power_of_lebesgue_rule_is_a_product_over_axes():
+    mu = power_measure(lebesgue_measure(), 3)
+    n1, w1, _ = measure_nodes(mu, I, level=4)
+    nodes, weights, _ = measure_nodes(mu, Q2, level=4)
+    np.testing.assert_array_equal(nodes[:, 0], np.repeat(n1[:, 0], 12))
+    np.testing.assert_array_equal(nodes[:, 1], np.tile(n1[:, 0], 12))
+    np.testing.assert_array_equal(weights, np.outer(w1, w1).reshape(-1))
+
+
+def test_power_rule_node_budget_is_refused_before_any_work():
+    # (8 * 20)^3 = 4,096,000 nodes on Q3 and (9^3)^3 on K3 at level 8
+    for dom, k in ((Q3, 20), (K3, 3)):
+        mu = power_measure(lebesgue_measure(), k)
+        assert rule_node_count(mu, dom, 8) > MAX_RULE_NODES
+        with pytest.raises(ConfigError, match="rule nodes"):
+            check_rule_budget(mu, dom, 8)
+        with pytest.raises(ConfigError, match="rule nodes"):
+            measure_nodes(mu, dom, 8)
+    # exponent 19 fits on Q3: (8 * 19)^3 = 3,511,808 nodes
+    check_rule_budget(power_measure(lebesgue_measure(), 19), Q3, 8)
 
 
 def test_measure_weights_sum_to_one():
