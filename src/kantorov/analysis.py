@@ -6,6 +6,10 @@ Grid moduli are lower estimates; wherever one feeds the large side of
 an inequality it is either replaced by the catalog's exact modulus or
 inflated by a 2% safety factor (and the pass tolerance widened to
 match).  Closed-form sides use a 1e-6 tolerance.
+
+Every value of a caller's function is taken through
+:func:`~kantorov.geometry.values`, so a NaN or an infinity raises
+:class:`~kantorov.errors.NumericError` instead of passing into a report.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .bernstein import eval_Bn
 from .errors import ConfigError
-from .geometry import SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid
+from .geometry import SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid, values
 from .kantorovich import (
     AffineForm,
     OperatorConfig,
@@ -27,12 +31,11 @@ from .kantorovich import (
     coordinate_form,
     eval_Cn,
     eval_Cn_cells,
-    eval_In,
     measure_moments,
 )
 from .markov import markov_values
 from .measures import CONSTANT_LEBESGUE
-from .moduli import _pair_blocks, _pair_dist, _positions, lipschitz_estimate
+from .moduli import _l2_limit, _pair_blocks, _positions, lipschitz_estimate
 
 TOL_CLOSED = 1e-6
 TOL_GRID = 0.02
@@ -114,7 +117,7 @@ def lp_norm(domain: Domain, g, p: float, level: int = 8) -> float:
     if p < 1.0:
         raise ValueError("p must be >= 1")
     grid = lp_grid(domain, level)
-    return _grid_norm(grid, g(grid.points), p)
+    return _grid_norm(grid, values(g, grid.points), p)
 
 
 def random_points(domain: Domain, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,7 +147,7 @@ def random_affine_forms(
 def sup_error(cfg: OperatorConfig, n: int, f, m: int) -> float:
     """max over the uniform grid of |C_n(f) - f|."""
     xs = uniform_grid(cfg.domain, m)
-    return float(np.max(np.abs(eval_Cn(cfg, n, f, xs) - np.asarray(f(xs)))))
+    return float(np.max(np.abs(eval_Cn(cfg, n, f, xs) - values(f, xs))))
 
 
 def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.ndarray]:
@@ -159,7 +162,7 @@ def lp_error(cfg: OperatorConfig, n: int, f, p: float, level: int = 8) -> float:
         raise ValueError("p must be >= 1")
     grid = lp_grid(cfg.domain, level)
     cn = _cn_evaluator(cfg, n, f)(grid)
-    return _grid_norm(grid, cn - np.asarray(f(grid.points)), p)
+    return _grid_norm(grid, cn - values(f, grid.points), p)
 
 
 def _phi_diffs(cfg: OperatorConfig, n: int) -> list:
@@ -214,25 +217,24 @@ def lambda_n(cfg: OperatorConfig, n: int, p, m_or_level: int = 8) -> float:
 
 
 class _GridOmega:
-    """Binned first-modulus profile of f: evaluates a (slightly
-    conservative) grid omega at arbitrary arguments."""
-
-    _BINS = 4096
+    """First-modulus profile of f on the grid: ``omega1(f, domain, delta,
+    m)`` at any array of deltas, from one scan of the grid pairs binned
+    on the integer ``|k|²`` of their offset."""
 
     def __init__(self, f, domain: Domain, m: int):
         pts = uniform_grid(domain, m)
-        fv = np.asarray(f(pts), dtype=float)
-        self._width = domain.diameter / self._BINS
-        binmax = np.zeros(self._BINS + 1)
+        fv = values(f, pts)
+        idx = np.rint(pts * m).astype(int)
+        binmax = np.zeros(domain.dim * m * m + 1)
         for a, b in _pair_blocks(domain, m):
-            dist = _pair_dist(pts, a, b, "l2")
-            idx = np.minimum(np.ceil(dist / self._width).astype(int), self._BINS)
-            np.maximum.at(binmax, idx, np.abs(fv[a] - fv[b]))
+            k2 = ((idx[b] - idx[a]) ** 2).sum(axis=1)
+            np.maximum.at(binmax, k2, np.abs(fv[a] - fv[b]))
+        self._m = m
         self._pref = np.maximum.accumulate(binmax)
 
     def __call__(self, delta) -> np.ndarray:
-        b = np.clip(np.floor(np.asarray(delta) / self._width).astype(int), 0, self._BINS)
-        return self._pref[b]
+        limit = _l2_limit(np.asarray(delta, dtype=float) * self._m)
+        return self._pref[np.clip(limit, 0, self._pref.size - 1)]
 
 
 def _omega_fn(f, domain: Domain, m: int):
@@ -263,25 +265,24 @@ def _ratio(measured: float, bound: float) -> float:
 # bound verification
 
 
-def _check_omega_total(cfg, f, n_list, m):
-    omega, exact = _omega_fn(f, cfg.domain, m)
-    scale = cfg.domain.modulus_scale
-    rows = []
-    for n in n_list:
-        delta = math.sqrt((4.0 * cfg.a**2 + 1.0) / (n + cfg.a))
-        bound = 2.0 * float(omega(delta * scale))
-        measured = sup_error(cfg, n, f, m)
-        rows.append(BoundRow(n, measured, bound, _ratio(measured, bound)))
-    return rows, exact
+def _omega_total_delta(cfg, n):
+    return math.sqrt((4.0 * cfg.a**2 + 1.0) / (n + cfg.a)) * cfg.domain.modulus_scale
 
 
-def _check_omega_uniform(cfg, f, n_list, m):
+def _omega_uniform_delta(cfg, n):
+    spread = max(cfg.a * cfg.domain.diameter**2, _te2_gap_sup(cfg.domain))
+    return spread / math.sqrt(n + cfg.a)
+
+
+# delta(cfg, n) of each bound ||C_n f - f|| <= 2 omega(delta) in the sup norm
+_SUP_DELTAS = {"omega_total": _omega_total_delta, "omega_uniform": _omega_uniform_delta}
+
+
+def _check_omega_sup(cfg, f, n_list, m, delta):
     omega, exact = _omega_fn(f, cfg.domain, m)
-    gap = _te2_gap_sup(cfg.domain)
     rows = []
     for n in n_list:
-        delta = max(cfg.a * cfg.domain.diameter**2, gap) / math.sqrt(n + cfg.a)
-        bound = 2.0 * float(omega(delta))
+        bound = 2.0 * float(omega(delta(cfg, n)))
         measured = sup_error(cfg, n, f, m)
         rows.append(BoundRow(n, measured, bound, _ratio(measured, bound)))
     return rows, exact
@@ -290,7 +291,7 @@ def _check_omega_uniform(cfg, f, n_list, m):
 def _check_omega_pointwise(cfg, f, n_list, m):
     omega, exact = _omega_fn(f, cfg.domain, m)
     xs = uniform_grid(cfg.domain, m)
-    fv = np.asarray(f(xs))
+    fv = values(f, xs)
     gap_x = markov_values(cfg.op, lambda v: (v**2).sum(axis=1), xs) - (xs**2).sum(axis=1)
     rows = []
     for n in n_list:
@@ -376,11 +377,8 @@ def check_bound(
     if bound_id not in BOUND_IDS:
         raise ConfigError(f"unknown bound_id {bound_id!r}; know {BOUND_IDS}")
     n_list = sorted(int(n) for n in n_list)
-    if bound_id == "omega_total":
-        rows, exact = _check_omega_total(cfg, f, n_list, m_or_level)
-        tol = TOL_CLOSED if exact else TOL_GRID
-    elif bound_id == "omega_uniform":
-        rows, exact = _check_omega_uniform(cfg, f, n_list, m_or_level)
+    if bound_id in _SUP_DELTAS:
+        rows, exact = _check_omega_sup(cfg, f, n_list, m_or_level, _SUP_DELTAS[bound_id])
         tol = TOL_CLOSED if exact else TOL_GRID
     elif bound_id == "omega_pointwise":
         rows, exact = _check_omega_pointwise(cfg, f, n_list, m_or_level)
@@ -442,9 +440,7 @@ def convexity_report(
         raise ValueError("axially_convex applies to the simplex")
     pts = uniform_grid(domain, m)
     pts2 = uniform_grid(domain, 2 * m)
-    g2 = np.asarray(g(pts2) if callable(g) else g, dtype=float)
-    if g2.shape != (pts2.shape[0],):
-        raise ValueError("g must provide values on the doubled grid")
+    g2 = values(g if callable(g) else lambda _: g, pts2)
     # the m grid's points are the rows of the 2m grid at even indices
     even = _positions(domain, 2 * m)[(slice(None, None, 2),) * domain.dim]
     gv = g2[even[even >= 0]]
@@ -474,7 +470,7 @@ class SandwichReport:
 def sandwich_check(cfg: OperatorConfig, n: int, f, m: int, tol: float = 1e-11) -> SandwichReport:
     """Grid check of f <= B_n(f) <= T(f) and C_n(f) <= C_n(T f)."""
     xs = uniform_grid(cfg.domain, m)
-    fv = np.asarray(f(xs))
+    fv = values(f, xs)
     bn = eval_Bn(cfg.domain, n, f, xs)
     tf = markov_values(cfg.op, f, xs)
     below = float(np.max(fv - bn))

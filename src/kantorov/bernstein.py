@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import check_n
-from .geometry import SIMPLEX, Domain, ProductGrid, as_point, as_points
+from .geometry import SIMPLEX, Domain, ProductGrid, admit, values
 
 # Above this order, basis evaluation moves to log-gamma form.
 _DIRECT_N = 60
@@ -122,20 +122,9 @@ def _simplex_basis_block(domain: Domain, n: int, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _check_batch(domain: Domain, xs: np.ndarray) -> None:
-    if xs.size == 0:
-        raise ValueError("empty point batch")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("batch contains non-finite coordinates")
-    if np.min(xs) < 0.0 or (domain.kind != SIMPLEX and np.max(xs) > 1.0):
-        raise ValueError("batch contains points outside the domain")
-    if domain.kind == SIMPLEX and np.max(xs.sum(axis=1)) > 1.0 + 1e-12:
-        raise ValueError("batch contains points outside the simplex")
-
-
-def basis_weights(domain: Domain, n: int, xs: np.ndarray) -> np.ndarray:
-    """All basis values at a batch of points, shape ``(G, L)``."""
-    _check_batch(domain, xs)
+def basis_weights(domain: Domain, n: int, xs) -> np.ndarray:
+    """All basis values at a point or a batch of points, shape ``(G, L)``."""
+    xs, _ = admit(domain, xs)
     if domain.kind == SIMPLEX:
         return np.concatenate(
             [_simplex_basis_block(domain, n, xs[i : i + _CHUNK]) for i in range(0, xs.shape[0], _CHUNK)]
@@ -207,7 +196,7 @@ def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, xs) -> np.n
         if xs.domain != domain:
             raise ValueError("grid domain does not match")
         return _apply_grid(domain, n, values, xs)
-    _check_batch(domain, xs)
+    xs, _ = admit(domain, xs)
     # below three cube axes the rows take O(G n) memory, like the output
     step = _CHUNK if domain.kind == SIMPLEX or domain.dim == 3 else xs.shape[0]
     out = np.empty(xs.shape[0])
@@ -230,15 +219,16 @@ def _validate_index(domain: Domain, n: int, h) -> np.ndarray:
 def basis(domain: Domain, n: int, h, x) -> float:
     """Single basis value P_{n,h}(x)."""
     harr = _validate_index(domain, n, h)
-    p = as_point(domain, x)
-    _check_batch(domain, p[None, :])
+    xs, single = admit(domain, x)
+    if not single:
+        raise ValueError(f"basis takes one point, got shape {xs.shape}")
     if domain.kind == SIMPLEX:
         latt = lattice(domain, n)
         pos = int(np.nonzero(np.all(latt == harr, axis=1))[0][0])
-        return float(_simplex_basis_block(domain, n, p[None, :])[0, pos])
+        return float(_simplex_basis_block(domain, n, xs)[0, pos])
     val = 1.0
     for i in range(domain.dim):
-        val *= float(_bern1d(n, p[i : i + 1])[0, harr[i]])
+        val *= float(_bern1d(n, xs[0, i : i + 1])[0, harr[i]])
     return val
 
 
@@ -253,13 +243,9 @@ def eval_Bn(domain: Domain, n: int, f, x):
     The scalar path uses compensated summation over the lattice.
     """
     check_n(n)
-    values = np.asarray(f(lattice_points(domain, n)), dtype=float)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        pt = lattice_points(domain, n)[np.nonzero(bad)[0][0]]
-        raise ValueError(f"function non-finite at lattice point {pt}")
-    xs, single = as_points(domain, x)
+    xs, single = admit(domain, x)
+    fv = values(f, lattice_points(domain, n), "lattice point")
     if single:
         w = basis_weights(domain, n, xs)[0]
-        return math.fsum((w * values).tolist())
-    return apply_lattice_values(domain, n, values, xs)
+        return math.fsum((w * fv).tolist())
+    return apply_lattice_values(domain, n, fv, xs)

@@ -151,6 +151,16 @@ def _int_list(value, path: str, minimum: int = 1) -> list[int]:
     return [_int(v, f"{path}[{i}]", minimum) for i, v in enumerate(value)]
 
 
+def _point(value, path: str, domain: Domain) -> np.ndarray:
+    """A list of coordinates admitted by ``geometry.contains``."""
+    x = np.asarray(_float_list(value, path))
+    if x.size != domain.dim:
+        raise ConfigError(f"{path}: needs {domain.dim} coordinate(s)")
+    if not contains(domain, x):
+        raise ConfigError(f"{path}: {x.tolist()} lies outside the domain")
+    return x
+
+
 def _parse_domain(raw) -> Domain:
     raw = _require_object(raw, "domain")
     _reject_unknown(raw, ("kind", "dim"), "domain")
@@ -205,12 +215,7 @@ def _parse_measures(raw, domain: Domain) -> MeasureSeqSpec:
         return constant_lebesgue()
     if kind == "dirac_shift":
         _reject_unknown(raw, ("kind", "point"), path)
-        point = np.asarray(_float_list(_get(raw, "point", path), f"{path}.point"))
-        if point.size != domain.dim:
-            raise ConfigError(f"{path}.point: needs {domain.dim} coordinate(s)")
-        if not contains(domain, point):
-            raise ConfigError(f"{path}.point: {point.tolist()} lies outside the domain")
-        return dirac_shift(point)
+        return dirac_shift(_point(_get(raw, "point", path), f"{path}.point", domain))
     if kind == "power_of_base":
         _reject_unknown(raw, ("kind", "base", "exponent"), path)
         base = _parse_measure(_get(raw, "base", path, {"kind": "lebesgue"}),
@@ -396,17 +401,11 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
         pts_raw = _get(exp_raw, "points", "experiment")
         if not isinstance(pts_raw, list) or not pts_raw:
             raise ConfigError("experiment.points: expected a non-empty list of points")
-        plan.points = []
-        for i, entry in enumerate(pts_raw):
-            coords = entry if isinstance(entry, list) else [entry]
-            x = np.asarray(_float_list(coords, f"experiment.points[{i}]"))
-            if x.size != domain.dim:
-                raise ConfigError(
-                    f"experiment.points[{i}]: needs {domain.dim} coordinate(s)")
-            if not contains(domain, x):
-                raise ConfigError(
-                    f"experiment.points[{i}]: {x.tolist()} lies outside the domain")
-            plan.points.append(x)
+        plan.points = [
+            _point(entry if isinstance(entry, list) else [entry],
+                   f"experiment.points[{i}]", domain)
+            for i, entry in enumerate(pts_raw)
+        ]
 
     if command == "preserve":
         modes = exp_raw.get("modes")

@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import NumericError
 
 INTERVAL = "interval"
 HYPERCUBE = "hypercube"
@@ -96,48 +97,79 @@ class Domain:
         return verts
 
 
-def as_point(domain: Domain, x) -> np.ndarray:
-    """Coerce ``x`` to a ``(d,)`` float array, checking the dimension."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.shape != (domain.dim,):
-        raise ValueError(
-            f"point of shape {p.shape} does not match domain dim {domain.dim}"
-        )
-    return p
+# How far a simplex point's coordinate sum may exceed 1 and still be
+# admitted: rounding noise, not a wider domain.
+BOUNDARY_TOL = 1e-12
 
 
-def as_points(domain: Domain, xs) -> tuple[np.ndarray, bool]:
-    """Coerce ``xs`` to a ``(G, d)`` batch.  Returns (batch, was_single)."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim <= 1:
-        return as_point(domain, arr)[None, :], True
-    if arr.ndim != 2 or arr.shape[1] != domain.dim:
+def inside(domain: Domain, pts: np.ndarray) -> np.ndarray:
+    """Row mask of the ``(G, d)`` batch ``pts``: coordinates >= 0, and
+    <= 1 on the interval and cube; coordinate sum <= 1 + BOUNDARY_TOL on
+    the simplex.  Rows with a NaN are outside."""
+    ok = (pts >= 0.0).all(axis=1)
+    if domain.kind == SIMPLEX:
+        return ok & (pts.sum(axis=1) <= 1.0 + BOUNDARY_TOL)
+    return ok & (pts <= 1.0).all(axis=1)
+
+
+def _batch(domain: Domain, x) -> tuple[np.ndarray, bool]:
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim <= 1
+    pts = np.atleast_1d(arr)[None, :] if single else arr
+    if pts.ndim != 2 or pts.shape[1] != domain.dim:
         raise ValueError(
-            f"point batch of shape {arr.shape} does not match domain dim {domain.dim}"
+            f"points of shape {arr.shape} do not match domain dim {domain.dim}"
         )
-    return arr, False
+    return pts, single
 
 
 def contains(domain: Domain, x) -> bool:
-    """Exact membership test (tolerance 0).
+    """Whether the point ``x`` (shape ``(d,)``) passes :func:`inside`."""
+    pts, single = _batch(domain, x)
+    if not single:
+        raise ValueError(f"expected one point, got shape {pts.shape}")
+    return bool(inside(domain, pts)[0])
 
-    Callers holding points that are inside only up to rounding noise
-    must clamp them explicitly before calling.
+
+def admit(domain: Domain, x) -> tuple[np.ndarray, bool]:
+    """The one admission rule for caller points.
+
+    Coerces a point ``(d,)`` or a batch ``(G, d)`` to a ``(G, d)``
+    batch and returns (batch, was_single).  Raises ``ValueError`` on a
+    shape that does not match the domain, an empty batch, a non-finite
+    coordinate or a point outside the domain (by :func:`inside`).
     """
-    p = as_point(domain, x)
-    if domain.kind == SIMPLEX:
-        return bool(np.all(p >= 0.0)) and math.fsum(p.tolist()) <= 1.0
-    return bool(np.all(p >= 0.0) and np.all(p <= 1.0))
+    pts, single = _batch(domain, x)
+    if pts.shape[0] == 0:
+        raise ValueError("empty point batch")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points contain non-finite coordinates")
+    out = ~inside(domain, pts)
+    if np.any(out):
+        raise ValueError(f"point {pts[np.argmax(out)]} lies outside the {domain.kind}")
+    return pts, single
+
+
+def values(f, pts: np.ndarray, where: str = "point") -> np.ndarray:
+    """``f`` on the ``(G, d)`` batch ``pts``, checked to be ``(G,)`` and
+    finite; raises :class:`NumericError` at the first non-finite value."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise ValueError("function must map (G, d) points to (G,) values")
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        pt = pts[np.argmax(bad)]
+        raise NumericError(f"function non-finite at {where} {pt}", point=pt)
+    return vals
 
 
 def uniform_grid(domain: Domain, m: int) -> np.ndarray:
     """Lattice ``{i/m}`` restricted to the domain, shape ``(G, d)``.
 
-    Ordering is lexicographic in the index tuple.  Rows are constructed
-    so that ``contains`` holds exactly for every returned point (on the
-    simplex the last coordinate of boundary rows is computed as one
-    minus the float sum of the others, which keeps the float coordinate
-    sum at or below one).
+    Ordering is lexicographic in the index tuple.  On the simplex the
+    last coordinate of boundary rows is one minus the float sum of the
+    others; that fix-up is kept so that grid rows keep their bits, since
+    :func:`inside` admits the rounding noise of ``i/m`` anyway.
     """
     if m < 1:
         raise ValueError("grid resolution m must be >= 1")

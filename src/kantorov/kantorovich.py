@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import apply_lattice_values, basis_weights, lattice, lattice_points
-from .errors import ConfigError, NumericError, check_n
-from .geometry import Domain, ProductGrid, as_points
+from .bernstein import apply_lattice_values, basis_weights, lattice
+from .errors import ConfigError, check_n
+from .geometry import Domain, ProductGrid, admit, values
 from .markov import MarkovOpId, markov_values
 from .measures import (
     CONSTANT_LEBESGUE,
@@ -136,12 +136,7 @@ def _blend_at_level(
     for i, stop in zip(starts, starts[1:] + [m]):
         pb = base[i:stop]
         pts = (pb[:, None, :] + c * nodes[None, :, :]).reshape(-1, d)
-        vals = np.asarray(f(pts), dtype=float)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            pt = pts[np.nonzero(bad)[0][0]]
-            raise NumericError(f"function non-finite at {pt}", point=pt)
-        out[i:stop] = vals.reshape(pb.shape[0], q) @ weights
+        out[i:stop] = values(f, pts).reshape(pb.shape[0], q) @ weights
     return out
 
 
@@ -173,10 +168,7 @@ def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.nda
     node budget.
     """
     if cfg.a == 0.0:
-        vals = np.asarray(f(base), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("function non-finite on the lattice")
-        return vals
+        return values(f, base)
     mu = _resolved(cfg, n)
     if mu.kind == "discrete" or (mu.kind == "power" and mu.base.kind == "discrete"):
         return _blend_at_level(cfg, mu, n, f, base, cfg.quad_level)
@@ -197,24 +189,21 @@ def _inner_values(cfg: OperatorConfig, n: int, f) -> np.ndarray:
 def eval_In(cfg: OperatorConfig, n: int, f, x):
     """I_n(f) at a point or batch: the measure-blended pullback of f."""
     check_n(n)
-    xs, single = as_points(cfg.domain, x)
-    if cfg.a == 0.0:
-        out = np.asarray(f(xs), dtype=float)
-    else:
-        out = _blend_integrals(cfg, n, f, xs * (n / (n + cfg.a)))
+    xs, single = admit(cfg.domain, x)
+    out = _blend_integrals(cfg, n, f, xs * (n / (n + cfg.a)))
     return float(out[0]) if single else out
 
 
-def _contract(domain: Domain, n: int, values: np.ndarray, x):
-    """sum_h basis(h, x) * values[h] at a point (compensated sum), a
+def _contract(domain: Domain, n: int, coeffs: np.ndarray, x):
+    """sum_h basis(h, x) * coeffs[h] at a point (compensated sum), a
     batch or a :class:`ProductGrid` (axis-by-axis contraction)."""
     if isinstance(x, ProductGrid):
-        return apply_lattice_values(domain, n, values, x)
-    xs, single = as_points(domain, x)
+        return apply_lattice_values(domain, n, coeffs, x)
+    xs, single = admit(domain, x)
     if single:
         w = basis_weights(domain, n, xs)[0]
-        return math.fsum((w * values).tolist())
-    return apply_lattice_values(domain, n, values, xs)
+        return math.fsum((w * coeffs).tolist())
+    return apply_lattice_values(domain, n, coeffs, xs)
 
 
 def eval_Cn(cfg: OperatorConfig, n: int, f, x):
@@ -256,7 +245,7 @@ def measure_moments(cfg: OperatorConfig, n: int) -> tuple[np.ndarray, np.ndarray
 def cn_affine_moment(cfg: OperatorConfig, n: int, h: AffineForm, x):
     """Closed form C_n(h) = (a/(n+a)) mean_mu(h) + (n/(n+a)) h."""
     check_n(n)
-    xs, single = as_points(cfg.domain, x)
+    xs, single = admit(cfg.domain, x)
     if cfg.a == 0.0:
         mean = 0.0
     else:
@@ -275,7 +264,7 @@ def cn_quadratic_moment(cfg: OperatorConfig, n: int, i: int, x):
     check_n(n)
     if not 0 <= i < cfg.domain.dim:
         raise ValueError(f"coordinate index {i} out of range")
-    xs, single = as_points(cfg.domain, x)
+    xs, single = admit(cfg.domain, x)
     xi = xs[:, i]
     a = cfg.a
     denom = (n + a) ** 2
@@ -295,7 +284,7 @@ def cn_quadratic_moment(cfg: OperatorConfig, n: int, i: int, x):
 def cn_bilinear_moment(cfg: OperatorConfig, n: int, h: AffineForm, k: AffineForm, x):
     """Closed form for C_n(h k) with affine h, k."""
     check_n(n)
-    xs, single = as_points(cfg.domain, x)
+    xs, single = admit(cfg.domain, x)
     a = cfg.a
     denom = (n + a) ** 2
 

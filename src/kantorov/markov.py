@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, as_point, as_points, contains
+from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, _batch, contains, values
 from .measures import DiscreteMeasure
 
 T1 = "T1"
@@ -60,18 +60,18 @@ def selection_weights(op: MarkovOpId, xs: np.ndarray) -> np.ndarray:
 
 def selection(op: MarkovOpId, x) -> DiscreteMeasure:
     """The probability measure mu-tilde_x placed on the vertices."""
-    p = as_point(op.domain, x)
-    if not contains(op.domain, p):
-        raise ValueError(f"point {p} outside the domain")
-    weights = selection_weights(op, p[None, :])[0]
-    # Tiny negative rounding noise (e.g. simplex boundary sums) is clipped.
-    weights = np.where(np.abs(weights) < 1e-15, np.maximum(weights, 0.0), weights)
+    if not contains(op.domain, x):
+        raise ValueError(f"point {x} lies outside the {op.domain.kind}")
+    weights = selection_weights(op, x)[0]
+    if op.kind == TD:
+        # a point admitted just beyond the face keeps a remainder of 0
+        weights[0] = max(weights[0], 0.0)
     return DiscreteMeasure(op.domain.vertices(), weights)
 
 
 def markov_values(op: MarkovOpId, f, xs) -> np.ndarray:
-    """T(f) at a batch of points, shape ``(G,)``."""
-    xs, single = as_points(op.domain, xs)
-    fv = np.asarray(f(op.domain.vertices()), dtype=float)
-    out = selection_weights(op, xs) @ fv
+    """T(f) at a point or a batch of points.  Only the shape of ``xs`` is
+    checked: T also runs on integrand points a rounding error outside."""
+    xs, single = _batch(op.domain, xs)
+    out = selection_weights(op, xs) @ values(f, op.domain.vertices())
     return out[0] if single else out

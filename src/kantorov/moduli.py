@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import SIMPLEX, Domain, uniform_grid
+from .geometry import SIMPLEX, Domain, inside, uniform_grid, values
 
 # Flat row pairs per block of _pair_blocks.
 _PAIRS_PER_BLOCK = 1 << 16
@@ -34,13 +34,6 @@ def _pair_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray, metric: str) -> np
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _values(f, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise ValueError("function must map (G, d) points to (G,) values")
-    return vals
-
-
 def _positions(domain: Domain, m: int) -> np.ndarray:
     """Row of each index tuple in ``uniform_grid(domain, m)``, as an
     ``(m+1,)*d`` tensor; -1 outside the simplex."""
@@ -53,11 +46,17 @@ def _positions(domain: Domain, m: int) -> np.ndarray:
     return pos
 
 
+def _l2_limit(radius):
+    """Largest ``|k|²`` of an integer offset within ``radius`` grid
+    steps (elementwise on an array of radii)."""
+    return np.floor(radius * radius * _RADIUS_SLACK).astype(int)
+
+
 def _ball(radius: float, metric: str = "l2"):
     """(keep, reach) for :func:`_pair_blocks` admitting the offsets
     within ``radius`` grid steps, decided on the integer offset."""
     if metric == "l2":
-        limit = math.floor(radius**2 * _RADIUS_SLACK)
+        limit = int(_l2_limit(radius))
         return (lambda ks: (ks**2).sum(axis=1) <= limit), math.isqrt(limit)
     if metric == "l1":
         limit = math.floor(radius * _RADIUS_SLACK)
@@ -130,7 +129,7 @@ def omega1(f, domain: Domain, delta: float, m: int, metric: str = "l2") -> float
     if m < 2:
         raise ValueError("resolution m must be >= 2")
     keep, reach = _ball(delta * m, metric)
-    fv = _values(f, uniform_grid(domain, m))
+    fv = values(f, uniform_grid(domain, m))
     best = 0.0
     for a, b in _pair_blocks(domain, m, keep, reach):
         best = max(best, float(np.max(np.abs(fv[a] - fv[b]))))
@@ -143,8 +142,8 @@ def omega2(f, domain: Domain, delta: float, m: int) -> float:
         raise ValueError("delta must be positive")
     if m < 2:
         raise ValueError("resolution m must be >= 2")
-    fv = _values(f, uniform_grid(domain, m))
-    fv2 = _values(f, uniform_grid(domain, 2 * m))
+    fv = values(f, uniform_grid(domain, m))
+    fv2 = values(f, uniform_grid(domain, 2 * m))
     keep, reach = _ball(2.0 * delta * m)
     best = 0.0
     for a, b, mid in _pair_blocks(domain, m, keep, reach, midpoints=True):
@@ -176,7 +175,7 @@ def tau_p(f, domain: Domain, delta: float, p: float, m: int) -> float:
         raise ValueError("delta must be positive")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    fv = _values(f, uniform_grid(domain, m))
+    fv = values(f, uniform_grid(domain, m))
     lo, hi = fv.copy(), fv.copy()
     for a, b in _pair_blocks(domain, m, *_ball(delta * m / 2.0)):
         np.maximum.at(hi, a, fv[b])
@@ -205,13 +204,6 @@ def _directions(domain: Domain, seed: int = 0) -> np.ndarray:
     return np.concatenate([axes, diags, rand])
 
 
-def _inside_tol(domain: Domain, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    ok = (pts >= -tol).all(axis=1) & (pts <= 1.0 + tol).all(axis=1)
-    if domain.kind == SIMPLEX:
-        ok &= pts.sum(axis=1) <= 1.0 + tol
-    return ok
-
-
 _N_MAGNITUDES = 16
 
 
@@ -232,13 +224,13 @@ def omega_kp(f, domain: Domain, k: int, delta: float, p: float, m: int, seed: in
     for u in _directions(domain, seed):
         for j in range(1, _N_MAGNITUDES + 1):
             h = (delta * j / _N_MAGNITUDES) * u
-            valid = _inside_tol(domain, pts + k * h)
+            valid = inside(domain, pts + k * h)
             if not np.any(valid):
                 continue
             xs = pts[valid]
             acc = np.zeros(xs.shape[0])
             for l in range(k + 1):
-                acc += coeffs[l] * _values(f, xs + l * h)
+                acc += coeffs[l] * values(f, xs + l * h)
             norm = float((w[valid] @ np.abs(acc) ** p) ** (1.0 / p))
             best = max(best, norm)
     return best
@@ -249,7 +241,7 @@ def lipschitz_estimate(f, domain: Domain, m: int, metric: str = "l2") -> float:
     if m < 2:
         raise ValueError("resolution m must be >= 2")
     pts = uniform_grid(domain, m)
-    fv = _values(f, pts)
+    fv = values(f, pts)
     best = 0.0
     for a, b in _pair_blocks(domain, m):
         quot = np.abs(fv[a] - fv[b]) / _pair_dist(pts, a, b, metric)

@@ -1,0 +1,219 @@
+"""One admission rule for points and one finite-value guard.
+
+Every public entry point that takes caller points accepts a point
+exactly when ``geometry.contains`` does, and every function value the
+package reads passes ``geometry.values``, so a NaN raises
+``NumericError`` wherever it appears.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kantorov.analysis import convexity_report, lp_norm, sandwich_check
+from kantorov.bernstein import apply_lattice_values, basis, basis_weights, eval_Bn, lattice_points
+from kantorov.catalog import lookup
+from kantorov.cli import main, parse_config
+from kantorov.errors import ConfigError, NumericError
+from kantorov.geometry import Domain, admit, contains, uniform_grid, values
+from kantorov.kantorovich import (
+    OperatorConfig,
+    cn_affine_moment,
+    cn_bilinear_moment,
+    cn_quadratic_moment,
+    coordinate_form,
+    eval_Cn,
+    eval_Cn_cells,
+    eval_In,
+)
+from kantorov.markov import canonical_markov, selection
+from kantorov.measures import constant_lebesgue
+from kantorov.moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p
+
+I = Domain.interval()
+Q2 = Domain.hypercube(2)
+K2 = Domain.simplex(2)
+K3 = Domain.simplex(3)
+
+N = 3
+
+
+def cfg_for(domain, a=1.0):
+    return OperatorConfig(domain, canonical_markov(domain), a, constant_lebesgue())
+
+
+def eval_config(domain, x):
+    return {
+        "domain": {"kind": domain.kind, "dim": domain.dim},
+        "operator": {"a": 1.0},
+        "function": {"name": "exp_sum"},
+        "experiment": {"n_list": [N], "points": [list(map(float, x))]},
+    }
+
+
+def entry_points(domain):
+    """Name -> callable of one point, for every public evaluator that
+    takes caller points, ``selection`` and the CLI's config parser."""
+    cfg = cfg_for(domain)
+    f = lookup("exp_sum", (), domain)
+    h = coordinate_form(domain, 0)
+    ones = np.ones(lattice_points(domain, N).shape[0])
+    return {
+        "eval_Cn": lambda x: eval_Cn(cfg, N, f, x),
+        "eval_Cn batch": lambda x: eval_Cn(cfg, N, f, [x]),
+        "eval_Cn_cells": lambda x: eval_Cn_cells(cfg, N, f, x),
+        "eval_In": lambda x: eval_In(cfg, N, f, x),
+        "eval_Bn": lambda x: eval_Bn(domain, N, f, x),
+        "eval_Bn batch": lambda x: eval_Bn(domain, N, f, [x]),
+        "basis": lambda x: basis(domain, N, (0,) * domain.dim, x),
+        "basis_weights": lambda x: basis_weights(domain, N, [x]),
+        "apply_lattice_values": lambda x: apply_lattice_values(domain, N, ones, [x]),
+        "cn_affine_moment": lambda x: cn_affine_moment(cfg, N, h, x),
+        "cn_quadratic_moment": lambda x: cn_quadratic_moment(cfg, N, 0, x),
+        "cn_bilinear_moment": lambda x: cn_bilinear_moment(cfg, N, h, h, x),
+        "selection": lambda x: selection(cfg.op, x),
+        "parse_config": lambda x: parse_config(eval_config(domain, x), "eval"),
+    }
+
+
+ENTRY_POINTS = {dom: entry_points(dom) for dom in (I, Q2, K2, K3)}
+
+
+def verdicts(domain, x):
+    """Name -> whether the entry point (or ``contains``) accepted ``x``."""
+    out = {"contains": contains(domain, np.array(x))}
+    for name, call in ENTRY_POINTS[domain].items():
+        try:
+            call(np.array(x))
+            out[name] = True
+        except (ValueError, ConfigError):
+            out[name] = False
+    return out
+
+
+# ---------------------------------------------------------------------------
+# points
+
+
+def _with(x, i, value):
+    x = np.array(x)
+    x[i] = value
+    return x
+
+
+def _on_face(u, excess, i):
+    x = u / u.sum()
+    x[i] += excess
+    return x
+
+
+def points(domain):
+    """(point, expected verdict): inside, on or within 1e-12 of the
+    boundary, just beyond it, or with a NaN or infinite coordinate."""
+    d = domain.dim
+    cube = st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d).map(np.array)
+    axis = st.integers(0, d - 1)
+    nonfinite = st.builds(_with, cube, axis, st.sampled_from([np.nan, np.inf, -np.inf]))
+    if domain.kind == "simplex":
+        inside = cube.map(lambda u: u / max(1.0, u.sum()))
+        positive = st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d).map(np.array)
+        near = st.builds(_on_face, positive, st.floats(0.0, 0.9e-12), axis)
+        beyond = st.builds(_on_face, positive, st.floats(1.1e-12, 1e-9), axis)
+    else:
+        inside = cube
+        near = st.builds(_with, cube, axis, st.sampled_from([0.0, 1.0]))
+        excess = st.floats(1e-15, 1e-9)
+        beyond = st.one_of(st.builds(_with, cube, axis, excess.map(lambda e: 1.0 + e)),
+                           st.builds(_with, cube, axis, excess.map(lambda e: -e)))
+    return st.one_of(
+        st.tuples(inside, st.just(True)),
+        st.tuples(near, st.just(True)),
+        st.tuples(beyond, st.just(False)),
+        st.tuples(nonfinite, st.just(False)),
+    )
+
+
+@pytest.mark.parametrize("domain", (I, Q2, K2, K3), ids=lambda d: f"{d.kind}{d.dim}")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_entry_point_admits_a_point_as_contains_does(domain, data):
+    x, expected = data.draw(points(domain))
+    got = verdicts(domain, x)
+    assert got == dict.fromkeys(got, expected), x
+
+
+def test_simplex_point_within_the_tolerance_is_accepted_everywhere(tmp_path):
+    x = np.array([0.5, 0.5 + 1e-13])
+    assert all(verdicts(K2, x).values())
+    value = eval_Cn(cfg_for(K2), N, lookup("exp_sum", (), K2), x)
+    assert eval_Cn(cfg_for(K2), N, lookup("exp_sum", (), K2), x[None])[0] == value
+    csv = tmp_path / "ev.csv"
+    doc = dict(eval_config(K2, x), output={"csv_path": str(csv)})
+    path = tmp_path / "ev.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--config", str(path)]) == 0
+    row = csv.read_text().splitlines()[1].split(",")
+    assert float(row[2]) == value
+
+
+@pytest.mark.parametrize("x", ([0.5, 0.5 + 1e-11], [0.5, np.nan]), ids=("beyond", "nan"))
+def test_simplex_point_beyond_the_tolerance_is_rejected_everywhere(x):
+    assert not any(verdicts(K2, x).values())
+
+
+@pytest.mark.parametrize("x", ([1.0 + 1e-11], [np.nan], [-np.inf]), ids=("beyond", "nan", "inf"))
+def test_interval_point_outside_is_rejected_everywhere(x):
+    assert not any(verdicts(I, x).values())
+
+
+def test_admit_checks_shape_emptiness_finiteness_and_membership():
+    pts, single = admit(K2, [0.25, 0.5])
+    assert single and pts.shape == (1, 2)
+    pts, single = admit(K2, [[0.25, 0.5], [0.0, 1.0]])
+    assert not single and pts.shape == (2, 2)
+    assert admit(I, 0.5)[0].shape == (1, 1)
+    for bad, match in (([0.1, 0.2, 0.3], "shape"), (np.empty((0, 2)), "empty"),
+                       ([0.1, np.inf], "non-finite"), ([0.7, 0.7], "outside")):
+        with pytest.raises(ValueError, match=match):
+            admit(K2, bad)
+
+
+# ---------------------------------------------------------------------------
+# function values
+
+
+def nan_above(t):
+    return lambda p: np.where(p[:, 0] > t, np.nan, p[:, 0])
+
+
+def test_values_names_the_first_non_finite_point():
+    pts = uniform_grid(I, 4)
+    with pytest.raises(NumericError, match="non-finite") as err:
+        values(nan_above(0.6), pts)
+    assert err.value.point.tolist() == [0.75]
+    with pytest.raises(ValueError, match=r"\(G,\)"):
+        values(lambda p: p, pts)
+
+
+NAN_CALLS = {
+    "omega1": lambda f: omega1(f, Q2, 0.2, 8),
+    "omega2": lambda f: omega2(f, Q2, 0.2, 8),
+    "tau_p": lambda f: tau_p(f, Q2, 0.2, 1.0, 8),
+    "omega_kp": lambda f: omega_kp(f, Q2, 1, 0.2, 1.0, 8),
+    "lipschitz_estimate": lambda f: lipschitz_estimate(f, Q2, 8),
+    "convexity_report": lambda f: convexity_report(f, I, "convex", 8),
+    "convexity_report array": lambda f: convexity_report(f(uniform_grid(I, 16)), I, "convex", 8),
+    "lp_norm": lambda f: lp_norm(I, f, 2.0),
+    "sandwich_check": lambda f: sandwich_check(cfg_for(I), 4, f, 16),
+    "eval_In a=0": lambda f: eval_In(cfg_for(I, 0.0), 4, f, [0.9]),
+    "eval_Bn": lambda f: eval_Bn(I, 4, f, [0.5]),
+}
+
+
+@pytest.mark.parametrize("name", NAN_CALLS)
+def test_nan_function_values_raise_numeric_error(name):
+    with pytest.raises(NumericError):
+        NAN_CALLS[name](nan_above(0.7))

@@ -19,7 +19,7 @@ from kantorov.analysis import (
     sandwich_check,
     sup_error,
 )
-from kantorov import bernstein
+from kantorov import analysis, bernstein
 from kantorov.bernstein import eval_Bn
 from kantorov.catalog import lookup
 from kantorov.errors import ConfigError
@@ -27,6 +27,7 @@ from kantorov.geometry import Domain, contains
 from kantorov.kantorovich import OperatorConfig, eval_Cn, eval_Cn_cells
 from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue, dirac_shift, lebesgue_measure, power_of_base
+from kantorov.moduli import omega1
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
@@ -120,6 +121,23 @@ def test_omega_total_bound_grid_modulus():
     f = lookup("runge", [], I)  # no closed-form modulus
     rep = check_bound(KANT1, f, [8, 32], "omega_total", 400)
     assert rep.passed
+
+
+@pytest.mark.parametrize("dom,name", [(Q2, "product12"), (Q2, "runge"), (I, "runge"),
+                                      (K2, "runge"), (Q3, "runge")],
+                         ids=lambda c: c if isinstance(c, str) else f"{c.kind}{c.dim}")
+def test_grid_modulus_of_the_bound_checks_is_omega1(dom, name):
+    # the binned profile decides |k|^2 <= (delta m)^2 on integer offsets,
+    # as omega1 does; float distance bins put it below omega1 (on Q2 with
+    # m = 20: 0 against 0.05 for product12 at 0.05, 0.222 against 0.301
+    # for runge at 0.1)
+    f = lookup(name, [], dom)
+    m = 20 if dom.dim < 3 else 6
+    omega = analysis._GridOmega(f, dom, m)
+    deltas = [0.0, 0.03, 0.05, 0.1, 0.15, 1.0 / 6.0, 0.29, 0.5, 1.0, 2.0]
+    expected = [0.0] + [omega1(f, dom, d, m) for d in deltas[1:]]
+    assert omega(np.array(deltas)).tolist() == expected
+    assert [float(omega(d)) for d in deltas] == expected
 
 
 def test_omega_pointwise_and_uniform_bounds():

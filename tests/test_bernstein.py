@@ -12,6 +12,7 @@ from kantorov.bernstein import (
     eval_Bn,
     lattice_points,
 )
+from kantorov.errors import NumericError
 from kantorov.geometry import Domain, ProductGrid, uniform_grid
 
 I = Domain.interval()
@@ -135,7 +136,7 @@ def test_apply_lattice_values_matches_weights():
 
 def test_bn_rejects_nonfinite_values():
     bad = lambda p: np.where(p[:, 0] > 0.9, np.nan, p[:, 0])
-    with pytest.raises(ValueError, match="lattice"):
+    with pytest.raises(NumericError, match="lattice"):
         eval_Bn(I, 10, bad, [0.5])
 
 

@@ -226,21 +226,32 @@ def test_power_inner_values_match_exact_rationals_at_a_knot():
 
 def test_single_points_and_batches_are_admitted_alike():
     # a simplex point over the boundary by rounding noise passes both ways;
-    # a larger excess and a NaN fail both ways
-    cfg = cfg_for(K2, 1.0)
-    f = lookup("exp_sum", (), K2)
-    inside = np.array([0.5, 0.5 + 1e-13])
-    assert eval_Cn(cfg, 4, f, inside) == pytest.approx(eval_Cn(cfg, 4, f, inside[None])[0],
-                                                       rel=1e-15)
-    assert eval_Bn(K2, 4, f, inside) == pytest.approx(eval_Bn(K2, 4, f, inside[None])[0],
-                                                      rel=1e-15)
-    for bad in ([0.5, 0.5 + 1e-11], [0.5, np.nan]):
-        x = np.array(bad)
-        for evaluate in (lambda y: eval_Cn(cfg, 4, f, y), lambda y: eval_Bn(K2, 4, f, y)):
-            with pytest.raises(ValueError):
-                evaluate(x)
-            with pytest.raises(ValueError):
-                evaluate(x[None])
+    # a larger excess and a NaN fail both ways, and so do a point outside
+    # the interval and a NaN there
+    for dom, inside, outside in ((K2, [0.5, 0.5 + 1e-13], ([0.5, 0.5 + 1e-11], [0.5, np.nan])),
+                                 (I, [1.0], ([2.0], [np.nan]))):
+        cfg = cfg_for(dom, 1.0)
+        f = lookup("exp_sum", (), dom)
+        h = coordinate_form(dom, 0)
+        evaluators = (
+            lambda y: eval_Cn(cfg, 4, f, y),
+            lambda y: eval_Cn_cells(cfg, 4, f, y),
+            lambda y: eval_In(cfg, 4, f, y),
+            lambda y: eval_Bn(dom, 4, f, y),
+            lambda y: cn_affine_moment(cfg, 4, h, y),
+            lambda y: cn_quadratic_moment(cfg, 4, 0, y),
+            lambda y: cn_bilinear_moment(cfg, 4, h, h, y),
+        )
+        x = np.array(inside)
+        for evaluate in evaluators:
+            assert evaluate(x) == pytest.approx(evaluate(x[None])[0], rel=1e-15)
+        for bad in outside:
+            x = np.array(bad)
+            for evaluate in evaluators:
+                with pytest.raises(ValueError):
+                    evaluate(x)
+                with pytest.raises(ValueError):
+                    evaluate(x[None])
 
 
 def test_measure_moments():
