@@ -35,7 +35,7 @@ from .kantorovich import (
 )
 from .markov import markov_values
 from .measures import CONSTANT_LEBESGUE
-from .moduli import _l2_limit, _pair_blocks, _positions, lipschitz_estimate
+from .moduli import _half_offsets, _pair_blocks, _positions, lipschitz_estimate, omega1
 
 TOL_CLOSED = 1e-6
 TOL_GRID = 0.02
@@ -54,6 +54,13 @@ BOUND_IDS = (
 # report rows
 
 
+class _Verdict:
+    """A report that is true when its check passed."""
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
 @dataclass(frozen=True)
 class ErrorRow:
     n: int
@@ -70,7 +77,7 @@ class BoundRow:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Verdict):
     bound_id: str
     rows: tuple
     tol: float
@@ -86,9 +93,6 @@ class BoundReport:
     @property
     def passed(self) -> bool:
         return self.max_ratio <= 1.0 + self.tol
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 # ---------------------------------------------------------------------------
@@ -216,35 +220,18 @@ def lambda_n(cfg: OperatorConfig, n: int, p, m_or_level: int = 8) -> float:
 # grid modulus with conservative inflation
 
 
-class _GridOmega:
-    """First-modulus profile of f on the grid: ``omega1(f, domain, delta,
-    m)`` at any array of deltas, from one scan of the grid pairs binned
-    on the integer ``|k|²`` of their offset."""
-
-    def __init__(self, f, domain: Domain, m: int):
-        pts = uniform_grid(domain, m)
-        fv = values(f, pts)
-        idx = np.rint(pts * m).astype(int)
-        binmax = np.zeros(domain.dim * m * m + 1)
-        for a, b in _pair_blocks(domain, m):
-            k2 = ((idx[b] - idx[a]) ** 2).sum(axis=1)
-            np.maximum.at(binmax, k2, np.abs(fv[a] - fv[b]))
-        self._m = m
-        self._pref = np.maximum.accumulate(binmax)
-
-    def __call__(self, delta) -> np.ndarray:
-        limit = _l2_limit(np.asarray(delta, dtype=float) * self._m)
-        return self._pref[np.clip(limit, 0, self._pref.size - 1)]
-
-
-def _omega_fn(f, domain: Domain, m: int):
-    """(omega(delta) callable, exact flag) for the bound checks."""
+def _omegas(f, domain: Domain, m: int, deltas):
+    """(omega(delta) at each of ``deltas``, exact flag) for the bound
+    checks: the catalog's exact modulus, or else ``omega1`` on the grid
+    inflated by ``_OMEGA_INFLATE`` (0 at delta = 0)."""
+    deltas = np.asarray(deltas, dtype=float)
     meta = getattr(f, "meta", None)
     if meta is not None and meta.exact_omega is not None:
-        exact = meta.exact_omega
-        return lambda delta: np.vectorize(exact, otypes=[float])(delta), True
-    grid = _GridOmega(f, domain, m)
-    return lambda delta: _OMEGA_INFLATE * grid(delta), False
+        return np.vectorize(meta.exact_omega, otypes=[float])(deltas), True
+    out = np.zeros(deltas.shape)
+    positive = deltas > 0.0
+    out[positive] = _OMEGA_INFLATE * omega1(f, domain, deltas[positive], m)
+    return out, False
 
 
 def _te2_gap_sup(domain: Domain) -> float:
@@ -279,21 +266,20 @@ _SUP_DELTAS = {"omega_total": _omega_total_delta, "omega_uniform": _omega_unifor
 
 
 def _check_omega_sup(cfg, f, n_list, m, delta):
-    omega, exact = _omega_fn(f, cfg.domain, m)
+    omegas, exact = _omegas(f, cfg.domain, m, [delta(cfg, n) for n in n_list])
     rows = []
-    for n in n_list:
-        bound = 2.0 * float(omega(delta(cfg, n)))
+    for n, omega in zip(n_list, omegas):
+        bound = 2.0 * float(omega)
         measured = sup_error(cfg, n, f, m)
         rows.append(BoundRow(n, measured, bound, _ratio(measured, bound)))
     return rows, exact
 
 
 def _check_omega_pointwise(cfg, f, n_list, m):
-    omega, exact = _omega_fn(f, cfg.domain, m)
     xs = uniform_grid(cfg.domain, m)
     fv = values(f, xs)
     gap_x = markov_values(cfg.op, lambda v: (v**2).sum(axis=1), xs) - (xs**2).sum(axis=1)
-    rows = []
+    deltas = []
     for n in n_list:
         if cfg.a > 0.0:
             m1, m2 = measure_moments(cfg, n)
@@ -301,8 +287,11 @@ def _check_omega_pointwise(cfg, f, n_list, m):
         else:
             i2 = np.zeros(xs.shape[0])
         cn_dx2 = (cfg.a**2 * i2 + n * gap_x) / (n + cfg.a) ** 2
-        deltas = np.sqrt(np.maximum(cn_dx2, 0.0))
-        bounds = 2.0 * np.asarray(omega(deltas), dtype=float)
+        deltas.append(np.sqrt(np.maximum(cn_dx2, 0.0)))
+    omegas, exact = _omegas(f, cfg.domain, m, np.concatenate(deltas))
+    rows = []
+    for n, omega in zip(n_list, np.split(omegas, len(n_list))):
+        bounds = 2.0 * omega
         errs = np.abs(eval_Cn(cfg, n, f, xs) - fv)
         ratios = np.array([_ratio(e, b) for e, b in zip(errs, bounds)])
         worst = int(np.argmax(ratios))
@@ -395,15 +384,12 @@ def check_bound(
 
 
 @dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(_Verdict):
     mode: str
     passed: bool
     worst_violation: float
     witness: Optional[tuple]
     tol: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _on_axis(ks: np.ndarray) -> np.ndarray:
@@ -416,9 +402,9 @@ def _on_axis_or_edge(ks: np.ndarray) -> np.ndarray:
     return _on_axis(ks) | edge
 
 
-# offset filter of each mode; None admits every pair
+# offset filter of each mode
 _MODES = {
-    "convex": None,
+    "convex": lambda ks: np.ones(len(ks), dtype=bool),
     "coordinate_convex": _on_axis,
     "axially_convex": _on_axis_or_edge,
 }
@@ -444,9 +430,10 @@ def convexity_report(
     # the m grid's points are the rows of the 2m grid at even indices
     even = _positions(domain, 2 * m)[(slice(None, None, 2),) * domain.dim]
     gv = g2[even[even >= 0]]
+    ks = _half_offsets(domain.dim, m)
     worst = -math.inf
     witness = None
-    for a, b, mid in _pair_blocks(domain, m, _MODES[mode], midpoints=True):
+    for a, b, mid in _pair_blocks(domain, m, ks[_MODES[mode](ks)], midpoints=True):
         viol = g2[mid] - 0.5 * (gv[a] + gv[b])
         j = int(np.argmax(viol))
         if viol[j] > worst:
@@ -456,15 +443,12 @@ def convexity_report(
 
 
 @dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(_Verdict):
     passed: bool
     below_violation: float  # max of f - B_n(f)
     above_violation: float  # max of B_n(f) - T(f)
     blend_violation: float  # max of C_n(f) - C_n(T(f))
     tol: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def sandwich_check(cfg: OperatorConfig, n: int, f, m: int, tol: float = 1e-11) -> SandwichReport:
@@ -484,14 +468,11 @@ def sandwich_check(cfg: OperatorConfig, n: int, f, m: int, tol: float = 1e-11) -
 
 
 @dataclass(frozen=True)
-class LipschitzReport:
+class LipschitzReport(_Verdict):
     passed: bool
     constant: float
     estimate: float
     tol: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def lipschitz_preservation(

@@ -117,6 +117,8 @@ def _get(raw: dict, key: str, path: str, default=_MISSING):
 def _num(value, path: str, minimum: Optional[float] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an integer beyond floats
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     v = float(value)
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
@@ -128,6 +130,8 @@ def _int(value, path: str, minimum: Optional[int] = None) -> int:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
+    if value > np.iinfo(np.int64).max:
+        raise ConfigError(f"{path}: {value} does not fit a 64-bit integer")
     return value
 
 
@@ -192,13 +196,16 @@ def _parse_measure(raw, domain: Domain, path: str):
             atoms = _get(raw, "atoms", path)
             weights = _get(raw, "weights", path)
             return discrete_spec(discrete_measure(atoms, weights, domain))
-        _reject_unknown(raw, ("kind", "base", "exponent"), path)
-        base = _parse_measure(_get(raw, "base", path, {"kind": "lebesgue"}),
-                              domain, f"{path}.base")
-        exponent = _int(_get(raw, "exponent", path), f"{path}.exponent", 1)
-        return power_measure(base, exponent)
-    except (ValueError, TypeError) as exc:
+        return power_measure(*_parse_power(raw, domain, path))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _parse_power(raw: dict, domain: Domain, path: str):
+    """(base measure, exponent) of a power measure entry."""
+    _reject_unknown(raw, ("kind", "base", "exponent"), path)
+    base = _parse_measure(_get(raw, "base", path, {"kind": "lebesgue"}), domain, f"{path}.base")
+    return base, _int(_get(raw, "exponent", path), f"{path}.exponent", 1)
 
 
 def _parse_measures(raw, domain: Domain) -> MeasureSeqSpec:
@@ -217,10 +224,7 @@ def _parse_measures(raw, domain: Domain) -> MeasureSeqSpec:
         _reject_unknown(raw, ("kind", "point"), path)
         return dirac_shift(_point(_get(raw, "point", path), f"{path}.point", domain))
     if kind == "power_of_base":
-        _reject_unknown(raw, ("kind", "base", "exponent"), path)
-        base = _parse_measure(_get(raw, "base", path, {"kind": "lebesgue"}),
-                              domain, f"{path}.base")
-        exponent = _int(_get(raw, "exponent", path), f"{path}.exponent", 1)
+        base, exponent = _parse_power(raw, domain, path)
         try:
             return power_of_base(base, exponent)
         except ValueError as exc:
@@ -248,7 +252,7 @@ def _parse_function(raw, domain: Domain, required: bool):
         raise ConfigError("function.params: expected a list of numbers")
     try:
         return lookup(name, params, domain)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"function: {exc}") from None
 
 
@@ -623,11 +627,9 @@ def _bound_rows(plan: RunPlan):
 def _run_verify(plan: RunPlan):
     rows, worst = _moment_rows(plan)
     groups = [
-        ("moment_affine", all(r["pass"] for r in rows if r["bound_id"] == "moment_affine"),
-         f"worst {worst['moment_affine']:.3g} tol {_AFFINE_TOL:g}"),
-        ("moment_quadratic",
-         all(r["pass"] for r in rows if r["bound_id"] == "moment_quadratic"),
-         f"worst {worst['moment_quadratic']:.3g} tol {_QUADRATIC_TOL:g}"),
+        (name, all(r["pass"] for r in rows if r["bound_id"] == name),
+         f"worst {worst[name]:.3g} tol {tol:g}")
+        for name, tol in (("moment_affine", _AFFINE_TOL), ("moment_quadratic", _QUADRATIC_TOL))
     ]
     bound_rows, bound_groups = _bound_rows(plan)
     rows.extend(bound_rows)
@@ -675,21 +677,18 @@ def _run_preserve(plan: RunPlan):
 
 
 def _run_moduli(plan: RunPlan):
-    dom, f, m = plan.cfg.domain, plan.f, plan.grid_resolution
+    dom, f, m, deltas = plan.cfg.domain, plan.f, plan.grid_resolution, plan.delta_list
     p = plan.p if plan.p is not None else 1.0
-    rows = []
-    for delta in plan.delta_list:
-        row = {
-            "delta": delta,
-            "omega1": omega1(f, dom, delta, m),
-            "omega2": omega2(f, dom, delta, m),
-            "tau_p": tau_p(f, dom, delta, p, m),
-            "omega_kp": omega_kp(f, dom, plan.k, delta, p, m, plan.seed),
-        }
-        rows.append(row)
-        print(f"delta={_fmt(delta)}  omega1={_fmt(row['omega1'])}  "
-              f"omega2={_fmt(row['omega2'])}  tau_p={_fmt(row['tau_p'])}  "
-              f"omega_kp={_fmt(row['omega_kp'])}")
+    columns = {
+        "omega1": omega1(f, dom, deltas, m),
+        "omega2": omega2(f, dom, deltas, m),
+        "tau_p": tau_p(f, dom, deltas, p, m),
+        "omega_kp": omega_kp(f, dom, plan.k, deltas, p, m, plan.seed),
+    }
+    rows = [{"delta": delta, **{name: float(col[i]) for name, col in columns.items()}}
+            for i, delta in enumerate(deltas)]
+    for row in rows:
+        print("  ".join(f"{name}={_fmt(row[name])}" for name in MODULI_HEADER.split(",")))
     return MODULI_HEADER, rows, {"p": p, "k": plan.k, "deltas": len(rows)}, True
 
 

@@ -46,12 +46,14 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", weights)
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError("atoms/weights length mismatch")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise ValueError("discrete measure atoms and weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("discrete measure weights must be >= 0")
         total = math.fsum(weights.tolist())
         # twice the boundary tolerance: the vertex weights of a simplex
         # point admitted just beyond the face sum to 1 + BOUNDARY_TOL
-        if abs(total - 1.0) > 2 * BOUNDARY_TOL:
+        if not abs(total - 1.0) <= 2 * BOUNDARY_TOL:
             raise ValueError(
                 f"discrete measure weights sum to {total!r}, not 1 (not renormalizing)"
             )

@@ -5,6 +5,9 @@ the true supremum (converging as the resolution grows); consumers that
 need a safe upper bound must either inflate these values or use the
 catalog's exact formulas.  Functions are anything callable on ``(G, d)``
 batches, in particular :class:`~kantorov.catalog.CatalogFunction`.
+
+The moduli take ``delta`` as a float or a 1-D array and return a float
+or an array in the input order; one walk of the grid serves all deltas.
 """
 
 from __future__ import annotations
@@ -46,47 +49,46 @@ def _positions(domain: Domain, m: int) -> np.ndarray:
     return pos
 
 
-def _l2_limit(radius):
-    """Largest ``|k|²`` of an integer offset within ``radius`` grid
-    steps (elementwise on an array of radii)."""
-    return np.floor(radius * radius * _RADIUS_SLACK).astype(int)
+def _half_offsets(d: int, m: int) -> np.ndarray:
+    """The offsets ``k`` of the ``(m+1)^d`` grid whose first non-zero
+    entry is positive, as a ``(K, d)`` array in lexicographic order."""
+    ks = np.indices((2 * m + 1,) * d).reshape(d, -1).T - m
+    return ks[ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)] > 0]
 
 
-def _ball(radius: float, metric: str = "l2"):
-    """(keep, reach) for :func:`_pair_blocks` admitting the offsets
-    within ``radius`` grid steps, decided on the integer offset."""
-    if metric == "l2":
-        limit = int(_l2_limit(radius))
-        return (lambda ks: (ks**2).sum(axis=1) <= limit), math.isqrt(limit)
-    if metric == "l1":
-        limit = math.floor(radius * _RADIUS_SLACK)
-        return (lambda ks: np.abs(ks).sum(axis=1) <= limit), limit
-    raise ValueError(f"unknown metric {metric!r}")
+def _shells(d: int, m: int, radii: np.ndarray):
+    """``(inverse, shells)``: ``shells`` yields, in increasing ``|k|²``,
+    the offsets that each distinct radius (in grid steps) admits and the
+    smaller ones do not; ``inverse`` maps each radius to its shell.  A
+    running extremum over the shells gives every radius, from one visit
+    of each pair."""
+    ks = _half_offsets(d, m)
+    k2 = (ks**2).sum(axis=1)
+    order = np.argsort(k2, kind="stable")
+    ends = np.searchsorted(k2[order], radii * radii * _RADIUS_SLACK, side="right")
+    ends, inverse = np.unique(ends, return_inverse=True)
+    starts = np.concatenate([[0], ends[:-1]])
+    # each shell back in lexicographic order, as _pair_blocks needs
+    return inverse.reshape(-1), (ks[np.sort(order[a:b])] for a, b in zip(starts, ends))
 
 
-def _pair_blocks(domain: Domain, m: int, keep=None, reach=None, midpoints=False):
-    """Every unordered pair of distinct ``uniform_grid(domain, m)`` rows,
-    once, in blocks of about ``_PAIRS_PER_BLOCK`` flat row pairs.
+def _pair_blocks(domain: Domain, m: int, ks: np.ndarray, midpoints=False):
+    """Every unordered pair of distinct ``uniform_grid(domain, m)`` rows
+    whose index offset is in ``ks``, once, in blocks of about
+    ``_PAIRS_PER_BLOCK`` flat row pairs.
 
+    ``ks`` is a lexicographically ordered subset of ``_half_offsets``.
     A pair is a row ``a`` at index ``i`` and a row ``b`` at index
-    ``i + k``, for the integer offsets ``k`` whose first non-zero entry
-    is positive, ``|k_j| <= reach`` and, if given, ``keep(ks)`` true on
-    the ``(K, d)`` offset array.  Yields ``(a, b)``, or ``(a, b, mid)``
-    with ``mid`` the row of ``2i + k`` in ``uniform_grid(domain, 2m)``.
+    ``i + k``.  Yields ``(a, b)``, or ``(a, b, mid)`` with ``mid`` the
+    row of ``2i + k`` in ``uniform_grid(domain, 2m)``.
     """
-    d = domain.dim
-    pos = _positions(domain, m)
-    pos2 = _positions(domain, 2 * m) if midpoints else None
-    r = m if reach is None else min(reach, m)
-    ks = np.indices((2 * r + 1,) * d).reshape(d, -1).T - r
-    ks = ks[ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)] > 0]
-    if keep is not None:
-        ks = ks[keep(ks)]
     if not len(ks):
         return
-    # ks is in lexicographic order.  A run of offsets that share all but
-    # the last entry, and fall in one window of _PAIRS_PER_BLOCK pairs
-    # (counted on the cube), takes one slicing of the leading axes.
+    pos = _positions(domain, m)
+    pos2 = _positions(domain, 2 * m) if midpoints else None
+    # A run of offsets that share all but the last entry, and fall in one
+    # window of _PAIRS_PER_BLOCK pairs (counted on the cube), takes one
+    # slicing of the leading axes.
     window = np.cumsum(np.prod(m + 1 - np.abs(ks), axis=1)) // _PAIRS_PER_BLOCK
     new = np.any(ks[1:, :-1] != ks[:-1, :-1], axis=1) | (window[1:] != window[:-1])
     parts, count = [], 0
@@ -122,33 +124,43 @@ def _pair_blocks(domain: Domain, m: int, keep=None, reach=None, midpoints=False)
         yield tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
-def omega1(f, domain: Domain, delta: float, m: int, metric: str = "l2") -> float:
+def _deltas(delta):
+    """``delta`` (a float or a 1-D array) as a 1-D array of positive
+    deltas (a NaN is not), and the map that shapes a result like it."""
+    deltas = np.asarray(delta, dtype=float)
+    if deltas.ndim > 1 or not np.all(deltas > 0.0):
+        raise ValueError("delta must be positive (a float or a 1-D array)")
+    return deltas.reshape(-1), (lambda out: out) if deltas.ndim else (lambda out: float(out[0]))
+
+
+def _shell_max(domain: Domain, m: int, radii: np.ndarray, diff, midpoints=False):
+    """Largest ``diff(*block)`` over the pairs within each of ``radii``
+    grid steps, from one walk of their shells."""
+    if m < 2:
+        raise ValueError("resolution m must be >= 2")
+    inverse, shells = _shells(domain.dim, m, radii)
+    best, out = 0.0, []
+    for ks in shells:
+        for block in _pair_blocks(domain, m, ks, midpoints):
+            best = max(best, float(np.max(diff(*block))))
+        out.append(best)
+    return np.array(out)[inverse]
+
+
+def omega1(f, domain: Domain, delta, m: int):
     """First modulus: sup |f(x)-f(y)| over grid pairs with dist <= delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if m < 2:
-        raise ValueError("resolution m must be >= 2")
-    keep, reach = _ball(delta * m, metric)
+    deltas, like = _deltas(delta)
     fv = values(f, uniform_grid(domain, m))
-    best = 0.0
-    for a, b in _pair_blocks(domain, m, keep, reach):
-        best = max(best, float(np.max(np.abs(fv[a] - fv[b]))))
-    return best
+    return like(_shell_max(domain, m, deltas * m, lambda a, b: np.abs(fv[a] - fv[b])))
 
 
-def omega2(f, domain: Domain, delta: float, m: int) -> float:
+def omega2(f, domain: Domain, delta, m: int):
     """Second modulus: sup |f(x) - 2f((x+y)/2) + f(y)|, dist(x,y) <= 2*delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if m < 2:
-        raise ValueError("resolution m must be >= 2")
+    deltas, like = _deltas(delta)
     fv = values(f, uniform_grid(domain, m))
     fv2 = values(f, uniform_grid(domain, 2 * m))
-    keep, reach = _ball(2.0 * delta * m)
-    best = 0.0
-    for a, b, mid in _pair_blocks(domain, m, keep, reach, midpoints=True):
-        best = max(best, float(np.max(np.abs(fv[a] + fv[b] - 2.0 * fv2[mid]))))
-    return best
+    diff = lambda a, b, mid: np.abs(fv[a] + fv[b] - 2.0 * fv2[mid])
+    return like(_shell_max(domain, m, 2.0 * deltas * m, diff, midpoints=True))
 
 
 def _grid_quad_weights(domain: Domain, m: int) -> np.ndarray:
@@ -168,23 +180,25 @@ def _grid_quad_weights(domain: Domain, m: int) -> np.ndarray:
     return w
 
 
-def tau_p(f, domain: Domain, delta: float, p: float, m: int) -> float:
+def tau_p(f, domain: Domain, delta, p: float, m: int):
     """Averaged modulus: L^p norm of the local oscillation over
     Euclidean balls of radius delta/2."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if p < 1.0:
+    deltas, like = _deltas(delta)
+    if not p >= 1.0:
         raise ValueError("p must be >= 1")
     fv = values(f, uniform_grid(domain, m))
-    lo, hi = fv.copy(), fv.copy()
-    for a, b in _pair_blocks(domain, m, *_ball(delta * m / 2.0)):
-        np.maximum.at(hi, a, fv[b])
-        np.maximum.at(hi, b, fv[a])
-        np.minimum.at(lo, a, fv[b])
-        np.minimum.at(lo, b, fv[a])
-    osc = hi - lo
     w = _grid_quad_weights(domain, m)
-    return float((w @ osc**p) ** (1.0 / p))
+    lo, hi = fv.copy(), fv.copy()
+    inverse, shells = _shells(domain.dim, m, deltas * m / 2.0)
+    out = []
+    for ks in shells:
+        for a, b in _pair_blocks(domain, m, ks):
+            np.maximum.at(hi, a, fv[b])
+            np.maximum.at(hi, b, fv[a])
+            np.minimum.at(lo, a, fv[b])
+            np.minimum.at(lo, b, fv[a])
+        out.append(float((w @ (hi - lo) ** p) ** (1.0 / p)))
+    return like(np.array(out)[inverse])
 
 
 def _directions(domain: Domain, seed: int = 0) -> np.ndarray:
@@ -207,43 +221,43 @@ def _directions(domain: Domain, seed: int = 0) -> np.ndarray:
 _N_MAGNITUDES = 16
 
 
-def omega_kp(f, domain: Domain, k: int, delta: float, p: float, m: int, seed: int = 0) -> float:
+def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int, seed: int = 0):
     """Order-k L^p modulus: max over sampled steps h with |h| <= delta
     of the L^p norm of the k-th forward difference (zero once x + k h
-    leaves the domain)."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    leaves the domain).  The step lengths are ``delta * j / 16``; a
+    length that several deltas share is computed once."""
+    deltas, like = _deltas(delta)
     if k < 1:
         raise ValueError("difference order k must be >= 1")
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be >= 1")
     pts = uniform_grid(domain, m)
     w = _grid_quad_weights(domain, m)
+    fv = values(f, pts)
     coeffs = np.array([(-1.0) ** (k - l) * math.comb(k, l) for l in range(k + 1)])
-    best = 0.0
+    lengths = deltas[:, None] * np.arange(1, _N_MAGNITUDES + 1) / _N_MAGNITUDES
+    steps, inverse = np.unique(lengths, return_inverse=True)
+    best = np.zeros(len(deltas))
     for u in _directions(domain, seed):
-        for j in range(1, _N_MAGNITUDES + 1):
-            h = (delta * j / _N_MAGNITUDES) * u
+        norms = np.zeros(len(steps))
+        for s, step in enumerate(steps):
+            h = step * u
             valid = inside(domain, pts + k * h)
             if not np.any(valid):
                 continue
             xs = pts[valid]
-            acc = np.zeros(xs.shape[0])
-            for l in range(k + 1):
+            acc = coeffs[0] * fv[valid]
+            for l in range(1, k + 1):
                 acc += coeffs[l] * values(f, xs + l * h)
-            norm = float((w[valid] @ np.abs(acc) ** p) ** (1.0 / p))
-            best = max(best, norm)
-    return best
+            norms[s] = (w[valid] @ np.abs(acc) ** p) ** (1.0 / p)
+        best = np.maximum(best, norms[inverse.reshape(lengths.shape)].max(axis=1))
+    return like(best)
 
 
 def lipschitz_estimate(f, domain: Domain, m: int, metric: str = "l2") -> float:
     """Largest grid secant quotient |f(x)-f(y)| / dist(x,y)."""
-    if m < 2:
-        raise ValueError("resolution m must be >= 2")
     pts = uniform_grid(domain, m)
     fv = values(f, pts)
-    best = 0.0
-    for a, b in _pair_blocks(domain, m):
-        quot = np.abs(fv[a] - fv[b]) / _pair_dist(pts, a, b, metric)
-        best = max(best, float(np.max(quot)))
-    return best
+    quot = lambda a, b: np.abs(fv[a] - fv[b]) / _pair_dist(pts, a, b, metric)
+    # an infinite radius admits every pair
+    return float(_shell_max(domain, m, np.array([np.inf]), quot)[0])

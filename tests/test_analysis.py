@@ -27,7 +27,7 @@ from kantorov.geometry import Domain, contains
 from kantorov.kantorovich import OperatorConfig, eval_Cn, eval_Cn_cells
 from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue, dirac_shift, lebesgue_measure, power_of_base
-from kantorov.moduli import omega1
+from kantorov.moduli import omega1, omega2, omega_kp, tau_p
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
@@ -124,20 +124,31 @@ def test_omega_total_bound_grid_modulus():
 
 
 @pytest.mark.parametrize("dom,name", [(Q2, "product12"), (Q2, "runge"), (I, "runge"),
-                                      (K2, "runge"), (Q3, "runge")],
+                                      (K2, "runge"), (Q3, "runge"), (K3, "runge")],
                          ids=lambda c: c if isinstance(c, str) else f"{c.kind}{c.dim}")
 def test_grid_modulus_of_the_bound_checks_is_omega1(dom, name):
-    # the binned profile decides |k|^2 <= (delta m)^2 on integer offsets,
-    # as omega1 does; float distance bins put it below omega1 (on Q2 with
-    # m = 20: 0 against 0.05 for product12 at 0.05, 0.222 against 0.301
-    # for runge at 0.1)
+    # every modulus of an unsorted delta array, with a duplicate, a delta
+    # below one grid step and 0.29 (0.29 * 100 is 28.999999999999996),
+    # is bitwise the scalar call; the bound checks inflate omega1
     f = lookup(name, [], dom)
-    m = 20 if dom.dim < 3 else 6
-    omega = analysis._GridOmega(f, dom, m)
-    deltas = [0.0, 0.03, 0.05, 0.1, 0.15, 1.0 / 6.0, 0.29, 0.5, 1.0, 2.0]
-    expected = [0.0] + [omega1(f, dom, d, m) for d in deltas[1:]]
-    assert omega(np.array(deltas)).tolist() == expected
-    assert [float(omega(d)) for d in deltas] == expected
+    m = {1: 100, 2: 12, 3: 5}[dom.dim]
+    deltas = np.array([0.29, 0.05, 0.4 / m, 1.0 / 6.0, 0.29, 0.125, 1.0])
+    moduli = {
+        "omega1": lambda d: omega1(f, dom, d, m),
+        "omega2": lambda d: omega2(f, dom, d, m),
+        "tau_p": lambda d: tau_p(f, dom, d, 2.0, m),
+        "omega_kp": lambda d: omega_kp(f, dom, 2, d, 1.5, m, seed=3),
+    }
+    for modulus, call in moduli.items():
+        got = call(deltas)
+        assert isinstance(got, np.ndarray), modulus
+        assert got.tolist() == [call(float(d)) for d in deltas], modulus
+    with_zero = np.concatenate([[0.0], deltas])
+    bound_omega, exact = analysis._omegas(f, dom, m, with_zero)
+    assert not exact
+    assert bound_omega.tolist() == [0.0] + [
+        analysis._OMEGA_INFLATE * omega1(f, dom, float(d), m) for d in deltas
+    ]
 
 
 def test_omega_pointwise_and_uniform_bounds():

@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kantorov.cli import main
 
@@ -326,3 +332,117 @@ def test_short_explicit_list_is_a_config_error(tmp_path, capsys):
     assert "operator.measures.measures" in captured.err and "n = 3" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309", "1" + "0" * 400])
+@pytest.mark.parametrize("command,field,path", [
+    ("moduli", "delta_list", "experiment.delta_list[1]"),
+    ("converge", "p", "experiment.p"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, literal, command, field, path):
+    # json.load reads NaN and Infinity, and 1e309 as inf; a NaN delta
+    # used to escape main() as a ValueError and p = Infinity to print
+    # lp_error=1 with exit 0
+    value = [0.25, "@"] if field == "delta_list" else "@"
+    cfgp = write_config(tmp_path, "c.json", experiment={"n_list": [4], field: value})
+    cfgp.write_text(cfgp.read_text().replace('"@"', literal))
+    assert main([command, "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: expected a finite number" in captured.err
+    assert captured.out == ""
+
+
+def test_nan_discrete_weight_is_a_config_error(tmp_path, capsys):
+    cfgp = write_config(
+        tmp_path, "e.json",
+        operator={"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
+            {"kind": "discrete", "atoms": [[0.2], [0.8]], "weights": [float("nan"), 0.5]},
+        ]}},
+        experiment={"n_list": [1], "points": [[0.5]]},
+    )
+    assert main(["eval", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "operator.measures.measures[0]" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
+# Small valid configs, one per subcommand, each a fraction of a second to
+# run; together they reach every measure kind and bound id.
+_FUZZ_BASES = {
+    "eval": {
+        "domain": {"kind": "simplex", "dim": 2},
+        "operator": {"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
+            {"kind": "discrete", "atoms": [[0.2, 0.2], [0.5, 0.1]], "weights": [0.5, 0.5]},
+            {"kind": "power", "base": {"kind": "lebesgue"}, "exponent": 2},
+        ]}},
+        "function": {"name": "exp_sum", "params": []},
+        "experiment": {"n_list": [1, 2], "points": [[0.25, 0.5]], "quad_level": 4},
+        "seed": 3,
+    },
+    "converge": {
+        "domain": {"kind": "interval", "dim": 1},
+        "operator": {"markov": "T1", "a": 1.0, "measures": {
+            "kind": "power_of_base", "base": {"kind": "lebesgue"}, "exponent": 2}},
+        "function": {"name": "abs_dist", "params": [0.5]},
+        "experiment": {"n_list": [2, 4], "grid_resolution": 20, "p": 2.0,
+                       "bounds": ["omega_total", "omega_pointwise"], "quad_level": 4},
+    },
+    "moduli": {
+        "domain": {"kind": "hypercube", "dim": 2},
+        "operator": {"a": 0.5, "measures": {"kind": "dirac_shift", "point": [0.5, 0.25]}},
+        "function": {"name": "runge", "params": []},
+        "experiment": {"delta_list": [0.5, 0.25], "grid_resolution": 6, "p": 1.5, "k": 2},
+    },
+    "verify": {
+        "domain": {"kind": "interval", "dim": 1},
+        "operator": {"a": 2.0},
+        "function": {"name": "runge", "params": []},
+        "experiment": {"n_list": [2], "grid_resolution": 10, "p": 2, "quad_level": 4,
+                       "bounds": ["omega_uniform", "lambda_p_bound", "lp_equibounded"]},
+    },
+    "preserve": {
+        "domain": {"kind": "simplex", "dim": 2},
+        "operator": {"a": 1.0},
+        "function": {"name": "exp_sum", "params": []},
+        "experiment": {"n_list": [2], "grid_resolution": 4, "quad_level": 4},
+    },
+}
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", [], 2**64, 10**400]
+
+
+def _field_paths(node, prefix=()):
+    """The path of every object member and list entry below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+_FUZZ_FIELDS = [(command, path) for command, base in _FUZZ_BASES.items()
+                for path in _field_paths(base)]
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASES))
+def test_fuzz_bases_pass(tmp_path, command):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(_FUZZ_BASES[command]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(cfgp)]) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(_FUZZ_FIELDS), value=st.sampled_from(_FUZZ_VALUES))
+def test_random_cli_configs_never_crash(tmp_path_factory, field, value):
+    # one field of a valid config set to a bad value: the CLI answers with
+    # an exit code, never with an exception out of main()
+    command, path = field
+    doc = copy.deepcopy(_FUZZ_BASES[command])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfgp = tmp_path_factory.mktemp("fuzz") / "c.json"
+    cfgp.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--config", str(cfgp)]) in (0, 1, 2)

@@ -42,6 +42,18 @@ def test_discrete_measure_validation():
         discrete_measure([[0.25], [0.75]], [1.25, -0.25], I)
 
 
+@pytest.mark.parametrize("atoms,weights", [
+    ([[0.2], [0.8]], [math.nan, 0.5]),
+    ([[0.2], [0.8]], [math.inf, 0.5]),
+    ([[math.nan], [0.8]], [0.5, 0.5]),
+    ([[math.inf], [0.8]], [0.5, 0.5]),
+])
+def test_discrete_measure_rejects_non_finite_atoms_and_weights(atoms, weights):
+    # abs(nan - 1) > tol is False, so a NaN weight used to pass the sum test
+    with pytest.raises(ValueError, match="finite"):
+        discrete_measure(atoms, weights)
+
+
 def test_dirac():
     mu = dirac([0.25, 0.5], Q2)
     np.testing.assert_array_equal(mu.atoms, [[0.25, 0.5]])

@@ -7,7 +7,7 @@ from kantorov import moduli
 from kantorov.analysis import _MODES
 from kantorov.geometry import Domain, uniform_grid
 from kantorov.moduli import (
-    _ball,
+    _half_offsets,
     _pair_blocks,
     lipschitz_estimate,
     omega1,
@@ -138,6 +138,27 @@ def test_moduli_argument_validation():
         omega_kp(ID, I, 1, 0.1, 0.5, 100)
 
 
+_MODULI = {
+    "omega1": lambda delta, p: omega1(SQ, I, delta, 20),
+    "omega2": lambda delta, p: omega2(SQ, I, delta, 20),
+    "tau_p": lambda delta, p: tau_p(SQ, I, delta, p, 20),
+    "omega_kp": lambda delta, p: omega_kp(SQ, I, 1, delta, p, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODULI))
+def test_moduli_reject_nan_arguments(name):
+    # tau_p used to return nan and omega_kp 0.0 at p = nan
+    call = _MODULI[name]
+    bad = [(math.nan, 1.0), (np.array([0.25, math.nan]), 1.0), (np.array([0.25, 0.0]), 1.0)]
+    if name in ("tau_p", "omega_kp"):
+        bad.append((0.25, math.nan))
+    for delta, p in bad:
+        with pytest.raises(ValueError, match="delta must be positive|p must be >= 1"):
+            call(delta, p)
+    assert call(np.array([0.25]), 1.0).tolist() == [call(0.25, 1.0)]
+
+
 def test_lipschitz_estimate():
     f = lambda p: np.abs(p[:, 0] - 0.5)
     assert lipschitz_estimate(f, I, 500) == pytest.approx(1.0, abs=1e-12)
@@ -156,10 +177,10 @@ def test_scaled_metric_on_hypercube():
 
 
 _FILTERS = {
-    "all": (None, None),
-    "ball": _ball(2.0),
-    "coordinate": (_MODES["coordinate_convex"], None),
-    "axial": (_MODES["axially_convex"], None),
+    "all": _MODES["convex"],
+    "ball": lambda ks: (ks**2).sum(axis=1) <= 4,
+    "coordinate": _MODES["coordinate_convex"],
+    "axial": _MODES["axially_convex"],
 }
 
 
@@ -168,18 +189,17 @@ _FILTERS = {
 @pytest.mark.parametrize("dom,m", [(I, 6), (Q2, 4), (Q3, 3), (K2, 5), (K3, 3)])
 def test_pair_blocks_yield_each_admitted_pair_once(dom, m, name, block, monkeypatch):
     monkeypatch.setattr(moduli, "_PAIRS_PER_BLOCK", block)
-    keep, reach = _FILTERS[name]
+    keep = _FILTERS[name]
     idx = np.rint(uniform_grid(dom, m) * m).astype(int)
     idx2 = np.rint(uniform_grid(dom, 2 * m) * 2 * m).astype(int)
     expect = set()
     for p in range(len(idx)):
         for q in range(p + 1, len(idx)):
-            k = idx[q] - idx[p]
-            if keep is None or keep(k[None, :])[0]:
-                if reach is None or np.abs(k).max() <= reach:
-                    expect.add((p, q))
+            if keep((idx[q] - idx[p])[None, :])[0]:
+                expect.add((p, q))
+    ks = _half_offsets(dom.dim, m)
     got = []
-    for a, b, mid in _pair_blocks(dom, m, keep, reach, midpoints=True):
+    for a, b, mid in _pair_blocks(dom, m, ks[keep(ks)], midpoints=True):
         assert a.shape == b.shape == mid.shape
         np.testing.assert_array_equal(idx2[mid], idx[a] + idx[b])
         got += [(min(p, q), max(p, q)) for p, q in zip(a.tolist(), b.tolist())]
