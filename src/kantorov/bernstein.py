@@ -12,20 +12,42 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import check_n
 from .geometry import SIMPLEX, Domain, ProductGrid, admit, values
 
-# Above this order, basis evaluation moves to log-gamma form.
+# Above this order, basis evaluation moves to log form: the logs of the
+# exact integer coefficients, which do not overflow.
 _DIRECT_N = 60
 
 _CHUNK = 2048
+
+# ln 2 = _LN2_HI + _LN2_LO (fdlibm); s * _LN2_HI is exact for s < 2^21.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _log_int(c: int) -> float:
+    """ln c for a positive integer c, within one ulp.
+
+    Past the float range ``math.log`` adds ``e * ln 2`` for ``c = x 2^e``
+    in floats and loses about an ulp, so there the power of two is split
+    off with a two-part ln 2 and the terms are summed exactly.
+    """
+    if c.bit_length() <= 1023:
+        return math.log(c)
+    s = c.bit_length() - 64
+    return math.fsum((math.log(c >> s), s * _LN2_HI, s * _LN2_LO))
 
 
 @lru_cache(maxsize=None)
 def _binom_row(n: int) -> np.ndarray:
     return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _log_binom_row(n: int) -> np.ndarray:
+    return np.array([_log_int(math.comb(n, k)) for k in range(n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -48,27 +70,21 @@ def lattice(domain: Domain, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _multinomial_ints(domain: Domain, n: int) -> tuple:
+    """The exact integers n! / (h_1! ... h_d! (n-|h|)!) over the simplex lattice."""
+    fact = [math.factorial(i) for i in range(n + 1)]
+    return tuple(fact[n] // (math.prod(fact[i] for i in h) * fact[n - sum(h)])
+                 for h in lattice(domain, n).tolist())
+
+
+@lru_cache(maxsize=None)
 def _multinomial_coeffs(domain: Domain, n: int) -> np.ndarray:
-    """n! / (h_1! ... h_d! (n-|h|)!) over the simplex lattice."""
-    latt = lattice(domain, n)
-    out = np.empty(latt.shape[0])
-    for j, h in enumerate(latt):
-        c = math.factorial(n)
-        for hi in h:
-            c //= math.factorial(int(hi))
-        c //= math.factorial(n - int(h.sum()))
-        out[j] = float(c)
-    return out
+    return np.array([float(c) for c in _multinomial_ints(domain, n)])
 
 
 @lru_cache(maxsize=None)
 def _log_multinomial_coeffs(domain: Domain, n: int) -> np.ndarray:
-    latt = lattice(domain, n)
-    rem = n - latt.sum(axis=1)
-    lg = gammaln(n + 1) - gammaln(rem + 1.0)
-    for i in range(latt.shape[1]):
-        lg = lg - gammaln(latt[:, i] + 1.0)
-    return lg
+    return np.array([_log_int(c) for c in _multinomial_ints(domain, n)])
 
 
 def _pow_table(t: np.ndarray, n: int) -> np.ndarray:
@@ -88,7 +104,7 @@ def _bern1d(n: int, t: np.ndarray) -> np.ndarray:
         return _binom_row(n) * tk * sk
     k = np.arange(n + 1)
     out = np.zeros((t.shape[0], n + 1))
-    logc = gammaln(n + 1) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    logc = _log_binom_row(n)
     interior = (t > 0.0) & (t < 1.0)
     ti = t[interior][:, None]
     out[interior] = np.exp(logc + k * np.log(ti) + (n - k) * np.log1p(-ti))
@@ -173,9 +189,10 @@ def _apply_grid(domain: Domain, n: int, values: np.ndarray, grid: ProductGrid) -
         used = sum(np.indices(lead, sparse=True)) if domain.kind == SIMPLEX else 0
         budget = np.broadcast_to(n - used, lead).reshape(-1)
         out = np.zeros((flat.shape[0], u.size, flat.shape[2]))
-        for m in np.unique(budget[budget >= 0]):
+        # a set, not np.unique, whose first call imports numpy.ma (13 ms)
+        for m in sorted(set(budget[budget >= 0].tolist())):
             if m not in rows:
-                rows[m] = _bern1d(int(m), u)
+                rows[m] = _bern1d(m, u)
             sel = budget == m
             out[sel] = rows[m] @ flat[sel, : m + 1]
         coeffs = out.reshape(lead + (u.size,) * (d - axis))

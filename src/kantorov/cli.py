@@ -67,7 +67,7 @@ from .measures import (
     power_of_base,
     resolve,
 )
-from .moduli import omega1, omega2, omega_kp, tau_p
+from .moduli import difference_coeffs, omega1, omega2, omega_kp, tau_p
 
 COMMANDS = ("eval", "converge", "verify", "preserve", "moduli")
 
@@ -375,6 +375,10 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
     )
     plan.p = _parse_p(exp_raw.get("p"), "experiment.p")
     plan.k = _int(_get(exp_raw, "k", "experiment", 1), "experiment.k", 1)
+    try:
+        difference_coeffs(plan.k)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.k: {exc}") from None
     plan.seed = _int(_get(raw, "seed", "config", 42), "seed", 0)
     if seed_override is not None:
         plan.seed = seed_override

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericError
 
@@ -209,7 +210,7 @@ class QuadratureRule:
 @lru_cache(maxsize=None)
 def gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights mapped to [0, 1] (cached, read-only)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     x, w = (x + 1.0) / 2.0, w / 2.0
     x.flags.writeable = False
     w.flags.writeable = False

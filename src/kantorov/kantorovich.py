@@ -113,8 +113,8 @@ class OperatorConfig:
         if isinstance(self.quad_level, bool) or not isinstance(self.quad_level, numbers.Integral):
             raise ConfigError(f"quad_level must be an integer, got {self.quad_level!r}")
         object.__setattr__(self, "quad_level", int(self.quad_level))
-        if self.quad_level < 1:
-            raise ConfigError("quad_level must be >= 1")
+        if not 1 <= self.quad_level <= _MAX_LEVEL:
+            raise ConfigError(f"quad_level must be in [1, {_MAX_LEVEL}], the Gauss ladder's cap")
 
 
 def _resolved(cfg: OperatorConfig, n: int) -> MeasureSpec:

@@ -221,20 +221,31 @@ def _directions(domain: Domain, seed: int = 0) -> np.ndarray:
 _N_MAGNITUDES = 16
 
 
+def difference_coeffs(k: int) -> np.ndarray:
+    """The weights ``(-1)^(k-l) C(k, l)``, l = 0..k, of the k-th forward
+    difference; ``ValueError`` unless k >= 1 and every C(k, l) fits a float."""
+    if k < 1:
+        raise ValueError("difference order k must be >= 1")
+    try:
+        return np.array([(-1.0) ** (k - l) * math.comb(k, l) for l in range(k + 1)])
+    except OverflowError:
+        raise ValueError(
+            f"difference order k = {k} is too large: C({k}, {k // 2}) does not fit a float"
+        ) from None
+
+
 def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int, seed: int = 0):
     """Order-k L^p modulus: max over sampled steps h with |h| <= delta
     of the L^p norm of the k-th forward difference (zero once x + k h
     leaves the domain).  The step lengths are ``delta * j / 16``; a
     length that several deltas share is computed once."""
     deltas, like = _deltas(delta)
-    if k < 1:
-        raise ValueError("difference order k must be >= 1")
+    coeffs = difference_coeffs(k)
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
     pts = uniform_grid(domain, m)
     w = _grid_quad_weights(domain, m)
     fv = values(f, pts)
-    coeffs = np.array([(-1.0) ** (k - l) * math.comb(k, l) for l in range(k + 1)])
     lengths = deltas[:, None] * np.arange(1, _N_MAGNITUDES + 1) / _N_MAGNITUDES
     steps, inverse = np.unique(lengths, return_inverse=True)
     best = np.zeros(len(deltas))

@@ -1,4 +1,8 @@
+import decimal
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,11 +62,70 @@ def test_partition_of_unity(dom, n):
 
 
 def test_partition_of_unity_log_path():
-    # n above the exact-binomial cutoff exercises the log-gamma branch
-    for dom in (I, K2):
-        xs = uniform_grid(dom, 4)
-        w = basis_weights(dom, 150, xs)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-10)
+    # n above the direct cutoff exercises the log branch: interior, face
+    # and vertex points (on I the faces are the vertices)
+    t = np.array([[0.0], [1e-9], [0.1], [1 / 3], [0.5], [0.7], [1 - 1e-6], [1.0]])
+    tri = np.array([[0.2, 0.3], [1 / 3, 1 / 3], [0.01, 0.98],  # interior
+                    [0.0, 0.4], [0.3, 0.0], [0.5, 0.5],  # faces
+                    [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # vertices
+    for dom, n, xs in ((I, 61, t), (I, 128, t), (I, 150, t), (I, 1500, t),
+                       (I, 150, uniform_grid(I, 4)), (K2, 64, tri), (K2, 150, tri),
+                       (K2, 150, uniform_grid(K2, 4))):
+        w = basis_weights(dom, n, xs)
+        assert np.all(w >= 0.0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+
+def _assert_within_one_ulp(logs, ints):
+    ctx = decimal.Context(prec=50)
+    for got, c in zip(logs, ints):
+        exact = ctx.ln(decimal.Decimal(c))
+        assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal(math.ulp(float(exact))), c
+
+
+@pytest.mark.parametrize("n", [61, 64, 128, 1000, 2000])
+def test_log_binomial_row_is_within_one_ulp(n):
+    # from n = 1030 on C(n, n/2) no longer fits a float; math.log of such
+    # an integer alone lands up to 1.2 ulp off
+    _assert_within_one_ulp(bernstein._log_binom_row(n), [math.comb(n, k) for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("dom,n", [(K2, 64), (K3, 20)], ids=["K2-64", "K3-20"])
+def test_log_multinomial_coeffs_are_within_one_ulp(dom, n):
+    ints = [math.factorial(n) // math.prod(math.factorial(int(j)) for j in (*h, n - sum(h)))
+            for h in bernstein.lattice(dom, n)]
+    assert bernstein._multinomial_ints(dom, n) == tuple(ints)
+    _assert_within_one_ulp(bernstein._log_multinomial_coeffs(dom, n), ints)
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import kantorov.cli
+from kantorov.catalog import lookup
+from kantorov.geometry import Domain
+from kantorov.kantorovich import OperatorConfig, eval_Cn
+from kantorov.markov import canonical_markov
+from kantorov.measures import constant_lebesgue
+
+K2 = Domain.simplex(2)
+cfg = OperatorConfig(K2, canonical_markov(K2), 1.0, constant_lebesgue())
+value = eval_Cn(cfg, 64, lookup("exp_sum", (), K2), np.array([0.2, 0.3]))
+assert np.isfinite(value), value
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_and_the_log_path_import_no_scipy():
+    # the log branch (n = 64 > _DIRECT_N) took its coefficients from
+    # scipy.special.gammaln, whose import was most of the CLI's start-up
+    src = os.path.dirname(os.path.dirname(bernstein.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_face_points_large_n():

@@ -334,6 +334,24 @@ def test_short_explicit_list_is_a_config_error(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("command,experiment,needle", [
+    # a traceback (OverflowError of C(2000, l) as a float) escaped main()
+    ("moduli", {"k": 2000}, "experiment.k: difference order k = 2000 is too large"),
+    # level 33 ran once and was reported unconverged; larger levels ask
+    # Gauss-Legendre for a level x level matrix
+    ("converge", {"n_list": [4], "quad_level": 33}, "quad_level must be in [1, 32]"),
+])
+def test_work_bounds_exit_2_before_any_work(tmp_path, capsys, command, experiment, needle):
+    csv = tmp_path / "out.csv"
+    cfgp = write_config(tmp_path, "c.json", experiment=experiment,
+                        output={"csv_path": str(csv)})
+    assert main([command, "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309", "1" + "0" * 400])
 @pytest.mark.parametrize("command,field,path", [
     ("moduli", "delta_list", "experiment.delta_list[1]"),

@@ -76,6 +76,14 @@ def test_quad_level_must_be_an_integer(level):
         cfg_for(I, 1.0, level=level)
 
 
+def test_quad_level_above_the_ladder_cap_is_rejected():
+    # a level above _MAX_LEVEL ran once at that size (level 100000 asked
+    # for a 100000 x 100000 Gauss matrix) and was then reported unconverged
+    assert cfg_for(I, 1.0, level=32).quad_level == 32
+    with pytest.raises(ConfigError, match="quad_level must be in \\[1, 32\\]"):
+        cfg_for(I, 1.0, level=33)
+
+
 def test_affine_form():
     h = AffineForm(0.5, (2.0, -1.0))
     np.testing.assert_allclose(h(np.array([[0.25, 0.5]])), [0.5])

@@ -138,6 +138,16 @@ def test_moduli_argument_validation():
         omega_kp(ID, I, 1, 0.1, 0.5, 100)
 
 
+def test_omega_kp_rejects_orders_whose_coefficients_overflow():
+    # C(k, l) used to overflow as a float from k = 1030 with a bare
+    # OverflowError; C(1029, 514) is the last central coefficient that fits
+    top = moduli.difference_coeffs(1029)
+    assert np.all(np.isfinite(top)) and np.abs(top).max() == float(math.comb(1029, 514))
+    for k in (1030, 2000):
+        with pytest.raises(ValueError, match=f"k = {k} is too large"):
+            omega_kp(ID, I, k, 0.1, 1.0, 20)
+
+
 _MODULI = {
     "omega1": lambda delta, p: omega1(SQ, I, delta, 20),
     "omega2": lambda delta, p: omega2(SQ, I, delta, 20),
