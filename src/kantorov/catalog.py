@@ -7,6 +7,10 @@ continuity where one is available in closed form.
 
 Coordinate indices in ``params`` are 1-based (as they appear in run
 configs); internal evaluation converts to 0-based axes.
+
+On the interval and the hypercube a function may declare ``breakpoints``:
+per axis, the one coordinate where it has a kink across that axis (or
+``None``).  The inner integrals cut their rules there.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import HYPERCUBE, Domain, contains
+from .geometry import HYPERCUBE, SIMPLEX, Domain, contains
 from .kantorovich import AffineForm
 
 
@@ -30,6 +34,7 @@ class FunctionMeta:
     lipschitz_l2: Optional[float] = None
     lipschitz_l1: Optional[float] = None
     exact_omega: Optional[Callable[[float], float]] = None
+    breakpoints: Optional[tuple] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +57,12 @@ def _axis(domain: Domain, i: float) -> int:
     if ax != i or not 1 <= ax <= domain.dim:
         raise ValueError(f"coordinate index {i!r} invalid for dim {domain.dim}")
     return ax - 1
+
+
+def _axis_kinks(domain: Domain, kinks) -> Optional[tuple]:
+    """``breakpoints`` for axis kinks at ``kinks`` (one entry per axis);
+    none on the simplex, where cells are not axis boxes."""
+    return None if domain.kind == SIMPLEX else tuple(kinks)
 
 
 def _sum_max(domain: Domain) -> float:
@@ -150,6 +161,7 @@ def _abs_dist(domain: Domain, params) -> CatalogFunction:
         lipschitz_l2=math.sqrt(domain.dim),
         lipschitz_l1=1.0,
         exact_omega=exact,
+        breakpoints=_axis_kinks(domain, c.tolist()),
     )
     return CatalogFunction(
         "abs_dist", tuple(params), domain, lambda p: np.abs(p - c).sum(axis=1), meta
@@ -170,6 +182,7 @@ def _abs_dist_coord(domain: Domain, params) -> CatalogFunction:
         lipschitz_l2=1.0,
         lipschitz_l1=1.0,
         exact_omega=lambda delta: min(delta, reach),
+        breakpoints=_axis_kinks(domain, [c if i == ax else None for i in range(domain.dim)]),
     )
     return CatalogFunction(
         "abs_dist_coord", tuple(params), domain, lambda p: np.abs(p[:, ax] - c), meta

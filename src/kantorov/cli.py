@@ -50,7 +50,7 @@ from .kantorovich import (
     cn_affine_moment,
     cn_quadratic_moment,
     eval_Cn,
-    ladder_counts,
+    ladder_record,
 )
 from .markov import MarkovOpId, canonical_markov
 from .measures import (
@@ -481,17 +481,15 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _quadrature_since(before: dict) -> dict:
-    """Ladder outcome counts of this run; warns on stderr when a ladder
-    ended without two levels agreeing."""
-    counts = {key: value - before[key] for key, value in ladder_counts().items()}
-    unconverged = counts["unconverged_at_cap"] + counts["stopped_by_node_budget"]
+def _warn_unconverged(quadrature: dict) -> None:
+    """Warns on stderr when a ladder of the run ended without two levels
+    agreeing."""
+    unconverged = quadrature["unconverged_at_cap"] + quadrature["stopped_by_node_budget"]
     if unconverged:
-        print(f"warning: {unconverged} of {counts['ladders']} quadrature ladder(s) did not "
-              f"converge ({counts['unconverged_at_cap']} at the level cap, "
-              f"{counts['stopped_by_node_budget']} stopped by the node budget)",
+        print(f"warning: {unconverged} of {quadrature['ladders']} quadrature ladder(s) did not "
+              f"converge ({quadrature['unconverged_at_cap']} at the level cap, "
+              f"{quadrature['stopped_by_node_budget']} stopped by the node budget)",
               file=sys.stderr)
-    return counts
 
 
 def _write_outputs(plan: RunPlan, header: str, rows: list[dict], summary: dict,
@@ -737,9 +735,9 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         plan = parse_config(raw, args.command, args.seed)
-        before = ladder_counts()
-        header, rows, summary, ok = _RUNNERS[plan.command](plan)
-        quadrature = _quadrature_since(before)
+        with ladder_record() as quadrature:
+            header, rows, summary, ok = _RUNNERS[plan.command](plan)
+        _warn_unconverged(quadrature)
         _write_outputs(plan, header, rows, summary, started, quadrature)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

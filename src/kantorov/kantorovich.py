@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bernstein import apply_lattice_values, basis_weights, lattice
 from .errors import ConfigError, check_n
-from .geometry import Domain, ProductGrid, admit, values
+from .geometry import SIMPLEX, Domain, ProductGrid, admit, values
 from .markov import MarkovOpId, markov_values
 from .measures import (
     CONSTANT_LEBESGUE,
@@ -35,6 +35,7 @@ from .measures import (
     measure_nodes,
     resolve,
     rule_node_count,
+    splits,
 )
 
 _MAX_LEVEL = 32
@@ -45,18 +46,28 @@ _LADDER_TOL = 1e-11
 # whatever the budget.
 _BLOCK_POINTS = 1 << 16
 
-# Outcomes of the Gauss ladders run in this process: "ladders" counts
-# every ladder, "unconverged_at_cap" those that reached _MAX_LEVEL without
-# two successive levels agreeing to _LADDER_TOL, and
-# "stopped_by_node_budget" those that MAX_RULE_NODES stopped before two
-# levels agreed.
-_LADDER_COUNTS = Counter()
+# The ladder_record() blocks open in this process, innermost last.
+_RECORDS = []
 
 
-def ladder_counts() -> dict:
-    """Snapshot of the ladder outcome counters, by outcome name."""
-    return {key: _LADDER_COUNTS[key]
-            for key in ("ladders", "unconverged_at_cap", "stopped_by_node_budget")}
+@contextmanager
+def ladder_record():
+    """Outcomes of the Gauss ladders run inside the ``with`` block.
+
+    The dict counts "ladders"; "unconverged_at_cap", those that reached
+    _MAX_LEVEL without two successive levels agreeing to _LADDER_TOL; and
+    "stopped_by_node_budget", those that MAX_RULE_NODES stopped before two
+    levels agreed.  "max_level" is the highest level a ladder ended at,
+    and "max_residual" the largest difference between the last two levels
+    a ladder compared (None while no ladder has compared two).
+    """
+    record = {"ladders": 0, "unconverged_at_cap": 0, "stopped_by_node_budget": 0,
+              "max_level": 0, "max_residual": None}
+    _RECORDS.append(record)
+    try:
+        yield record
+    finally:
+        _RECORDS.pop()
 
 
 @dataclass(frozen=True)
@@ -122,12 +133,22 @@ def _resolved(cfg: OperatorConfig, n: int) -> MeasureSpec:
 
 
 def _blend_at_level(
-    cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray, level: int
+    cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray, level: int, cuts=None
 ) -> np.ndarray:
-    """integral of f(p + (a/(n+a)) s) dmu(s) for each row p of ``base``."""
-    nodes, weights, _ = measure_nodes(mu, cfg.domain, level)
+    """integral of f(p + (a/(n+a)) s) dmu(s) for each row p of ``base``.
+
+    ``cuts`` (see :func:`_row_cuts`) switches to the product rule cut at
+    each row's kinks, applied axis by axis and reduced row by row.
+    """
     c = cfg.a / (n + cfg.a)
-    m, q, d = base.shape[0], nodes.shape[0], cfg.domain.dim
+    m, d = base.shape
+    if cuts is None:
+        nodes, weights, _ = measure_nodes(mu, cfg.domain, level)
+        q = weights.size
+    else:
+        nodes, weights, _ = measure_nodes(mu, cfg.domain, level,
+                                          cuts=[None if cut is None else cut[0] for cut in cuts])
+        q = math.prod(w.shape[-1] for w in weights)
     out = np.empty(m)
     block = max(4, _BLOCK_POINTS // q // 4 * 4)
     starts = list(range(0, m, block))
@@ -135,29 +156,96 @@ def _blend_at_level(
         starts.pop()  # a lone last row would take numpy's 1-row kernel
     for i, stop in zip(starts, starts[1:] + [m]):
         pb = base[i:stop]
-        pts = (pb[:, None, :] + c * nodes[None, :, :]).reshape(-1, d)
-        out[i:stop] = values(f, pts).reshape(pb.shape[0], q) @ weights
+        if cuts is None:
+            pts = (pb[:, None, :] + c * nodes[None, :, :]).reshape(-1, d)
+            out[i:stop] = values(f, pts).reshape(pb.shape[0], q) @ weights
+        else:
+            rows = [None if cut is None else cut[1][i:stop] for cut in cuts]
+            out[i:stop] = _cut_block(f, pb, c, nodes, weights, rows)
     return out
+
+
+def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
+    """The block ``pb``'s integrals under per-axis rules ``nodes[i]``,
+    ``weights[i]``: shared ``(q,)``, or ``(cuts, q)`` with ``rows[i]``
+    picking each block row's cut.  The points are broadcast from the axis
+    rules, and each row reduces its own values axis by axis (no BLAS)."""
+    b, d = pb.shape
+    qs = tuple(w.shape[-1] for w in weights)
+    pts = np.empty((b,) + qs + (d,))
+    row_weights = []
+    for i in range(d):
+        x, w = nodes[i], weights[i]
+        if rows[i] is not None:
+            x, w = x[rows[i]], w[rows[i]]
+        shape = [b if x.ndim == 2 else 1] + [1] * d
+        shape[1 + i] = qs[i]
+        pts[..., i] = pb[:, i].reshape((b,) + (1,) * d) + c * x.reshape(shape)
+        row_weights.append(w)
+    vals = values(f, pts.reshape(-1, d)).reshape((b,) + qs)
+    for i in reversed(range(d)):
+        w = row_weights[i]
+        if w.ndim == 2:
+            w = w.reshape((b,) + (1,) * i + (qs[i],))
+        vals = (vals * w).sum(axis=-1)
+    return vals
 
 
 def _ladder(at_level, level: int, fits=lambda level: True) -> np.ndarray:
     """Values of ``at_level``, doubling the level until two successive
     values agree within ``_LADDER_TOL`` (capped at ``_MAX_LEVEL``, and
-    only to levels for which ``fits`` holds); the outcome is counted."""
-    _LADDER_COUNTS["ladders"] += 1
+    only to levels for which ``fits`` holds); the outcome goes to every
+    open :func:`ladder_record`."""
     vals = at_level(level)
+    residual, outcome = None, "unconverged_at_cap"
     while level < _MAX_LEVEL:
         nxt = min(2 * level, _MAX_LEVEL)
         if not fits(nxt):
-            _LADDER_COUNTS["stopped_by_node_budget"] += 1
-            return vals
+            outcome = "stopped_by_node_budget"
+            break
         nxt_vals = at_level(nxt)
-        done = float(np.max(np.abs(nxt_vals - vals))) <= _LADDER_TOL
+        residual = float(np.max(np.abs(nxt_vals - vals)))
         vals, level = nxt_vals, nxt
-        if done:
-            return vals
-    _LADDER_COUNTS["unconverged_at_cap"] += 1
+        if residual <= _LADDER_TOL:
+            outcome = None
+            break
+    for record in _RECORDS:
+        record["ladders"] += 1
+        if outcome:
+            record[outcome] += 1
+        record["max_level"] = max(record["max_level"], level)
+        if residual is not None:
+            record["max_residual"] = max(record["max_residual"] or 0.0, residual)
     return vals
+
+
+def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray):
+    """Where the inner integrals of the rows ``p`` of ``base`` are cut.
+
+    For an f whose ``meta.breakpoints`` declares a kink at ``b_i`` across
+    axis i, the integrand f(p + c s) has it at ``s_i = (b_i - p_i)/c``,
+    c = a/(n+a).  Per axis: None, or the distinct cut coordinates and
+    each row's index into them (a lattice has at most n+1 per axis).  An
+    axis is not cut when f declares no kink across it, or when no row's
+    kink falls inside a knot interval of mu's rule.  None when no axis is
+    cut, and on the simplex.
+    """
+    marks = getattr(getattr(f, "meta", None), "breakpoints", None)
+    if marks is None or len(marks) != cfg.domain.dim or cfg.domain.kind == SIMPLEX:
+        return None
+    c = cfg.a / (n + cfg.a)
+    cuts = []
+    for i, b in enumerate(marks):
+        if b is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # every cut outside [0, 1] leaves a rule uncut alike
+                t = np.clip((b - base[:, i]) / c, -1.0, 2.0)
+            t, rows = np.unique(t, return_inverse=True)
+            if splits(mu.exponent, t).any():
+                cuts.append((t, rows))
+                continue
+        cuts.append(None)
+    return None if all(cut is None for cut in cuts) else cuts
 
 
 def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.ndarray:
@@ -165,15 +253,16 @@ def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.nda
 
     Exact measures (discrete / power-of-discrete) are applied once; the
     quadrature-backed ones climb the :func:`_ladder`, bounded by the rule
-    node budget.
+    node budget, with their rules cut at the kinks f declares.
     """
     if cfg.a == 0.0:
         return values(f, base)
     mu = _resolved(cfg, n)
     if mu.kind == "discrete" or (mu.kind == "power" and mu.base.kind == "discrete"):
         return _blend_at_level(cfg, mu, n, f, base, cfg.quad_level)
+    cuts = _row_cuts(cfg, mu, n, f, base)
     return _ladder(
-        lambda level: _blend_at_level(cfg, mu, n, f, base, level),
+        lambda level: _blend_at_level(cfg, mu, n, f, base, level, cuts),
         cfg.quad_level,
         lambda level: rule_node_count(mu, cfg.domain, level) <= MAX_RULE_NODES,
     )

@@ -8,6 +8,8 @@ into finite node/weight rules inside integrals.  On the interval and the
 hypercube each coordinate of the mean of ``k`` uniform draws has the
 cardinal B-spline density of order ``k`` on the knots ``j/k`` (Curry &
 Schoenberg 1966), so that power of Lebesgue is a product of 1-D rules.
+Those 1-D rules can be cut at a given coordinate, so that an integrand
+with a kink there is integrated exactly by Gauss on each side.
 """
 
 from __future__ import annotations
@@ -190,25 +192,70 @@ def _lebesgue_nodes(domain: Domain, level: int) -> tuple[np.ndarray, np.ndarray]
     return rule.nodes, weights
 
 
-def _bspline_rule(k: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """1-D rule for the mean of ``k`` uniform draws on [0, 1].
-
-    Gauss-Legendre with ``level`` nodes on each knot interval
-    ``[j/k, (j+1)/k]``, weighted by the cardinal B-spline density there.
-    The density comes from the Cox-de Boor recursion, a sum of
-    non-negative terms at every order, so every weight is positive.
-    """
-    x, w = gauss01(level)
-    # vals[j] = M_r(x + j), the order-r cardinal B-spline on [0, r]
-    vals = np.ones((1, x.size))
+def _cardinal(k: int, u: np.ndarray) -> np.ndarray:
+    """``M_k(u + j)`` for j = 0..k-1, shape ``(k,) + u.shape``: the order-k
+    cardinal B-spline on [0, k] at local coordinates ``u`` in [0, 1] of
+    its knot intervals.  Cox-de Boor: a sum of non-negative terms at
+    every order."""
+    vals = np.ones((1,) + u.shape)
     for r in range(2, k + 1):
-        s = x + np.arange(r)[:, None]
-        nxt = np.zeros((r, x.size))
+        s = u + np.arange(r).reshape((r,) + (1,) * u.ndim)
+        nxt = np.zeros((r,) + u.shape)
         nxt[:-1] += s[:-1] * vals
         nxt[1:] += (r - s[1:]) * vals
         vals = nxt / (r - 1)
+    return vals
+
+
+# A cut this close to a knot of the order-k rule (in units of 1/k) is
+# taken to be on it: the uncut rule's error is then of the order of the
+# distance squared, and a split would only leave a sliver of rounding.
+_KNOT_TOL = 1e-12
+
+
+def splits(k: int, cut) -> np.ndarray:
+    """Mask of the cut coordinates that fall inside a knot interval
+    ``(j/k, (j+1)/k)`` of the order-k rule, so that a cut rule splits it."""
+    s = np.asarray(cut, dtype=float) * k
+    frac = s - np.floor(s)
+    return (s > 0.0) & (s < k) & (frac > _KNOT_TOL) & (frac < 1.0 - _KNOT_TOL)
+
+
+def _bspline_rule(k: int, level: int, cut=None) -> tuple[np.ndarray, np.ndarray]:
+    """1-D rule for the mean of ``k`` uniform draws on [0, 1].
+
+    Gauss-Legendre with ``level`` nodes on each knot interval
+    ``[j/k, (j+1)/k]``, weighted by the cardinal B-spline density there,
+    so every weight is positive.  Returns nodes and weights of shape
+    ``(k * level,)``.
+
+    With ``cut``, a 1-D array of cut coordinates, there is one rule per
+    cut, shape ``(len(cut), k * level)``: the knot interval that holds the
+    cut is split there, with ``ceil(level/2)`` nodes left of it and
+    ``floor(level/2)`` right of it, so that Gauss is exact on each side.
+    A cut outside (0, 1) or on a knot, and any cut of a rule with one
+    node per interval, leaves the rule uncut.
+    """
+    x, w = gauss01(level)
     nodes = (np.arange(k)[:, None] + x) / k
-    return nodes.reshape(-1), (w * vals).reshape(-1)
+    weights = w * _cardinal(k, x)
+    if cut is None:
+        return nodes.reshape(-1), weights.reshape(-1)
+    cut = np.asarray(cut, dtype=float)
+    nodes = np.broadcast_to(nodes, (cut.size, k, level)).copy()
+    weights = np.broadcast_to(weights, (cut.size, k, level)).copy()
+    rows = np.nonzero(splits(k, cut))[0]
+    if level > 1 and rows.size:
+        s = cut[rows] * k
+        j = np.floor(s).astype(int)
+        tau = (s - j)[:, None]
+        xl, wl = gauss01(level - level // 2)
+        xr, wr = gauss01(level // 2)
+        u = np.concatenate([tau * xl, tau + (1.0 - tau) * xr], axis=1)
+        uw = np.concatenate([tau * wl, (1.0 - tau) * wr], axis=1)
+        nodes[rows, j] = (j[:, None] + u) / k
+        weights[rows, j] = uw * _cardinal(k, u)[j, np.arange(rows.size)]
+    return nodes.reshape(cut.size, -1), weights.reshape(cut.size, -1)
 
 
 def rule_node_count(mu: MeasureSpec, domain: Domain, level: int) -> int:
@@ -237,7 +284,7 @@ def check_rule_budget(mu: MeasureSpec, domain: Domain, level: int) -> None:
 
 
 def measure_nodes(
-    mu: MeasureSpec, domain: Domain, level: int
+    mu: MeasureSpec, domain: Domain, level: int, cuts=None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Finite rule (nodes, weights, exact) integrating against ``mu``.
 
@@ -246,7 +293,20 @@ def measure_nodes(
     Lebesgue get ``(exponent * level)^d`` nodes on the interval and the
     hypercube (a product of B-spline rules) and the ``exponent``-fold
     tensor of the Lebesgue rule on the simplex.
+
+    ``cuts`` (Lebesgue or its power, on the interval or the hypercube)
+    holds per axis ``None`` or a 1-D array of cut coordinates.  The
+    product rule then comes axis by axis: ``nodes[i]`` and ``weights[i]``
+    are axis i's rule from :func:`_bspline_rule`, shared ``(q,)`` or one
+    per cut ``(len(cuts[i]), q)``, with ``q = exponent * level``.
     """
+    if cuts is not None:
+        lebesgue = mu.kind == LEBESGUE or (mu.kind == POWER and mu.base.kind == LEBESGUE)
+        if domain.kind == SIMPLEX or not lebesgue:
+            raise ValueError("cut rules need Lebesgue or its power on the interval or cube")
+        check_rule_budget(mu, domain, level)
+        nodes, weights = zip(*(_bspline_rule(mu.exponent, level, cut) for cut in cuts))
+        return nodes, weights, False
     if mu.kind == LEBESGUE:
         nodes, weights = _lebesgue_nodes(domain, level)
         return nodes, weights, False

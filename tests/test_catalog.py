@@ -64,6 +64,18 @@ def test_meta_flags():
     assert lookup("exp_sum", [], K2).meta.convex
 
 
+def test_axis_kinks_are_declared_on_the_interval_and_cube():
+    Q3 = Domain.hypercube(3)
+    assert lookup("abs_dist", [0.3], I).meta.breakpoints == (0.3,)
+    assert lookup("abs_dist", [0.5, 0.25, 1.0], Q3).meta.breakpoints == (0.5, 0.25, 1.0)
+    assert lookup("abs_dist_coord", [2, 0.75], Q2).meta.breakpoints == (None, 0.75)
+    # the simplex, a diagonal kink and smooth functions declare none
+    assert lookup("abs_dist", [0.3, 0.3], K2).meta.breakpoints is None
+    assert lookup("abs_dist_coord", [1, 0.5], K2).meta.breakpoints is None
+    for name, params in (("abs_diff12", []), ("exp_sum", []), ("product12", [])):
+        assert lookup(name, params, Q2).meta.breakpoints is None
+
+
 def test_exact_omega_matches_grid_estimate():
     # sampled modulus approaches the closed form from below
     cases = [

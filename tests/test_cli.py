@@ -290,11 +290,14 @@ def test_power_rule_over_the_node_budget_exits_before_any_work(tmp_path, capsys,
 
 
 def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
-    # the Gauss ladder stalls at its cap on the kink of |t - 1/2|: one
-    # ladder per n, which sup_error runs and lp_error reuses
+    # the Gauss ladder stalls at its cap on the diagonal kink of |x_1 - x_2|,
+    # which declares no breakpoints: one ladder per n, which sup_error runs
+    # and lp_error reuses
     js = tmp_path / "out.json"
     cfgp = write_config(
         tmp_path, "c.json",
+        domain={"kind": "hypercube", "dim": 2},
+        function={"name": "abs_diff12", "params": []},
         experiment={"n_list": [4, 16], "p": 2, "grid_resolution": 100},
         output={"json_path": str(js)},
     )
@@ -302,7 +305,25 @@ def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: 2 of 2 quadrature ladder(s)")
     quad = json.loads(js.read_text())["meta"]["quadrature"]
-    assert quad == {"ladders": 2, "unconverged_at_cap": 2, "stopped_by_node_budget": 0}
+    assert quad.pop("max_residual") > 1e-11
+    assert quad == {"ladders": 2, "unconverged_at_cap": 2, "stopped_by_node_budget": 0,
+                    "max_level": 32}
+
+
+def test_declared_kinks_converge_with_a_rounding_residual(tmp_path, capsys):
+    # |t - 1/2| declares its kink: the cut rule is exact at levels 8 and 16
+    js = tmp_path / "out.json"
+    cfgp = write_config(
+        tmp_path, "c.json",
+        experiment={"n_list": [4, 16], "p": 2, "grid_resolution": 100},
+        output={"json_path": str(js)},
+    )
+    assert main(["converge", "--config", str(cfgp)]) == 0
+    assert capsys.readouterr().err == ""
+    quad = json.loads(js.read_text())["meta"]["quadrature"]
+    assert quad.pop("max_residual") <= 1e-15
+    assert quad == {"ladders": 2, "unconverged_at_cap": 0, "stopped_by_node_budget": 0,
+                    "max_level": 16}
 
 
 def test_converged_ladders_do_not_warn(tmp_path, capsys):
@@ -316,7 +337,9 @@ def test_converged_ladders_do_not_warn(tmp_path, capsys):
     assert main(["converge", "--config", str(cfgp)]) == 0
     assert capsys.readouterr().err == ""
     quad = json.loads(js.read_text())["meta"]["quadrature"]
-    assert quad == {"ladders": 2, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
+    assert quad.pop("max_residual") <= 1e-11
+    assert quad == {"ladders": 2, "unconverged_at_cap": 0, "stopped_by_node_budget": 0,
+                    "max_level": 16}
 
 
 def test_short_explicit_list_is_a_config_error(tmp_path, capsys):

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kantorov.bernstein import eval_Bn
+from kantorov.bernstein import eval_Bn, lattice
 from kantorov.catalog import lookup
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, uniform_grid
@@ -23,7 +25,7 @@ from kantorov.kantorovich import (
     eval_Cn,
     eval_Cn_cells,
     eval_In,
-    ladder_counts,
+    ladder_record,
     measure_moments,
 )
 from kantorov.markov import canonical_markov
@@ -187,9 +189,11 @@ def test_power_three_on_q3_matches_the_closed_form(n):
 
 
 def _ladder_outcome_of(run):
-    before = ladder_counts()
-    result = run()
-    return result, {k: v - before[k] for k, v in ladder_counts().items()}
+    """run()'s result and the outcome counts of the ladders it ran."""
+    with ladder_record() as record:
+        result = run()
+    return result, {k: record[k] for k in ("ladders", "unconverged_at_cap",
+                                           "stopped_by_node_budget")}
 
 
 def test_power_kink_on_a_knot_converges_on_q3():
@@ -228,6 +232,77 @@ def test_power_inner_values_match_exact_rationals_at_a_knot():
                                     triangle)) for h in range(n + 1)]
     got, outcome = _ladder_outcome_of(
         lambda: kantorovich._inner_values(cfg, n, lookup("abs_dist", (0.5,), I)))
+    np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
+    assert outcome["unconverged_at_cap"] == 0
+
+
+_UNIFORM = [(Fraction(0), Fraction(1), [1])]
+_TRIANGLE = [(Fraction(0), Fraction(1, 2), [0, 4]), (Fraction(1, 2), Fraction(1), [4, -4])]
+
+
+def _exact_kink_inner(domain, n, a, centres, density):
+    """J_h for f(x) = sum_i |x_i - c_i| over the axes whose centre is not
+    None, exact: per axis E|(h_i + a T)/(n + a) - c_i|, T uniform or the
+    mean of two uniforms (``density``), in rationals of the float inputs."""
+    a = Fraction(a)
+    tables = [None if c is None else
+              [_mean_abs_affine(k / (n + a) - Fraction(c), a / (n + a), density)
+               for k in range(n + 1)]
+              for c in centres]
+    return [float(sum(t[k] for t, k in zip(tables, row) if t is not None))
+            for row in lattice(domain, n).astype(int).tolist()]
+
+
+_POWER2 = power_of_base(lebesgue_measure(), 2)
+
+
+@pytest.mark.parametrize("domain, name, params, a, measures, n", [
+    (I, "abs_dist", (0.5,), 1.0, None, 7),
+    (I, "abs_dist", (0.3,), 2.0, None, 9),
+    (Q2, "abs_dist", (0.3, 0.7), 1.0, None, 6),
+    (Q2, "abs_dist", (0.5, 0.45), 2.0, None, 5),
+    (Q3, "abs_dist", (0.5, 0.25, 0.6), 1.0, None, 4),
+    (Q3, "abs_dist", (0.3, 0.5, 0.9), 2.0, None, 3),
+    (I, "abs_dist", (0.3,), 1.0, _POWER2, 8),
+    (I, "abs_dist", (0.45,), 2.0, _POWER2, 8),
+    (Q2, "abs_dist", (0.3, 0.45), 1.0, _POWER2, 5),
+    (Q2, "abs_dist_coord", (2, 0.3), 1.0, None, 6),
+    (Q2, "abs_dist_coord", (1, 0.45), 2.0, _POWER2, 5),
+])
+def test_declared_kinks_give_exact_inner_values(domain, name, params, a, measures, n):
+    # the rule is cut at the kink of every row, so levels 8 and 16 are both
+    # exact and the ladder stops at 16
+    f = lookup(name, params, domain)
+    centres = params if name == "abs_dist" else [
+        params[1] if i == params[0] - 1 else None for i in range(domain.dim)]
+    exact = _exact_kink_inner(domain, n, a, centres,
+                              _UNIFORM if measures is None else _TRIANGLE)
+    got, outcome = _ladder_outcome_of(
+        lambda: kantorovich._inner_values.__wrapped__(cfg_for(domain, a, measures), n, f))
+    np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
+    assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
+
+
+def test_eval_in_cuts_at_the_declared_kink():
+    # I_n f(x) = E|(n x + a T)/(n + a) - c|, with T the mean of two uniforms
+    n, a, c = 5, 1.5, 0.4
+    cfg = cfg_for(I, a, _POWER2)
+    xs = np.array([[0.0], [0.3], [0.42], [0.5], [0.9], [1.0]])
+    got, outcome = _ladder_outcome_of(lambda: eval_In(cfg, n, lookup("abs_dist", (c,), I), xs))
+    exact = [float(_mean_abs_affine(Fraction(n) * Fraction(x[0]) / (n + Fraction(a)) - Fraction(c),
+                                    Fraction(a) / (n + Fraction(a)), _TRIANGLE)) for x in xs]
+    np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
+    assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(centre=st.floats(0.0, 1.0), n=st.integers(1, 24), a=st.floats(0.05, 8.0),
+       power=st.booleans())
+def test_cut_inner_values_are_exact_for_any_centre(centre, n, a, power):
+    f = lookup("abs_dist", (centre,), I)
+    cfg = cfg_for(I, a, _POWER2 if power else None)
+    got, outcome = _ladder_outcome_of(lambda: kantorovich._inner_values.__wrapped__(cfg, n, f))
+    exact = _exact_kink_inner(I, n, a, (centre,), _TRIANGLE if power else _UNIFORM)
     np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
     assert outcome["unconverged_at_cap"] == 0
 
@@ -398,6 +473,23 @@ def test_ladder_outcomes_are_counted():
     assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
 
 
+def test_ladder_record_keeps_the_final_level_and_largest_residual():
+    with ladder_record() as outer:
+        with ladder_record() as inner:
+            # stops at 8 by the budget before comparing two levels
+            kantorovich._ladder(lambda level: np.array([1.0 / level]), 8,
+                                fits=lambda level: False)
+        assert inner["max_level"] == 8 and inner["max_residual"] is None
+        # 1/8 -> 1/16 -> 1/32: stalls at the cap, last step 1/32
+        kantorovich._ladder(lambda level: np.array([1.0 / level]), 8)
+        # agrees at 16: last step 1e-12
+        kantorovich._ladder(lambda level: np.array([1.0 + 1e-12 * (level == 8)]), 8)
+    assert inner == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 1,
+                     "max_level": 8, "max_residual": None}
+    assert outer == {"ladders": 3, "unconverged_at_cap": 1, "stopped_by_node_budget": 1,
+                     "max_level": 32, "max_residual": 1.0 / 32}
+
+
 # Runs in a fresh interpreter with one BLAS thread: threaded OpenBLAS
 # splits a block's rows among its threads, and that split, not the block
 # size, then decides the last bits.  Prints, per budget, the rows whose
@@ -413,12 +505,16 @@ from kantorov.measures import constant_lebesgue, lebesgue_measure, power_of_base
 
 I, Q3 = Domain.interval(), Domain.hypercube(3)
 cases = [
-    # the kink of |x - c| on Q3 at level 32: 125 lattice rows, 1 mod 4
+    # the rule cut at the kink of |x - c| on Q3, at level 32: 125 lattice
+    # rows, 1 mod 4
     (Q3, constant_lebesgue(), 32, 4, lookup("abs_dist", (0.5, 0.5, 0.5), Q3)),
-    # Lebesgue squared on I, 16 -> 32 -> 64 nodes (the kink at 0.45 is on no
-    # knot, so the ladder reaches its cap): 1025 rows, 1 mod the 1024-row
-    # blocks of the 2^16 budget and the 4-row blocks of budget 1
-    (I, power_of_base(lebesgue_measure(), 2), 8, 1024, lookup("abs_dist", (0.45,), I)),
+    # Lebesgue squared on I cut at 0.45, 16 -> 32 nodes: 4097 rows, 1 mod
+    # the 4096- and 2048-row blocks of the 2^16 budget and the 4-row blocks
+    # of budget 1
+    (I, power_of_base(lebesgue_measure(), 2), 8, 4096, lookup("abs_dist", (0.45,), I)),
+    # the diagonal kink of |x_1 - x_2| declares no breakpoints, so the rule
+    # is the shared one at level 32: 125 rows again
+    (Q3, constant_lebesgue(), 32, 4, lookup("abs_diff12", (), Q3)),
 ]
 dom, measures, level, n, f = cases[int(sys.argv[1])]
 cfg = kantorovich.OperatorConfig(dom, canonical_markov(dom), 1.0, measures, level)
@@ -430,13 +526,43 @@ print(json.dumps([np.nonzero(v != values[0])[0].tolist() for v in values[1:]]))
 """
 
 
-@pytest.mark.parametrize("case", [0, 1])
-def test_inner_values_do_not_depend_on_the_block_size(case):
+def _run_script(script, arg, threads):
+    """stdout of ``script`` run with ``arg`` in a fresh interpreter that
+    has ``threads`` BLAS threads."""
     src = os.path.dirname(os.path.dirname(kantorovich.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _BLOCK_SCRIPT, str(case)],
+    proc = subprocess.run([sys.executable, "-c", script, arg],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], []]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_inner_values_do_not_depend_on_the_block_size(case):
+    assert json.loads(_run_script(_BLOCK_SCRIPT, str(case), "1")) == [[], []]
+
+
+# Prints the bytes of the inner values of the rule cut at the kink of
+# |x - c| on Q3 at level 32, in 2^21-point blocks (125 rows).  Each row
+# reduces its own values, so the BLAS threads do not split a sum; the
+# shared rule's dgemv does, and there 2 threads change the last bits.
+_THREADS_SCRIPT = """
+from kantorov import kantorovich
+from kantorov.catalog import lookup
+from kantorov.geometry import Domain
+from kantorov.markov import canonical_markov
+from kantorov.measures import constant_lebesgue
+
+Q3 = Domain.hypercube(3)
+cfg = kantorovich.OperatorConfig(Q3, canonical_markov(Q3), 1.0, constant_lebesgue(), 32)
+kantorovich._BLOCK_POINTS = 1 << 21
+f = lookup("abs_dist", (0.5, 0.5, 0.5), Q3)
+print(kantorovich._inner_values(cfg, 4, f).tobytes().hex())
+"""
+
+
+def test_cut_inner_values_do_not_depend_on_the_blas_threads():
+    one, two = (_run_script(_THREADS_SCRIPT, "", threads) for threads in ("1", "2"))
+    assert one == two and len(one) == 125 * 16 + 1

@@ -22,6 +22,7 @@ from kantorov.measures import (
     power_of_base,
     resolve,
     rule_node_count,
+    splits,
 )
 
 I = Domain.interval()
@@ -199,6 +200,56 @@ def test_power_of_lebesgue_rule_is_positive_with_exact_moments(k):
         for j in range(5):
             got = math.fsum((weights * t**j).tolist())
             assert got == pytest.approx(moments[j], abs=1e-14)
+
+
+def exact_mean_abs(k, t):
+    """E|T - t| for T the mean of k uniforms on [0, 1], exact."""
+    total = Fraction(0)
+    for lo, hi, coeffs in mean_of_uniforms_density(k):
+        mid = max(lo, min(hi, t))
+        for u, v, sign in ((lo, mid, -1), (mid, hi, 1)):
+            total += sign * sum(
+                c * ((v ** (m + 2) - u ** (m + 2)) / (m + 2) - t * (v ** (m + 1) - u ** (m + 1)) / (m + 1))
+                for m, c in enumerate(coeffs))
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cut_rule_keeps_its_size_and_is_exact_on_each_side(k):
+    # cuts inside a knot interval, on a knot, on an end and outside [0, 1];
+    # each side of a cut has at least level // 2 nodes, which integrate the
+    # degree k - 1 density, and |s - t| times it, exactly once 2 (level // 2) > k
+    mu = lebesgue_measure() if k == 1 else power_measure(lebesgue_measure(), k)
+    cuts = np.array([-0.25, 0.0, 0.1, 0.3, 0.5, 2 / 3, 0.77, 1.0, 1.5])
+    for level in (1, 2, 5, 8, 16):
+        (x,), (w,), exact = measure_nodes(mu, I, level, cuts=[cuts])
+        assert not exact and x.shape == w.shape == (cuts.size, rule_node_count(mu, I, level))
+        assert np.all(w > 0.0) and np.all((x >= 0.0) & (x <= 1.0))
+        if 2 * (level // 2) > k:
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+            want = [float(exact_mean_abs(k, Fraction(t))) for t in cuts]
+            got = (w * np.abs(x - cuts[:, None])).sum(axis=1)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    # an uncut axis keeps the shared rule
+    (x, y), (wx, wy), _ = measure_nodes(mu, Q2, 4, cuts=[None, cuts])
+    shared, sw, _ = measure_nodes(mu, I, 4)
+    np.testing.assert_array_equal(x, shared[:, 0])
+    np.testing.assert_array_equal(wx, sw)
+    assert y.shape == (cuts.size, 4 * k)
+
+
+def test_cuts_split_only_inside_knot_intervals():
+    # a cut within 1e-12 (in units of 1/k) of a knot counts as on it
+    cuts = [0.25, 0.5 + 1e-9, 0.5 + 1e-14, 0.5 - 1e-14, 0.0, 1.0, -0.1, 1.2]
+    assert splits(2, cuts).tolist() == [True, True, False, False, False, False, False, False]
+    assert splits(1, cuts).tolist() == [True, True, True, True, False, False, False, False]
+
+
+def test_cut_rules_need_lebesgue_on_the_interval_or_cube():
+    for mu, dom in ((lebesgue_measure(), K2), (discrete_spec(COIN), I),
+                    (power_measure(discrete_spec(COIN), 2), I)):
+        with pytest.raises(ValueError, match="cut rules"):
+            measure_nodes(mu, dom, 4, cuts=[np.array([0.5])] * dom.dim)
 
 
 def test_power_of_lebesgue_rule_is_a_product_over_axes():
