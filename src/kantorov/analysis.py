@@ -482,7 +482,7 @@ def lipschitz_preservation(
     meta = getattr(f, "meta", None)
     if meta is None or meta.lipschitz_l1 is None:
         raise ValueError("function needs a known l1-Lipschitz constant")
-    est = lipschitz_estimate(lambda pts: eval_Cn(cfg, n, f, pts), cfg.domain, m, "l1")
+    est = lipschitz_estimate(lambda pts: eval_Cn(cfg, n, f, pts), cfg.domain, m)
     return LipschitzReport(est <= meta.lipschitz_l1 + tol, meta.lipschitz_l1, est, tol)
 
 

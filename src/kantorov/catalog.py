@@ -1,9 +1,9 @@
 """Named test functions with shape/smoothness metadata.
 
 Each entry evaluates on ``(G, d)`` point batches and carries the facts
-the verification layers rely on: convexity flags, Lipschitz constants
-for the l1 and l2 metrics on its domain, and an exact first modulus of
-continuity where one is available in closed form.
+the verification layers rely on: convexity flags, the Lipschitz constant
+for |x-y|_1 on its domain, and an exact first modulus of continuity
+where one is available in closed form.
 
 Coordinate indices in ``params`` are 1-based (as they appear in run
 configs); internal evaluation converts to 0-based axes.
@@ -31,7 +31,6 @@ class FunctionMeta:
     convex: Optional[bool] = None
     coordinate_convex: Optional[bool] = None
     axially_convex: Optional[bool] = None
-    lipschitz_l2: Optional[float] = None
     lipschitz_l1: Optional[float] = None
     exact_omega: Optional[Callable[[float], float]] = None
     breakpoints: Optional[tuple] = None
@@ -76,7 +75,6 @@ def _constant(domain: Domain, params) -> CatalogFunction:
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
-        lipschitz_l2=0.0,
         lipschitz_l1=0.0,
         exact_omega=lambda delta: 0.0,
     )
@@ -96,7 +94,6 @@ def _affine(domain: Domain, params) -> CatalogFunction:
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
-        lipschitz_l2=float(np.linalg.norm(g)),
         lipschitz_l1=float(np.max(np.abs(g))) if g.size else 0.0,
         exact_omega=exact,
     )
@@ -123,7 +120,6 @@ def _monomial(domain: Domain, params) -> CatalogFunction:
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
-        lipschitz_l2=float(kk),
         lipschitz_l1=float(kk),
         exact_omega=exact,
     )
@@ -133,12 +129,10 @@ def _monomial(domain: Domain, params) -> CatalogFunction:
 def _product12(domain: Domain, params) -> CatalogFunction:
     if domain.dim < 2:
         raise ValueError("product12 needs dim >= 2")
-    l2 = math.sqrt(2.0) if domain.kind == HYPERCUBE else 1.0
     meta = FunctionMeta(
         convex=False,
         coordinate_convex=True,
         axially_convex=False,
-        lipschitz_l2=l2,
         lipschitz_l1=1.0,
     )
     return CatalogFunction("product12", (), domain, lambda p: p[:, 0] * p[:, 1], meta)
@@ -158,7 +152,6 @@ def _abs_dist(domain: Domain, params) -> CatalogFunction:
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
-        lipschitz_l2=math.sqrt(domain.dim),
         lipschitz_l1=1.0,
         exact_omega=exact,
         breakpoints=_axis_kinks(domain, c.tolist()),
@@ -179,7 +172,6 @@ def _abs_dist_coord(domain: Domain, params) -> CatalogFunction:
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
-        lipschitz_l2=1.0,
         lipschitz_l1=1.0,
         exact_omega=lambda delta: min(delta, reach),
         breakpoints=_axis_kinks(domain, [c if i == ax else None for i in range(domain.dim)]),
@@ -196,7 +188,6 @@ def _abs_diff12(domain: Domain, params) -> CatalogFunction:
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
-        lipschitz_l2=math.sqrt(2.0),
         lipschitz_l1=1.0,
     )
     return CatalogFunction(
@@ -214,7 +205,6 @@ def _exp_sum(domain: Domain, params) -> CatalogFunction:
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
-        lipschitz_l2=math.sqrt(domain.dim) * top,
         lipschitz_l1=top,
         exact_omega=exact,
     )
@@ -229,7 +219,6 @@ def _runge(domain: Domain, params) -> CatalogFunction:
         convex=False,
         coordinate_convex=False,
         axially_convex=False,
-        lipschitz_l2=_RUNGE_LIP,
         lipschitz_l1=_RUNGE_LIP,
     )
     return CatalogFunction(

@@ -195,7 +195,10 @@ def _parse_measure(raw, domain: Domain, path: str):
             _reject_unknown(raw, ("kind", "atoms", "weights"), path)
             atoms = _get(raw, "atoms", path)
             weights = _get(raw, "weights", path)
-            return discrete_spec(discrete_measure(atoms, weights, domain))
+            try:
+                return discrete_spec(discrete_measure(atoms, weights, domain))
+            except ConfigError as exc:  # an atom outside the domain or of the wrong length
+                raise ConfigError(f"{path}: {exc}") from None
         return power_measure(*_parse_power(raw, domain, path))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None

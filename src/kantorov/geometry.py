@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 INTERVAL = "interval"
 HYPERCUBE = "hypercube"
@@ -118,7 +118,7 @@ def _batch(domain: Domain, x) -> tuple[np.ndarray, bool]:
     single = arr.ndim <= 1
     pts = np.atleast_1d(arr)[None, :] if single else arr
     if pts.ndim != 2 or pts.shape[1] != domain.dim:
-        raise ValueError(
+        raise ConfigError(
             f"points of shape {arr.shape} do not match domain dim {domain.dim}"
         )
     return pts, single
@@ -128,7 +128,7 @@ def contains(domain: Domain, x) -> bool:
     """Whether the point ``x`` (shape ``(d,)``) passes :func:`inside`."""
     pts, single = _batch(domain, x)
     if not single:
-        raise ValueError(f"expected one point, got shape {pts.shape}")
+        raise ConfigError(f"expected one point, got shape {pts.shape}")
     return bool(inside(domain, pts)[0])
 
 
@@ -136,18 +136,18 @@ def admit(domain: Domain, x) -> tuple[np.ndarray, bool]:
     """The one admission rule for caller points.
 
     Coerces a point ``(d,)`` or a batch ``(G, d)`` to a ``(G, d)``
-    batch and returns (batch, was_single).  Raises ``ValueError`` on a
+    batch and returns (batch, was_single).  Raises ``ConfigError`` on a
     shape that does not match the domain, an empty batch, a non-finite
     coordinate or a point outside the domain (by :func:`inside`).
     """
     pts, single = _batch(domain, x)
     if pts.shape[0] == 0:
-        raise ValueError("empty point batch")
+        raise ConfigError("empty point batch")
     if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite coordinates")
+        raise ConfigError("points contain non-finite coordinates")
     out = ~inside(domain, pts)
     if np.any(out):
-        raise ValueError(f"point {pts[np.argmax(out)]} lies outside the {domain.kind}")
+        raise ConfigError(f"point {pts[np.argmax(out)]} lies outside the {domain.kind}")
     return pts, single
 
 

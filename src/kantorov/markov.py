@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, _batch, contains, values
 from .measures import DiscreteMeasure
 
@@ -61,7 +62,7 @@ def selection_weights(op: MarkovOpId, xs: np.ndarray) -> np.ndarray:
 def selection(op: MarkovOpId, x) -> DiscreteMeasure:
     """The probability measure mu-tilde_x placed on the vertices."""
     if not contains(op.domain, x):
-        raise ValueError(f"point {x} lies outside the {op.domain.kind}")
+        raise ConfigError(f"point {x} lies outside the {op.domain.kind}")
     weights = selection_weights(op, x)[0]
     if op.kind == TD:
         # a point admitted just beyond the face keeps a remainder of 0

@@ -66,7 +66,7 @@ def discrete_measure(atoms, weights, domain: Optional[Domain] = None) -> Discret
     if domain is not None:
         for atom in mu.atoms:
             if not contains(domain, atom):
-                raise ValueError(f"atom {atom} lies outside the domain")
+                raise ConfigError(f"atom {atom} lies outside the domain")
     return mu
 
 
@@ -173,7 +173,7 @@ def resolve(seq: MeasureSeqSpec, n: int, domain: Optional[Domain] = None) -> Mea
     if seq.kind == DIRAC_SHIFT:
         point = np.atleast_1d(np.asarray(seq.point_rule(n), dtype=float))
         if domain is not None and not contains(domain, point):
-            raise ValueError(f"dirac_shift point {point} outside the domain at n={n}")
+            raise ConfigError(f"dirac_shift point {point} outside the domain at n={n}")
         return discrete_spec(DiscreteMeasure(point[None, :], np.array([1.0])))
     if seq.kind == POWER_OF_BASE:
         return power_measure(seq.base, seq.exponent)

@@ -26,17 +26,6 @@ _PAIRS_PER_BLOCK = 1 << 16
 _RADIUS_SLACK = 1.0 + 1e-12
 
 
-def _pair_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Float distance between the rows ``a`` and ``b`` of ``pts``, summed
-    axis by axis in axis order."""
-    cols = pts.T
-    if metric == "l2":
-        return np.sqrt(sum((x[a] - x[b]) ** 2 for x in cols))
-    if metric == "l1":
-        return sum(np.abs(x[a] - x[b]) for x in cols)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _positions(domain: Domain, m: int) -> np.ndarray:
     """Row of each index tuple in ``uniform_grid(domain, m)``, as an
     ``(m+1,)*d`` tensor; -1 outside the simplex."""
@@ -265,10 +254,27 @@ def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int, seed: int = 0):
     return like(best)
 
 
-def lipschitz_estimate(f, domain: Domain, m: int, metric: str = "l2") -> float:
-    """Largest grid secant quotient |f(x)-f(y)| / dist(x,y)."""
+def lipschitz_estimate(f, domain: Domain, m: int) -> float:
+    """Largest grid secant quotient |f(x)-f(y)| / |x-y|_1.
+
+    Any two grid points are joined by a monotone path of axis steps
+    that stays in the domain (on the simplex, lower the falling
+    coordinates first, then raise the rising ones).  The steps' l1
+    lengths add up to |x-y|_1, so the pair's quotient is a weighted mean
+    of its steps' quotients, and the maximum is reached on a pair one
+    axis step apart: O(G·d) pairs in place of O(G²).  Distances are the
+    float coordinate differences summed in axis order, so a quotient is
+    the secant of the points actually evaluated.
+    """
     pts = uniform_grid(domain, m)
     fv = values(f, pts)
-    quot = lambda a, b: np.abs(fv[a] - fv[b]) / _pair_dist(pts, a, b, metric)
-    # an infinite radius admits every pair
-    return float(_shell_max(domain, m, np.array([np.inf]), quot)[0])
+    pos = _positions(domain, m)
+    best = 0.0
+    for axis in range(domain.dim):
+        a = np.take(pos, np.arange(m), axis=axis).ravel()
+        b = np.take(pos, np.arange(1, m + 1), axis=axis).ravel()
+        # -1 marks a row outside the simplex; a lies below b, so inside when b is
+        a, b = a[b >= 0], b[b >= 0]
+        dist = sum(np.abs(x[a] - x[b]) for x in pts.T)
+        best = max(best, float(np.max(np.abs(fv[a] - fv[b]) / dist)))
+    return best

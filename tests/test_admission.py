@@ -89,7 +89,7 @@ def verdicts(domain, x):
         try:
             call(np.array(x))
             out[name] = True
-        except (ValueError, ConfigError):
+        except ConfigError:
             out[name] = False
     return out
 
@@ -177,7 +177,7 @@ def test_admit_checks_shape_emptiness_finiteness_and_membership():
     assert admit(I, 0.5)[0].shape == (1, 1)
     for bad, match in (([0.1, 0.2, 0.3], "shape"), (np.empty((0, 2)), "empty"),
                        ([0.1, np.inf], "non-finite"), ([0.7, 0.7], "outside")):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ConfigError, match=match):
             admit(K2, bad)
 
 

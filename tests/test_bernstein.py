@@ -16,7 +16,7 @@ from kantorov.bernstein import (
     eval_Bn,
     lattice_points,
 )
-from kantorov.errors import NumericError
+from kantorov.errors import ConfigError, NumericError
 from kantorov.geometry import Domain, ProductGrid, uniform_grid
 
 I = Domain.interval()
@@ -258,7 +258,7 @@ def test_nonfinite_coordinates_rejected(dom, bad):
     xs = np.full((2, dom.dim), 0.25)
     xs[1, -1] = bad
     vals = np.ones(lattice_points(dom, 3).shape[0])
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ConfigError, match="non-finite"):
         apply_lattice_values(dom, 3, vals, xs)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ConfigError, match="non-finite"):
         basis_weights(dom, 3, xs)

@@ -105,7 +105,7 @@ def test_lipschitz_meta_is_an_upper_bound():
         ("exp_sum", [], Q2),
     ]:
         f = lookup(name, params, dom)
-        est = lipschitz_estimate(f, dom, 120 if dom.dim == 1 else 24, metric="l1")
+        est = lipschitz_estimate(f, dom, 120 if dom.dim == 1 else 24)
         assert est <= f.meta.lipschitz_l1 + 1e-9
 
 

@@ -407,6 +407,20 @@ def test_nan_discrete_weight_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_discrete_atom_outside_the_domain_is_a_config_error(tmp_path, capsys):
+    cfgp = write_config(
+        tmp_path, "e.json",
+        operator={"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
+            {"kind": "discrete", "atoms": [[0.2], [1.5]], "weights": [0.5, 0.5]},
+        ]}},
+        experiment={"n_list": [1], "points": [[0.5]]},
+    )
+    assert main(["eval", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "operator.measures.measures[0]: atom [1.5] lies outside" in captured.err
+    assert captured.out == ""
+
+
 # Small valid configs, one per subcommand, each a fraction of a second to
 # run; together they reach every measure kind and bound id.
 _FUZZ_BASES = {

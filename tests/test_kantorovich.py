@@ -331,9 +331,9 @@ def test_single_points_and_batches_are_admitted_alike():
         for bad in outside:
             x = np.array(bad)
             for evaluate in evaluators:
-                with pytest.raises(ValueError):
+                with pytest.raises(ConfigError):
                     evaluate(x)
-                with pytest.raises(ValueError):
+                with pytest.raises(ConfigError):
                     evaluate(x[None])
 
 
@@ -434,6 +434,63 @@ def test_monotone_in_f():
     f = lambda p: p[:, 0] ** 2
     g = lambda p: p[:, 0] ** 2 + 0.1
     np.testing.assert_array_less(eval_Cn(cfg, 3, f, xs), eval_Cn(cfg, 3, g, xs))
+
+
+def _operator_cases():
+    """(config, n, points): I, Q2 or K2, n <= 16, a <= 3, Lebesgue or a
+    Dirac shift, and one to four random points of the domain."""
+
+    @st.composite
+    def case(draw):
+        dom = draw(st.sampled_from([I, Q2, K2]))
+        # a Dirac shift needs a > 0
+        measures, a_min = draw(st.sampled_from(
+            [(constant_lebesgue(), 0.0), (dirac_shift(lambda n: np.full(dom.dim, 0.3)), 0.05)]))
+        cfg = cfg_for(dom, draw(st.floats(a_min, 3.0)), measures)
+        cube = st.lists(st.floats(0.0, 1.0), min_size=dom.dim, max_size=dom.dim).map(np.array)
+        if dom.kind == "simplex":
+            cube = cube.map(lambda u: u / max(1.0, u.sum()))
+        xs = np.array(draw(st.lists(cube, min_size=1, max_size=4)))
+        return cfg, draw(st.integers(1, 16)), xs
+
+    return case()
+
+
+def _square(draw, dim):
+    """A random (g.x - t)^2: smooth, >= 0, and zero on a hyperplane that
+    may cut the domain."""
+    g = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    t = draw(st.floats(-1.0, 2.0))
+    return lambda p: (p @ g - t) ** 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_operator_cases())
+def test_cn_reproduces_constants(case):
+    cfg, n, xs = case
+    ones = eval_Cn(cfg, n, lambda p: np.ones(p.shape[0]), xs)
+    np.testing.assert_allclose(ones, 1.0, rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_operator_cases(), data=st.data())
+def test_cn_is_positive(case, data):
+    cfg, n, xs = case
+    f = _square(data.draw, cfg.domain.dim)
+    assert np.all(eval_Cn(cfg, n, f, xs) >= 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_operator_cases(), data=st.data())
+def test_cn_is_monotone(case, data):
+    # f <= g on the domain; C_n f and C_n g are computed apart, so they
+    # may cross by a few roundings of their size
+    cfg, n, xs = case
+    f = lambda p: np.exp(p.sum(axis=1))
+    h = _square(data.draw, cfg.domain.dim)
+    g = lambda p: f(p) + h(p)
+    cf, cg = eval_Cn(cfg, n, f, xs), eval_Cn(cfg, n, g, xs)
+    assert np.all(cf <= cg + 1e-14 * np.abs(cg))
 
 
 def test_invalid_n():

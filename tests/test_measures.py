@@ -37,8 +37,8 @@ COIN = discrete_measure([[0.0], [1.0]], [0.5, 0.5], I)
 def test_discrete_measure_validation():
     with pytest.raises(ValueError):
         discrete_measure([[0.0], [1.0]], [0.6, 0.6], I)  # weights must sum to 1
-    with pytest.raises(ValueError):
-        discrete_measure([[0.5], [2.0]], [0.5, 0.5], I)  # atom outside domain
+    with pytest.raises(ConfigError, match="outside"):
+        discrete_measure([[0.5], [2.0]], [0.5, 0.5], I)
     with pytest.raises(ValueError):
         discrete_measure([[0.25], [0.75]], [1.25, -0.25], I)
 
@@ -84,7 +84,7 @@ def test_sequence_resolution():
 def test_dirac_shift_point_must_stay_inside():
     seq = dirac_shift(lambda n: np.array([2.0 / n]))
     resolve(seq, 2, I)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="outside"):
         resolve(seq, 1, I)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kantorov import moduli
 from kantorov.analysis import _MODES
@@ -173,9 +175,48 @@ def test_lipschitz_estimate():
     f = lambda p: np.abs(p[:, 0] - 0.5)
     assert lipschitz_estimate(f, I, 500) == pytest.approx(1.0, abs=1e-12)
     g = lambda p: p[:, 0] + p[:, 1]
-    # l1 metric: |g(x)-g(y)| <= |x1-y1| + |x2-y2| with equality on diagonals
-    assert lipschitz_estimate(g, Q2, 30, metric="l1") == pytest.approx(1.0, abs=1e-12)
-    assert lipschitz_estimate(g, Q2, 30, metric="l2") == pytest.approx(math.sqrt(2.0), rel=1e-10)
+    # |g(x)-g(y)| <= |x1-y1| + |x2-y2|, with equality along the axes
+    assert lipschitz_estimate(g, Q2, 30) == pytest.approx(1.0, abs=1e-12)
+
+
+def _all_pairs_l1_max(fv, pts):
+    """Reference: the largest |f(x)-f(y)| / |x-y|_1 over every pair of
+    grid rows, the distance summed over the axes in axis order."""
+    a, b = np.triu_indices(len(pts), k=1)
+    dist = sum(np.abs(x[a] - x[b]) for x in pts.T)
+    return float(np.max(np.abs(fv[a] - fv[b]) / dist))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lipschitz_estimate_is_the_all_pairs_maximum(data):
+    dom = data.draw(st.sampled_from([I, Q2, Q3, K2, K3]))
+    m = data.draw(st.integers(1, {1: 12, 2: 6, 3: 4}[dom.dim]))
+    pts = uniform_grid(dom, m)
+    coords = st.floats(-5.0, 5.0)
+    kind = data.draw(st.sampled_from(["grid values", "affine", "abs_dist"]))
+    if kind == "grid values":
+        fv = np.array(data.draw(st.lists(coords, min_size=len(pts), max_size=len(pts))))
+    elif kind == "affine":
+        g = np.array(data.draw(st.lists(coords, min_size=dom.dim, max_size=dom.dim)))
+        fv = data.draw(coords) + pts @ g
+    else:
+        c = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=dom.dim, max_size=dom.dim)))
+        fv = np.abs(pts - c).sum(axis=1)
+    est = lipschitz_estimate(lambda p: fv, dom, m)
+    ref = _all_pairs_l1_max(fv, pts)
+    # the axis pairs' quotients are among the reference's, bit for bit; a
+    # longer pair's quotient is their weighted mean, up to its rounding
+    assert est <= ref <= est * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def test_lipschitz_estimate_does_not_walk_the_pair_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lipschitz_estimate walked _pair_blocks")
+
+    monkeypatch.setattr(moduli, "_pair_blocks", refuse)
+    for dom in (I, Q2, Q3, K2, K3):
+        assert lipschitz_estimate(lambda p: p.sum(axis=1), dom, 5) == pytest.approx(1.0)
 
 
 def test_scaled_metric_on_hypercube():
