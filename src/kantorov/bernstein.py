@@ -3,11 +3,11 @@ vertex selections: tensor-product basis on the interval/hypercube,
 multinomial basis on the simplex.
 
 B_n(f)(x) = sum_h basis(n, h, x) * f(h/n) over the admissible lattice.
+Both bases are evaluated as products of one-dimensional Bernstein rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -57,34 +57,10 @@ def lattice(domain: Domain, n: int) -> np.ndarray:
     Hypercube/interval: ``{0..n}^d`` in lexicographic order.  Simplex:
     ``|h| <= n`` in colexicographic order.
     """
-    d = domain.dim
+    idx = np.indices((n + 1,) * domain.dim).reshape(domain.dim, -1)
     if domain.kind == SIMPLEX:
-        rows = [
-            rev[::-1]
-            for rev in itertools.product(range(n + 1), repeat=d)
-            if sum(rev) <= n
-        ]
-        return np.array(rows, dtype=int)
-    idx = np.indices((n + 1,) * d).reshape(d, -1).T
-    return idx
-
-
-@lru_cache(maxsize=None)
-def _multinomial_ints(domain: Domain, n: int) -> tuple:
-    """The exact integers n! / (h_1! ... h_d! (n-|h|)!) over the simplex lattice."""
-    fact = [math.factorial(i) for i in range(n + 1)]
-    return tuple(fact[n] // (math.prod(fact[i] for i in h) * fact[n - sum(h)])
-                 for h in lattice(domain, n).tolist())
-
-
-@lru_cache(maxsize=None)
-def _multinomial_coeffs(domain: Domain, n: int) -> np.ndarray:
-    return np.array([float(c) for c in _multinomial_ints(domain, n)])
-
-
-@lru_cache(maxsize=None)
-def _log_multinomial_coeffs(domain: Domain, n: int) -> np.ndarray:
-    return np.array([_log_int(c) for c in _multinomial_ints(domain, n)])
+        return idx[::-1].T[idx.sum(axis=0) <= n]
+    return idx.T
 
 
 def _pow_table(t: np.ndarray, n: int) -> np.ndarray:
@@ -95,67 +71,84 @@ def _pow_table(t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _rows(t, n: int):
+    """The Bernstein rows ``m -> b^m(t)``, shape ``(G, m+1)``, for ``m <= n``.
+
+    Orders up to ``_DIRECT_N`` are sliced from one pair of power tables:
+    a ``cumprod`` prefix is exact, so each slice is bitwise the table of
+    its own order.  Higher orders take the logs of the exact binomials.
+    """
+    t = np.asarray(t, dtype=float)
+    top = min(n, _DIRECT_N)
+    tk, sk = _pow_table(t, top), _pow_table(1.0 - t, top)
+
+    def row(m: int) -> np.ndarray:
+        if m <= _DIRECT_N:
+            return _binom_row(m) * tk[:, : m + 1] * sk[:, m::-1]
+        k = np.arange(m + 1)
+        out = np.zeros((t.shape[0], m + 1))
+        interior = (t > 0.0) & (t < 1.0)
+        ti = t[interior][:, None]
+        out[interior] = np.exp(_log_binom_row(m) + k * np.log(ti) + (m - k) * np.log1p(-ti))
+        out[t == 0.0, 0] = 1.0
+        out[t == 1.0, m] = 1.0
+        return out
+
+    return row
+
+
 def _bern1d(n: int, t: np.ndarray) -> np.ndarray:
     """One-dimensional Bernstein basis row, shape ``(G, n+1)``."""
-    t = np.asarray(t, dtype=float)
-    if n <= _DIRECT_N:
-        tk = _pow_table(t, n)
-        sk = _pow_table(1.0 - t, n)[:, ::-1]
-        return _binom_row(n) * tk * sk
-    k = np.arange(n + 1)
-    out = np.zeros((t.shape[0], n + 1))
-    logc = _log_binom_row(n)
-    interior = (t > 0.0) & (t < 1.0)
-    ti = t[interior][:, None]
-    out[interior] = np.exp(logc + k * np.log(ti) + (n - k) * np.log1p(-ti))
-    out[t == 0.0, 0] = 1.0
-    out[t == 1.0, n] = 1.0
-    return out
+    return _rows(t, n)(n)
 
 
-def _simplex_basis_block(domain: Domain, n: int, xs: np.ndarray) -> np.ndarray:
-    """Dense simplex basis values for a block of points, shape ``(g, L)``."""
-    latt = lattice(domain, n)
-    rem = n - latt.sum(axis=1)
-    s = np.maximum(1.0 - xs.sum(axis=1), 0.0)
-    if n <= _DIRECT_N:
-        vals = np.broadcast_to(_multinomial_coeffs(domain, n), (xs.shape[0], latt.shape[0])).copy()
-        for i in range(domain.dim):
-            vals *= _pow_table(xs[:, i], n)[:, latt[:, i]]
-        vals *= _pow_table(s, n)[:, rem]
-        return vals
-    logc = _log_multinomial_coeffs(domain, n)
-    logs = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)), 0.0)
-    exps = logc + rem * logs[:, None]
-    dead = (s[:, None] == 0.0) & (rem > 0)
+def _collapsed(domain: Domain, xs: np.ndarray) -> np.ndarray:
+    """The coordinates the basis factors in: ``x`` on the cube, and on
+    the simplex ``u_i = x_i / (1 - x_1 - ... - x_{i-1})``, 0 where that
+    remainder is <= 0, clipped to [0, 1] so that a point admitted up to
+    ``1 + BOUNDARY_TOL`` evaluates on the face."""
+    if domain.kind != SIMPLEX:
+        return xs
+    u = np.zeros_like(xs)
+    rem = np.ones(xs.shape[0])
     for i in range(domain.dim):
-        xi = xs[:, i]
-        logx = np.where(xi > 0.0, np.log(np.where(xi > 0.0, xi, 1.0)), 0.0)
-        exps = exps + latt[:, i] * logx[:, None]
-        dead |= (xi[:, None] == 0.0) & (latt[:, i] > 0)
-    vals = np.exp(exps)
-    vals[dead] = 0.0
-    return vals
+        live = rem > 0.0
+        u[live, i] = xs[live, i] / rem[live]
+        rem = rem - xs[:, i]
+    return np.clip(u, 0.0, 1.0, out=u)
+
+
+def _basis_columns(domain: Domain, n: int, xs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Basis values at the points for the multi-indices ``idx``, shape
+    ``(G, len(idx))``: axis i multiplies in ``b^m_{h_i}(u_i)`` with
+    ``m = n - |h_<i|`` on the simplex and ``m = n`` on the cube."""
+    u = _collapsed(domain, xs)
+    used = 0
+    out = None
+    for i in range(domain.dim):
+        order = n - used
+        row = _rows(u[:, i], n)
+        # the rows of every order in use side by side, and where each starts
+        ms = np.flatnonzero(np.bincount(np.ravel(order), minlength=n + 1))
+        start = np.zeros(n + 1, dtype=int)
+        start[ms[1:]] = np.cumsum(ms[:-1] + 1)
+        table = np.concatenate([row(m) for m in ms.tolist()], axis=1)
+        factor = np.take(table, start[order] + idx[:, i], axis=1)
+        out = factor if out is None else np.multiply(out, factor, out=out)
+        if domain.kind == SIMPLEX:
+            used = used + idx[:, i]
+    return out
 
 
 def basis_weights(domain: Domain, n: int, xs) -> np.ndarray:
     """All basis values at a point or a batch of points, shape ``(G, L)``."""
     xs, _ = admit(domain, xs)
-    if domain.kind == SIMPLEX:
-        return np.concatenate(
-            [_simplex_basis_block(domain, n, xs[i : i + _CHUNK]) for i in range(0, xs.shape[0], _CHUNK)]
-        )
-    rows = _bern1d(n, xs[:, 0])
-    for i in range(1, domain.dim):
-        ri = _bern1d(n, xs[:, i])
-        rows = (rows[:, :, None] * ri[:, None, :]).reshape(xs.shape[0], -1)
-    return rows
+    return _basis_columns(domain, n, xs, lattice(domain, n))
 
 
 def _apply_block(domain: Domain, n: int, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Scattered points on the cube, outermost axis first."""
     d = domain.dim
-    if domain.kind == SIMPLEX:
-        return _simplex_basis_block(domain, n, xs) @ values
     tensor = values.reshape((n + 1,) * d)
     if d == 1:
         return _bern1d(n, xs[:, 0]) @ tensor
@@ -167,35 +160,43 @@ def _apply_block(domain: Domain, n: int, values: np.ndarray, xs: np.ndarray) -> 
     return np.einsum("gk,gk->g", _bern1d(n, xs[:, 2]), tmp)
 
 
-def _apply_grid(domain: Domain, n: int, values: np.ndarray, grid: ProductGrid) -> np.ndarray:
-    """Axis-by-axis contraction on a product grid, innermost axis first.
+def _apply_collapsed(domain: Domain, n: int, values: np.ndarray, u: np.ndarray,
+                     grid: bool) -> np.ndarray:
+    """Axis-by-axis contraction of the lattice values, innermost axis first.
 
-    On the cube every axis applies the rows ``b^n(u_i)``.  On the
-    simplex, in the collapsed coordinates ``x = simplex_from_cube(u)``,
-    the basis factors as ``B_h(x) = prod_i b^{n-h_1-...-h_{i-1}}_{h_i}(u_i)``
-    (Ainsworth, Andriamaro & Davydov 2011), so axis i applies the row of
-    order ``n - |h_<i|``.  Cost O(q n^d + q^d n) for q nodes per axis.
+    On the cube every axis applies the rows ``b^n(u_i)``.  On the simplex,
+    in the collapsed coordinates ``u``, the basis factors as
+    ``B_h(x) = prod_i b^{n-h_1-...-h_{i-1}}_{h_i}(u_i)`` (Ainsworth,
+    Andriamaro & Davydov 2011), so axis i applies the row of order
+    ``n - |h_<i|``.  With ``grid``, ``u`` holds the q nodes all axes of a
+    product grid share, and the result is in C order over the grid, at
+    cost O(q n^d + q^d n).  Otherwise ``u`` holds each point's own
+    coordinates, at cost O(G L).
     """
-    d, u = domain.dim, grid.nodes_1d
+    d = domain.dim
     if domain.kind == SIMPLEX:
         coeffs = np.zeros((n + 1,) * d)
         coeffs[tuple(lattice(domain, n).T)] = values
     else:
         coeffs = values.reshape((n + 1,) * d)
-    rows = {}
     for axis in reversed(range(d)):
+        row = _rows(u if grid else u[:, axis], n)
         lead = coeffs.shape[:axis]
-        flat = coeffs.reshape(-1, n + 1, u.size ** (d - 1 - axis))
+        flat = coeffs.reshape(math.prod(lead), n + 1, -1)
         used = sum(np.indices(lead, sparse=True)) if domain.kind == SIMPLEX else 0
         budget = np.broadcast_to(n - used, lead).reshape(-1)
-        out = np.zeros((flat.shape[0], u.size, flat.shape[2]))
+        out = np.zeros((flat.shape[0], len(u)) + (flat.shape[2:] if grid else ()))
         # a set, not np.unique, whose first call imports numpy.ma (13 ms)
         for m in sorted(set(budget[budget >= 0].tolist())):
-            if m not in rows:
-                rows[m] = _bern1d(m, u)
             sel = budget == m
-            out[sel] = rows[m] @ flat[sel, : m + 1]
-        coeffs = out.reshape(lead + (u.size,) * (d - axis))
+            block = flat[sel, : m + 1]
+            if grid:
+                out[sel] = row(m) @ block
+            elif axis == d - 1:
+                out[sel] = block[:, :, 0] @ row(m).T
+            else:
+                out[sel] = np.einsum("gh,phg->pg", row(m), block)
+        coeffs = out.reshape(lead + (-1,))
     return coeffs.reshape(-1)
 
 
@@ -204,21 +205,25 @@ def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, xs) -> np.n
 
     ``values`` has one entry per lattice multi-index (in ``lattice``
     order); returns ``sum_h basis(h, x) * values[h]`` for each point.
-    A :class:`ProductGrid` is contracted axis by axis (results in the
-    order of ``grid.points``); a ``(G, d)`` batch of scattered points is
-    contracted point by point, in blocks of ``_CHUNK`` rows on Q3 and
-    the simplex.
+    A :class:`ProductGrid` is contracted axis by axis on its shared
+    nodes (results in the order of ``grid.points``); a ``(G, d)`` batch
+    of scattered points is contracted point by point, in blocks of
+    ``_CHUNK`` rows on three axes.
     """
     if isinstance(xs, ProductGrid):
         if xs.domain != domain:
             raise ValueError("grid domain does not match")
-        return _apply_grid(domain, n, values, xs)
+        return _apply_collapsed(domain, n, values, xs.nodes_1d, grid=True)
     xs, _ = admit(domain, xs)
-    # below three cube axes the rows take O(G n) memory, like the output
-    step = _CHUNK if domain.kind == SIMPLEX or domain.dim == 3 else xs.shape[0]
+    # below three axes the intermediates take O(G n) memory, like the output
+    step = _CHUNK if domain.dim == 3 else xs.shape[0]
     out = np.empty(xs.shape[0])
     for i in range(0, xs.shape[0], step):
-        out[i : i + step] = _apply_block(domain, n, values, xs[i : i + step])
+        pts = xs[i : i + step]
+        if domain.kind == SIMPLEX:
+            out[i : i + step] = _apply_collapsed(domain, n, values, _collapsed(domain, pts), grid=False)
+        else:
+            out[i : i + step] = _apply_block(domain, n, values, pts)
     return out
 
 
@@ -239,14 +244,7 @@ def basis(domain: Domain, n: int, h, x) -> float:
     xs, single = admit(domain, x)
     if not single:
         raise ValueError(f"basis takes one point, got shape {xs.shape}")
-    if domain.kind == SIMPLEX:
-        latt = lattice(domain, n)
-        pos = int(np.nonzero(np.all(latt == harr, axis=1))[0][0])
-        return float(_simplex_basis_block(domain, n, xs)[0, pos])
-    val = 1.0
-    for i in range(domain.dim):
-        val *= float(_bern1d(n, xs[0, i : i + 1])[0, harr[i]])
-    return val
+    return float(_basis_columns(domain, n, xs, harr[None])[0, 0])
 
 
 def lattice_points(domain: Domain, n: int) -> np.ndarray:

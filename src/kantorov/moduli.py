@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import SIMPLEX, Domain, inside, uniform_grid, values
 
 # Flat row pairs per block of _pair_blocks.
-_PAIRS_PER_BLOCK = 1 << 16
+_PAIRS_PER_BLOCK = 1 << 15
 # delta * m is rounded in floats (0.29 * 100 is 28.999999999999996); a
 # relative slack far below one grid step keeps the offsets that lie at
 # exactly distance delta.

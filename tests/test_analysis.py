@@ -307,10 +307,12 @@ def test_lp_grid_is_a_product_grid():
 
 
 def test_lp_norms_of_cn_skip_the_dense_simplex_basis(monkeypatch):
+    # the collapsed coordinates of scattered points feed the per-point
+    # contraction and the basis values; a product grid needs neither
     def refuse(*args):
-        raise AssertionError("dense simplex basis built on a product grid")
+        raise AssertionError("simplex grid points evaluated one by one")
 
-    monkeypatch.setattr(bernstein, "_simplex_basis_block", refuse)
+    monkeypatch.setattr(bernstein, "_collapsed", refuse)
     for dom, n, level in ((K2, 32, 8), (K3, 6, 4)):
         f = lookup("exp_sum", (), dom)
         for cfg in (cfg_for(dom, 1.0), cfg_for(dom, 2.0, dirac_shift([0.25] * dom.dim))):

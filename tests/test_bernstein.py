@@ -1,11 +1,15 @@
 import decimal
+import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kantorov import bernstein
 from kantorov.analysis import lp_grid
@@ -51,6 +55,15 @@ def test_lattice_points():
     assert lattice_points(K3, 2).shape == (10, 3)
 
 
+def test_simplex_lattice_is_colexicographic():
+    for d in (1, 2, 3):
+        for n in range(21):
+            expect = [list(rev[::-1]) for rev in itertools.product(range(n + 1), repeat=d)
+                      if sum(rev) <= n]
+            got = bernstein.lattice(Domain.simplex(d), n)
+            assert got.dtype == int and got.tolist() == expect, (d, n)
+
+
 @pytest.mark.parametrize("dom", ALL, ids=lambda d: f"{d.kind}{d.dim}")
 @pytest.mark.parametrize("n", [1, 3, 9])
 def test_partition_of_unity(dom, n):
@@ -76,6 +89,41 @@ def test_partition_of_unity_log_path():
         np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-13)
 
 
+def _unity_points(dom):
+    """Points of ``dom``, with coordinates on the faces; on the simplex
+    also on the face |x| = 1 and up to ``BOUNDARY_TOL`` beyond it."""
+    d = dom.dim
+    coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    cube = st.lists(coord, min_size=d, max_size=d).map(np.array)
+    if dom.kind != "simplex":
+        return cube
+    positive = st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d).map(np.array)
+
+    def beyond(u, i, excess):
+        x = u / u.sum()
+        x[i] += excess
+        return x
+
+    return st.one_of(cube.map(lambda u: u / max(1.0, u.sum())),
+                     st.builds(beyond, positive, st.integers(0, d - 1), st.floats(0.0, 0.9e-12)))
+
+
+@pytest.mark.parametrize("dom", ALL, ids=lambda d: f"{d.kind}{d.dim}")
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_basis_is_a_partition_of_unity(dom, data):
+    n = data.draw(st.integers(1, 128), label="n")
+    xs = np.array(data.draw(st.lists(_unity_points(dom), min_size=1, max_size=4), label="xs"))
+    nodes = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), label="nodes"))
+    ones = np.ones(lattice_points(dom, n).shape[0])
+    w = basis_weights(dom, n, xs)
+    assert np.all(w >= 0.0)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(apply_lattice_values(dom, n, ones, xs), 1.0, rtol=0, atol=1e-13)
+    grid = ProductGrid(dom, nodes, np.ones(nodes.size))
+    np.testing.assert_allclose(apply_lattice_values(dom, n, ones, grid), 1.0, rtol=0, atol=1e-13)
+
+
 def _assert_within_one_ulp(logs, ints):
     ctx = decimal.Context(prec=50)
     for got, c in zip(logs, ints):
@@ -90,12 +138,46 @@ def test_log_binomial_row_is_within_one_ulp(n):
     _assert_within_one_ulp(bernstein._log_binom_row(n), [math.comb(n, k) for k in range(n + 1)])
 
 
-@pytest.mark.parametrize("dom,n", [(K2, 64), (K3, 20)], ids=["K2-64", "K3-20"])
-def test_log_multinomial_coeffs_are_within_one_ulp(dom, n):
-    ints = [math.factorial(n) // math.prod(math.factorial(int(j)) for j in (*h, n - sum(h)))
-            for h in bernstein.lattice(dom, n)]
-    assert bernstein._multinomial_ints(dom, n) == tuple(ints)
-    _assert_within_one_ulp(bernstein._log_multinomial_coeffs(dom, n), ints)
+def _exact_simplex_basis(n, pts):
+    """``n!/(h! (n-|h|)!) x^h (1-|x|)^(n-|h|)`` at each point, over the
+    multi-indices ``|h| <= n`` in colexicographic order, from exact
+    integers, each rounded once to a float."""
+    d = len(pts[0])
+    idx = [h[::-1] for h in itertools.product(range(n + 1), repeat=d) if sum(h) <= n]
+    idx = [(*h, n - sum(h)) for h in idx]
+    fact = [math.factorial(i) for i in range(n + 1)]
+    coeffs = [fact[n] // math.prod(fact[i] for i in h) for h in idx]
+    out = []
+    for x in pts:
+        xf = [Fraction(float(v)) for v in x]
+        den = math.lcm(*(v.denominator for v in xf))
+        num = [int(v * den) for v in xf]
+        powers = [[p**k for k in range(n + 1)] for p in (*num, den - sum(num))]
+        scale = den**n
+        out.append([c * math.prod(pw[k] for pw, k in zip(powers, h)) / scale
+                    for c, h in zip(coeffs, idx)])
+    return np.array(out)
+
+
+SIMPLEX_POINTS = {
+    2: [[0.2, 0.3], [1 / 3, 1 / 3], [0.125, 0.375],  # interior
+        [0.0, 0.4], [0.3, 0.0], [0.25, 0.75],  # faces
+        [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],  # vertices
+    3: [[0.1, 0.2, 0.3], [0.25, 0.25, 0.25], [0.125, 0.375, 0.25],
+        [0.0, 0.5, 0.25], [0.3, 0.0, 0.4], [0.25, 0.5, 0.25],
+        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("dom,n", [(K2, 16), (K2, 64), (K2, 128), (K3, 16), (K3, 64)],
+                         ids=["K2-16", "K2-64", "K2-128", "K3-16", "K3-64"])
+def test_simplex_basis_matches_exact_multinomials(dom, n):
+    # the multinomial form, independent of the collapsed product the
+    # package evaluates (n = 64, 128 pass _DIRECT_N)
+    pts = SIMPLEX_POINTS[dom.dim]
+    ref = _exact_simplex_basis(n, pts)
+    tol = 1e-15 + np.where(ref > 1e-12, 1e-13 * ref, 0.0)
+    assert np.all(np.abs(basis_weights(dom, n, pts) - ref) <= tol)
 
 
 _NO_SCIPY_SCRIPT = """
@@ -197,6 +279,27 @@ def test_apply_lattice_values_matches_weights():
         np.testing.assert_allclose(apply_lattice_values(dom, n, vals, xs), direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("dom", (K2, K3), ids=lambda d: f"{d.kind}{d.dim}")
+def test_simplex_contraction_builds_no_basis(dom, monkeypatch):
+    rng = np.random.default_rng(5)
+    xs = rng.dirichlet(np.ones(dom.dim + 1), 50)[:, : dom.dim]
+    grid = lp_grid(dom, 2)
+    cases = []
+    for n in (3, 16, 64 if dom.dim == 2 else 20):
+        vals = rng.uniform(-1.0, 1.0, lattice_points(dom, n).shape[0])
+        cases.append((n, vals, basis_weights(dom, n, xs) @ vals,
+                      basis_weights(dom, n, grid.points) @ vals))
+
+    def refuse(*args):
+        raise AssertionError("basis values built for a contraction")
+
+    monkeypatch.setattr(bernstein, "basis_weights", refuse)
+    monkeypatch.setattr(bernstein, "_basis_columns", refuse)
+    for n, vals, at_points, on_grid in cases:
+        np.testing.assert_allclose(apply_lattice_values(dom, n, vals, xs), at_points, atol=1e-13)
+        np.testing.assert_allclose(apply_lattice_values(dom, n, vals, grid), on_grid, atol=1e-13)
+
+
 def test_bn_rejects_nonfinite_values():
     bad = lambda p: np.where(p[:, 0] > 0.9, np.nan, p[:, 0])
     with pytest.raises(NumericError, match="lattice"):
@@ -219,14 +322,14 @@ GRID_CASES = [(I, 1), (I, 9), (I, 150), (Q2, 1), (Q2, 7), (Q2, 40), (Q3, 1), (Q3
 @pytest.mark.parametrize("dom,n", GRID_CASES, ids=lambda c: str(c) if isinstance(c, int)
                          else f"{c.kind}{c.dim}")
 def test_grid_contraction_matches_scattered_points(dom, n):
-    # the axis-by-axis contraction on lp_norm's grid equals the dense
+    # the contraction on lp_norm's grid, on shared nodes, equals the
     # per-point one at the grid's points (n = 64, 80 pass _DIRECT_N)
     grid = lp_grid(dom, 4 if dom.dim == 3 else 8)
     vals = np.random.default_rng(n).uniform(-1.0, 1.0, lattice_points(dom, n).shape[0])
     got = apply_lattice_values(dom, n, vals, grid)
-    dense = apply_lattice_values(dom, n, vals, grid.points)
+    scattered = apply_lattice_values(dom, n, vals, grid.points)
     assert got.shape == (len(grid),)
-    np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(got, scattered, rtol=0.0, atol=1e-13)
 
 
 def test_grid_contraction_partition_of_unity():
@@ -242,14 +345,17 @@ def test_grid_contraction_checks_domain():
 
 
 def test_scattered_cube_contraction_is_chunked(monkeypatch):
-    # blocks of _CHUNK rows give the same values as one block
+    # on three axes, Q3 and K3, blocks of _CHUNK rows give the same
+    # values as one block
     xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(203, 3))
-    vals = np.random.default_rng(4).normal(size=lattice_points(Q3, 6).shape[0])
-    whole = apply_lattice_values(Q3, 6, vals, xs)
-    monkeypatch.setattr(bernstein, "_CHUNK", 16)
-    chunked = apply_lattice_values(Q3, 6, vals, xs)
-    np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(chunked, basis_weights(Q3, 6, xs) @ vals, atol=1e-13)
+    for dom, pts in ((Q3, xs), (K3, xs / np.maximum(1.0, xs.sum(axis=1, keepdims=True)))):
+        vals = np.random.default_rng(4).normal(size=lattice_points(dom, 6).shape[0])
+        monkeypatch.setattr(bernstein, "_CHUNK", 2048)
+        whole = apply_lattice_values(dom, 6, vals, pts)
+        monkeypatch.setattr(bernstein, "_CHUNK", 16)
+        chunked = apply_lattice_values(dom, 6, vals, pts)
+        np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(chunked, basis_weights(dom, 6, pts) @ vals, atol=1e-13)
 
 
 @pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")

@@ -235,7 +235,8 @@ _FILTERS = {
 }
 
 
-@pytest.mark.parametrize("block", [moduli._PAIRS_PER_BLOCK, 7])
+# one block at these grid sizes, and blocks of 7 pairs
+@pytest.mark.parametrize("block", [1 << 16, 7])
 @pytest.mark.parametrize("name", sorted(_FILTERS))
 @pytest.mark.parametrize("dom,m", [(I, 6), (Q2, 4), (Q3, 3), (K2, 5), (K3, 3)])
 def test_pair_blocks_yield_each_admitted_pair_once(dom, m, name, block, monkeypatch):
