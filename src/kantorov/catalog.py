@@ -6,7 +6,8 @@ for |x-y|_1 on its domain, and an exact first modulus of continuity
 where one is available in closed form.
 
 Coordinate indices in ``params`` are 1-based (as they appear in run
-configs); internal evaluation converts to 0-based axes.
+configs); internal evaluation converts to 0-based axes.  A bad name or
+parameter list raises :class:`ConfigError`.
 
 On the interval and the hypercube a function may declare ``breakpoints``:
 per axis, the one coordinate where it has a kink across that axis (or
@@ -21,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import HYPERCUBE, SIMPLEX, Domain, contains
 from .kantorovich import AffineForm
 
@@ -54,7 +56,7 @@ class CatalogFunction:
 def _axis(domain: Domain, i: float) -> int:
     ax = int(i)
     if ax != i or not 1 <= ax <= domain.dim:
-        raise ValueError(f"coordinate index {i!r} invalid for dim {domain.dim}")
+        raise ConfigError(f"coordinate index {i!r} invalid for dim {domain.dim}")
     return ax - 1
 
 
@@ -82,8 +84,6 @@ def _constant(domain: Domain, params) -> CatalogFunction:
 
 
 def _affine(domain: Domain, params) -> CatalogFunction:
-    if len(params) != domain.dim + 1:
-        raise ValueError(f"affine needs [c, g_1..g_{domain.dim}]")
     form = AffineForm(params[0], tuple(params[1:]))
     g = np.asarray(form.gradient)
     exact = None
@@ -105,7 +105,7 @@ def _monomial(domain: Domain, params) -> CatalogFunction:
     ax = _axis(domain, i)
     kk = int(k)
     if kk != k or kk < 1:
-        raise ValueError("monomial exponent must be an integer >= 1")
+        raise ConfigError("monomial exponent must be an integer >= 1")
     form = None
     if kk == 1:
         grad = [0.0] * domain.dim
@@ -128,7 +128,7 @@ def _monomial(domain: Domain, params) -> CatalogFunction:
 
 def _product12(domain: Domain, params) -> CatalogFunction:
     if domain.dim < 2:
-        raise ValueError("product12 needs dim >= 2")
+        raise ConfigError("product12 needs dim >= 2")
     meta = FunctionMeta(
         convex=False,
         coordinate_convex=True,
@@ -139,11 +139,9 @@ def _product12(domain: Domain, params) -> CatalogFunction:
 
 
 def _abs_dist(domain: Domain, params) -> CatalogFunction:
-    if len(params) != domain.dim:
-        raise ValueError(f"abs_dist needs a {domain.dim}-coordinate center")
     c = np.asarray(params, dtype=float)
     if not contains(domain, c):
-        raise ValueError(f"abs_dist center {c} outside the domain")
+        raise ConfigError(f"abs_dist center {c} outside the domain")
     exact = None
     if domain.dim == 1:
         reach = max(c[0], 1.0 - c[0])
@@ -166,7 +164,7 @@ def _abs_dist_coord(domain: Domain, params) -> CatalogFunction:
     ax = _axis(domain, i)
     c = float(c)
     if not 0.0 <= c <= 1.0:
-        raise ValueError("abs_dist_coord center must lie in [0, 1]")
+        raise ConfigError("abs_dist_coord center must lie in [0, 1]")
     reach = max(c, 1.0 - c)
     meta = FunctionMeta(
         convex=True,
@@ -183,7 +181,7 @@ def _abs_dist_coord(domain: Domain, params) -> CatalogFunction:
 
 def _abs_diff12(domain: Domain, params) -> CatalogFunction:
     if domain.dim < 2:
-        raise ValueError("abs_diff12 needs dim >= 2")
+        raise ConfigError("abs_diff12 needs dim >= 2")
     meta = FunctionMeta(
         convex=True,
         coordinate_convex=True,
@@ -226,16 +224,17 @@ def _runge(domain: Domain, params) -> CatalogFunction:
     )
 
 
+# name -> (builder, its parameter count on a domain of dimension d)
 _BUILDERS = {
-    "constant": _constant,
-    "affine": _affine,
-    "monomial": _monomial,
-    "product12": _product12,
-    "abs_dist": _abs_dist,
-    "abs_dist_coord": _abs_dist_coord,
-    "abs_diff12": _abs_diff12,
-    "exp_sum": _exp_sum,
-    "runge": _runge,
+    "constant": (_constant, lambda d: 1),
+    "affine": (_affine, lambda d: d + 1),
+    "monomial": (_monomial, lambda d: 2),
+    "product12": (_product12, lambda d: 0),
+    "abs_dist": (_abs_dist, lambda d: d),
+    "abs_dist_coord": (_abs_dist_coord, lambda d: 2),
+    "abs_diff12": (_abs_diff12, lambda d: 0),
+    "exp_sum": (_exp_sum, lambda d: 0),
+    "runge": (_runge, lambda d: 0),
 }
 
 
@@ -246,5 +245,15 @@ def catalog_names() -> list[str]:
 def lookup(name: str, params, domain: Domain) -> CatalogFunction:
     """Build the named catalog function for the domain."""
     if name not in _BUILDERS:
-        raise ValueError(f"unknown catalog function {name!r}; know {catalog_names()}")
-    return _BUILDERS[name](domain, tuple(float(p) for p in params))
+        raise ConfigError(f"unknown catalog function {name!r}; know {catalog_names()}")
+    build, arity = _BUILDERS[name]
+    try:
+        params = tuple(float(p) for p in params)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} parameters must be numbers, got {params!r}") from None
+    if not all(math.isfinite(p) for p in params):
+        raise ConfigError(f"{name} parameters must be finite, got {params!r}")
+    if len(params) != arity(domain.dim):
+        raise ConfigError(f"{name} takes {arity(domain.dim)} parameter(s) on dim {domain.dim}, "
+                          f"got {len(params)}")
+    return build(domain, params)

@@ -255,7 +255,7 @@ def _parse_function(raw, domain: Domain, required: bool):
         raise ConfigError("function.params: expected a list of numbers")
     try:
         return lookup(name, params, domain)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"function: {exc}") from None
 
 

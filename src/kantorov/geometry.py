@@ -157,9 +157,8 @@ def values(f, pts: np.ndarray, where: str = "point") -> np.ndarray:
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (pts.shape[0],):
         raise ValueError("function must map (G, d) points to (G,) values")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        pt = pts[np.argmax(bad)]
+    if not np.isfinite(vals).all():
+        pt = pts[np.argmin(np.isfinite(vals))].copy()
         raise NumericError(f"function non-finite at {where} {pt}", point=pt)
     return vals
 

@@ -90,6 +90,10 @@ class AffineForm:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not pts.flags.c_contiguous:
+            # BLAS sums a row in another order on other layouts, so copy
+            # to row-major (column by column: the fast copy for small d)
+            pts = np.stack(tuple(pts.T), axis=1)
         return self.constant + pts @ np.asarray(self.gradient)
 
     def value(self, x) -> float:
@@ -154,11 +158,18 @@ def _blend_at_level(
     starts = list(range(0, m, block))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()  # a lone last row would take numpy's 1-row kernel
-    for i, stop in zip(starts, starts[1:] + [m]):
+    bounds = list(zip(starts, starts[1:] + [m]))
+    if cuts is None:
+        # axis-major points: f gets a (G, d) batch with contiguous columns
+        cn = (c * nodes).T
+        buf = np.empty(d * q * max(stop - i for i, stop in bounds))
+    for i, stop in bounds:
         pb = base[i:stop]
         if cuts is None:
-            pts = (pb[:, None, :] + c * nodes[None, :, :]).reshape(-1, d)
-            out[i:stop] = values(f, pts).reshape(pb.shape[0], q) @ weights
+            pts = buf[: d * q * (stop - i)].reshape(d, stop - i, q)
+            for j in range(d):
+                np.add(pb[:, j, None], cn[j], out=pts[j])
+            out[i:stop] = values(f, pts.reshape(d, -1).T).reshape(stop - i, q) @ weights
         else:
             rows = [None if cut is None else cut[1][i:stop] for cut in cuts]
             out[i:stop] = _cut_block(f, pb, c, nodes, weights, rows)
@@ -169,10 +180,11 @@ def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
     """The block ``pb``'s integrals under per-axis rules ``nodes[i]``,
     ``weights[i]``: shared ``(q,)``, or ``(cuts, q)`` with ``rows[i]``
     picking each block row's cut.  The points are broadcast from the axis
-    rules, and each row reduces its own values axis by axis (no BLAS)."""
+    rules into axis-major storage, and each row reduces its own values
+    axis by axis (no BLAS)."""
     b, d = pb.shape
     qs = tuple(w.shape[-1] for w in weights)
-    pts = np.empty((b,) + qs + (d,))
+    pts = np.empty((d, b) + qs)
     row_weights = []
     for i in range(d):
         x, w = nodes[i], weights[i]
@@ -180,9 +192,9 @@ def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
             x, w = x[rows[i]], w[rows[i]]
         shape = [b if x.ndim == 2 else 1] + [1] * d
         shape[1 + i] = qs[i]
-        pts[..., i] = pb[:, i].reshape((b,) + (1,) * d) + c * x.reshape(shape)
+        pts[i] = pb[:, i].reshape((b,) + (1,) * d) + c * x.reshape(shape)
         row_weights.append(w)
-    vals = values(f, pts.reshape(-1, d)).reshape((b,) + qs)
+    vals = values(f, pts.reshape(d, -1).T).reshape((b,) + qs)
     for i in reversed(range(d)):
         w = row_weights[i]
         if w.ndim == 2:

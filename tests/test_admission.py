@@ -198,6 +198,35 @@ def test_values_names_the_first_non_finite_point():
         values(lambda p: p, pts)
 
 
+def test_values_names_the_first_non_finite_row_of_an_axis_major_batch():
+    # the inner-integral engine hands f the transpose of a (d, G) array
+    cols = np.arange(3 * 10, dtype=float).reshape(3, 10) / 30
+    pts = cols.T
+    assert not pts.flags.c_contiguous
+    bad = np.zeros(10)
+    bad[[7, 4, 9]] = [np.nan, np.inf, -np.inf]
+    with pytest.raises(NumericError, match="non-finite") as err:
+        values(lambda p: p[:, 0] + bad, pts)
+    assert err.value.point.tolist() == cols[:, 4].tolist()
+    assert err.value.point.base is None  # a copy: it does not pin the batch
+
+
+@pytest.mark.parametrize("domain", [Q2, K2, K3], ids=["Q2", "K2", "K3"])
+def test_inner_integrals_report_the_first_non_finite_point(domain):
+    # f marks its own first non-finite row; the error must name that point
+    seen = []
+
+    def f(p):
+        out = np.where(p[:, -1] > 0.3, np.inf, p[:, 0])
+        if not seen and np.isinf(out).any():
+            seen.append(p[np.argmax(np.isinf(out))].copy())
+        return out
+
+    with pytest.raises(NumericError) as err:
+        eval_Cn(cfg_for(domain), 4, f, [0.1] * domain.dim)
+    assert err.value.point.tolist() == seen[0].tolist()
+
+
 NAN_CALLS = {
     "omega1": lambda f: omega1(f, Q2, 0.2, 8),
     "omega2": lambda f: omega2(f, Q2, 0.2, 8),

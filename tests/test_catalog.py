@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kantorov.catalog import catalog_names, lookup
+from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, uniform_grid
 from kantorov.moduli import lipschitz_estimate, omega1
 
@@ -19,7 +20,7 @@ def test_names_are_stable():
 
 
 def test_unknown_name():
-    with pytest.raises(ValueError, match="unknown catalog function"):
+    with pytest.raises(ConfigError, match="unknown catalog function"):
         lookup("wiggle", [], I)
 
 
@@ -29,26 +30,51 @@ def test_constant_and_affine_values():
     f = lookup("affine", [0.25, 1.0, -0.5], Q2)
     np.testing.assert_allclose(f(np.array([[0.5, 0.5]])), [0.5])
     assert f.meta.affine is not None
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="takes 3 parameter"):
         lookup("affine", [0.25, 1.0], Q2)  # needs d+1 parameters
 
 
 def test_monomial():
     f = lookup("monomial", [1, 3], I)
     np.testing.assert_allclose(f(np.array([[0.5]])), [0.125])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="coordinate index"):
         lookup("monomial", [2, 2], I)  # axis out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="exponent"):
         lookup("monomial", [1, 0], I)
 
 
 def test_abs_dist_center_checked():
     f = lookup("abs_dist", [0.5], I)
     np.testing.assert_allclose(f(np.array([[0.1]])), [0.4])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="outside the domain"):
         lookup("abs_dist", [0.7, 0.7], K2)  # outside the simplex
     g = lookup("abs_dist", [0.25, 0.25], K2)
     np.testing.assert_allclose(g(np.array([[0.5, 0.5]])), [0.5])
+
+
+@pytest.mark.parametrize("name, params, domain, match", [
+    ("wiggle", [], I, "unknown catalog function"),
+    ("constant", [], I, "takes 1 parameter"),
+    ("constant", [0.5, 0.5], I, "takes 1 parameter"),
+    ("monomial", [1], Q2, "takes 2 parameter"),
+    ("monomial", [1, 2.5], Q2, "exponent"),
+    ("monomial", [1.5, 2], Q2, "coordinate index"),
+    ("abs_dist", [0.5], Q2, "takes 2 parameter"),
+    ("abs_dist", [0.5, 1.5], Q2, "outside the domain"),
+    ("abs_dist_coord", [1, 1.5], Q2, r"\[0, 1\]"),
+    ("abs_dist_coord", [3, 0.5], Q2, "coordinate index"),
+    ("exp_sum", [1.0], Q2, "takes 0 parameter"),
+    ("product12", [], I, "dim >= 2"),
+    ("abs_diff12", [], I, "dim >= 2"),
+    ("constant", ["x"], I, "must be numbers"),
+    ("constant", [None], I, "must be numbers"),
+    ("constant", [10**400], I, "must be numbers"),
+    ("constant", [math.nan], I, "must be finite"),
+    ("affine", [0.0, math.inf], I, "must be finite"),
+])
+def test_parameter_errors_are_config_errors(name, params, domain, match):
+    with pytest.raises(ConfigError, match=match):
+        lookup(name, params, domain)
 
 
 def test_eval_accepts_single_point():

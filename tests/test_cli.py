@@ -224,6 +224,21 @@ def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("function, needle", [
+    ({"name": "abs_dist", "params": [1.5]}, "outside the domain"),
+    ({"name": "abs_dist", "params": [0.5, 0.5]}, "takes 1 parameter"),
+    ({"name": "monomial", "params": [1, 0]}, "exponent"),
+    ({"name": "wiggle", "params": []}, "unknown catalog function"),
+    ({"name": "constant", "params": ["x"]}, "must be numbers"),
+])
+def test_catalog_parameter_errors_exit_2(tmp_path, capsys, function, needle):
+    cfgp = write_config(tmp_path, "f.json", function=function)
+    assert main(["converge", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "function: " in captured.err and needle in captured.err
+    assert captured.out == ""
+
+
 def test_exit_code_2_on_command_mismatch(tmp_path, capsys):
     cfgp = write_config(tmp_path, "c.json", experiment={"n_list": [4], "command": "eval"})
     assert main(["converge", "--config", str(cfgp)]) == 2

@@ -623,3 +623,130 @@ print(kantorovich._inner_values(cfg, 4, f).tobytes().hex())
 def test_cut_inner_values_do_not_depend_on_the_blas_threads():
     one, two = (_run_script(_THREADS_SCRIPT, "", threads) for threads in ("1", "2"))
     assert one == two and len(one) == 125 * 16 + 1
+
+
+# Runs in a fresh interpreter with one BLAS thread.  The reference is the
+# row-major construction the engine used before its blocks went
+# axis-major: the same block split and reductions, with each block's
+# points broadcast into a (G, d) C-ordered batch.  Prints the cases whose
+# inner values differ from the reference in any bit.
+_ROW_MAJOR_SCRIPT = """
+import json, math
+import numpy as np
+from kantorov import kantorovich
+from kantorov.catalog import lookup
+from kantorov.geometry import Domain, values
+from kantorov.kantorovich import AffineForm
+from kantorov.markov import canonical_markov
+from kantorov.measures import constant_lebesgue, measure_nodes
+
+
+def row_major_blend(cfg, mu, n, f, base, level, cuts=None):
+    c = cfg.a / (n + cfg.a)
+    m, d = base.shape
+    if cuts is None:
+        nodes, weights, _ = measure_nodes(mu, cfg.domain, level)
+        q = weights.size
+    else:
+        nodes, weights, _ = measure_nodes(mu, cfg.domain, level,
+                                          cuts=[None if cut is None else cut[0] for cut in cuts])
+        q = math.prod(w.shape[-1] for w in weights)
+    out = np.empty(m)
+    block = max(4, kantorovich._BLOCK_POINTS // q // 4 * 4)
+    starts = list(range(0, m, block))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    for i, stop in zip(starts, starts[1:] + [m]):
+        pb = base[i:stop]
+        if cuts is None:
+            pts = (pb[:, None, :] + c * nodes[None, :, :]).reshape(-1, d)
+            out[i:stop] = values(f, pts).reshape(pb.shape[0], q) @ weights
+        else:
+            rows = [None if cut is None else cut[1][i:stop] for cut in cuts]
+            out[i:stop] = row_major_cut(f, pb, c, nodes, weights, rows)
+    return out
+
+
+def row_major_cut(f, pb, c, nodes, weights, rows):
+    b, d = pb.shape
+    qs = tuple(w.shape[-1] for w in weights)
+    pts = np.empty((b,) + qs + (d,))
+    row_weights = []
+    for i in range(d):
+        x, w = nodes[i], weights[i]
+        if rows[i] is not None:
+            x, w = x[rows[i]], w[rows[i]]
+        shape = [b if x.ndim == 2 else 1] + [1] * d
+        shape[1 + i] = qs[i]
+        pts[..., i] = pb[:, i].reshape((b,) + (1,) * d) + c * x.reshape(shape)
+        row_weights.append(w)
+    vals = values(f, pts.reshape(-1, d)).reshape((b,) + qs)
+    for i in reversed(range(d)):
+        w = row_weights[i]
+        if w.ndim == 2:
+            w = w.reshape((b,) + (1,) * i + (qs[i],))
+        vals = (vals * w).sum(axis=-1)
+    return vals
+
+
+I, Q2, Q3 = Domain.interval(), Domain.hypercube(2), Domain.hypercube(3)
+K2, K3 = Domain.simplex(2), Domain.simplex(3)
+cases = {}
+for name, dom, n in (("I", I, 33), ("Q2", Q2, 12), ("Q3", Q3, 4), ("K2", K2, 24), ("K3", K3, 6)):
+    grad = tuple(0.37 * (-1.5) ** j for j in range(dom.dim))
+    cases[f"affine-{name}"] = (dom, n, AffineForm(-0.2, grad))
+    cases[f"exp_sum-{name}"] = (dom, n, lookup("exp_sum", (), dom))
+for name, dom, n in (("Q2", Q2, 12), ("Q3", Q3, 4)):
+    cases[f"abs_dist-{name}"] = (dom, n, lookup("abs_dist", (0.3,) * dom.dim, dom))
+engine = kantorovich._blend_at_level
+differ = []
+for key, (dom, n, f) in cases.items():
+    for a in (1.0, 2.0):
+        cfg = kantorovich.OperatorConfig(dom, canonical_markov(dom), a, constant_lebesgue(), 8)
+        for budget in (1 << 16, 1):
+            kantorovich._BLOCK_POINTS = budget
+            kantorovich._blend_at_level = engine
+            got = kantorovich._inner_values.__wrapped__(cfg, n, f)
+            kantorovich._blend_at_level = row_major_blend
+            ref = kantorovich._inner_values.__wrapped__(cfg, n, f)
+            if not np.array_equal(got, ref):
+                differ.append(f"{key} a={a} budget={budget}")
+print(json.dumps(differ))
+"""
+
+
+def test_axis_major_blocks_keep_the_row_major_bits():
+    assert json.loads(_run_script(_ROW_MAJOR_SCRIPT, "", "1")) == []
+
+
+class _LayoutRecorder:
+    """An integrand that records the layout of every block it is handed;
+    it carries ``meta`` so that declared kinks take the cut path."""
+
+    def __init__(self, f):
+        self.f, self.meta, self.blocks = f, f.meta, []
+
+    def __call__(self, p):
+        self.blocks.append((p.shape, p.dtype, p.strides))
+        return self.f(p)
+
+
+@pytest.mark.parametrize("dom", [Q2, Q3, K2, Domain.simplex(3)], ids=["Q2", "Q3", "K2", "K3"])
+@pytest.mark.parametrize("name", ["exp_sum", "abs_dist"])
+def test_integrand_blocks_are_axis_major(dom, name):
+    d = dom.dim
+    params = (0.3,) * d if name == "abs_dist" else ()
+    base = lookup(name, params, dom)
+    cut = base.meta.breakpoints is not None
+    assert cut == (name == "abs_dist" and dom.kind != "simplex")
+    cfg, rec, x = cfg_for(dom, 1.0), _LayoutRecorder(base), np.full((5, d), 0.2)
+    mu = resolve(cfg.measures, 5, dom)
+    for pts in (lattice(dom, 5) / 6, x * 5 / 6):  # the rows of eval_Cn and eval_In
+        assert (kantorovich._row_cuts(cfg, mu, 5, rec, pts) is not None) == cut
+    eval_Cn(cfg, 5, rec, x)
+    eval_In(cfg, 5, rec, x)
+    assert len(rec.blocks) >= 4  # two ladder levels each
+    for shape, dtype, strides in rec.blocks:
+        assert len(shape) == 2 and shape[1] == d and dtype == np.float64
+        # contiguous columns: one row step is one float
+        assert strides[0] == 8 and strides[1] == 8 * shape[0]
