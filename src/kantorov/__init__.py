@@ -45,6 +45,7 @@ from .analysis import (
     SandwichReport,
     check_bound,
     convergence_table,
+    convexity_preservation,
     convexity_report,
     equibounded_constant,
     lambda_n,
@@ -72,8 +73,8 @@ __all__ = [
     "CatalogFunction", "FunctionMeta", "catalog_names", "lookup",
     "omega1", "omega2", "tau_p", "omega_kp", "lipschitz_estimate",
     "BOUND_IDS", "BoundReport", "ErrorRow", "ConvexityReport", "SandwichReport",
-    "LipschitzReport", "check_bound", "convergence_table", "convexity_report",
-    "equibounded_constant", "lambda_n", "lambda_p_bound_value",
+    "LipschitzReport", "check_bound", "convergence_table", "convexity_preservation",
+    "convexity_report", "equibounded_constant", "lambda_n", "lambda_p_bound_value",
     "lipschitz_preservation", "loglog_slope", "lp_error", "lp_norm",
     "sandwich_check", "sup_error",
 ]

@@ -22,7 +22,8 @@ import numpy as np
 
 from .bernstein import eval_Bn
 from .errors import ConfigError
-from .geometry import SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid, values
+from .geometry import (SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid,
+                       uniform_product_grid, values)
 from .kantorovich import (
     AffineForm,
     OperatorConfig,
@@ -148,10 +149,16 @@ def random_affine_forms(
 # error measurements
 
 
+def _grid(domain: Domain, m: int):
+    """``uniform_grid(domain, m)`` as C_n and B_n take it: the same rows as
+    a :class:`ProductGrid` on the interval and cube, the batch on the simplex."""
+    return uniform_grid(domain, m) if domain.kind == SIMPLEX else uniform_product_grid(domain, m)
+
+
 def sup_error(cfg: OperatorConfig, n: int, f, m: int) -> float:
     """max over the uniform grid of |C_n(f) - f|."""
     xs = uniform_grid(cfg.domain, m)
-    return float(np.max(np.abs(eval_Cn(cfg, n, f, xs) - values(f, xs))))
+    return float(np.max(np.abs(eval_Cn(cfg, n, f, _grid(cfg.domain, m)) - values(f, xs))))
 
 
 def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.ndarray]:
@@ -276,7 +283,7 @@ def _check_omega_sup(cfg, f, n_list, m, delta):
 
 
 def _check_omega_pointwise(cfg, f, n_list, m):
-    xs = uniform_grid(cfg.domain, m)
+    xs, grid = uniform_grid(cfg.domain, m), _grid(cfg.domain, m)
     fv = values(f, xs)
     gap_x = markov_values(cfg.op, lambda v: (v**2).sum(axis=1), xs) - (xs**2).sum(axis=1)
     deltas = []
@@ -292,7 +299,7 @@ def _check_omega_pointwise(cfg, f, n_list, m):
     rows = []
     for n, omega in zip(n_list, np.split(omegas, len(n_list))):
         bounds = 2.0 * omega
-        errs = np.abs(eval_Cn(cfg, n, f, xs) - fv)
+        errs = np.abs(eval_Cn(cfg, n, f, grid) - fv)
         ratios = np.array([_ratio(e, b) for e, b in zip(errs, bounds)])
         worst = int(np.argmax(ratios))
         rows.append(BoundRow(n, float(errs[worst]), float(bounds[worst]), float(ratios[worst])))
@@ -442,6 +449,14 @@ def convexity_report(
     return ConvexityReport(mode, worst <= tol, worst, witness, tol)
 
 
+def convexity_preservation(
+    cfg: OperatorConfig, n: int, f, mode: str, m: int, tol: float = 1e-10
+) -> ConvexityReport:
+    """:func:`convexity_report` of C_n(f), evaluated on ``uniform_grid(2m)``."""
+    grid = _grid(cfg.domain, 2 * m)
+    return convexity_report(eval_Cn(cfg, n, f, grid), cfg.domain, mode, m, tol)
+
+
 @dataclass(frozen=True)
 class SandwichReport(_Verdict):
     passed: bool
@@ -453,14 +468,14 @@ class SandwichReport(_Verdict):
 
 def sandwich_check(cfg: OperatorConfig, n: int, f, m: int, tol: float = 1e-11) -> SandwichReport:
     """Grid check of f <= B_n(f) <= T(f) and C_n(f) <= C_n(T f)."""
-    xs = uniform_grid(cfg.domain, m)
+    xs, grid = uniform_grid(cfg.domain, m), _grid(cfg.domain, m)
     fv = values(f, xs)
-    bn = eval_Bn(cfg.domain, n, f, xs)
+    bn = eval_Bn(cfg.domain, n, f, grid)
     tf = markov_values(cfg.op, f, xs)
     below = float(np.max(fv - bn))
     above = float(np.max(bn - tf))
-    cnf = eval_Cn(cfg, n, f, xs)
-    cntf = eval_Cn(cfg, n, lambda pts: markov_values(cfg.op, f, pts), xs)
+    cnf = eval_Cn(cfg, n, f, grid)
+    cntf = eval_Cn(cfg, n, lambda pts: markov_values(cfg.op, f, pts), grid)
     blend = float(np.max(cnf - cntf))
     return SandwichReport(
         below <= tol and above <= tol and blend <= tol, below, above, blend, tol
@@ -482,7 +497,7 @@ def lipschitz_preservation(
     meta = getattr(f, "meta", None)
     if meta is None or meta.lipschitz_l1 is None:
         raise ValueError("function needs a known l1-Lipschitz constant")
-    est = lipschitz_estimate(lambda pts: eval_Cn(cfg, n, f, pts), cfg.domain, m)
+    est = lipschitz_estimate(eval_Cn(cfg, n, f, _grid(cfg.domain, m)), cfg.domain, m)
     return LipschitzReport(est <= meta.lipschitz_l1 + tol, meta.lipschitz_l1, est, tol)
 
 

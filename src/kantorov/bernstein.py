@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import check_n
+from .errors import ConfigError, check_n
 from .geometry import SIMPLEX, Domain, ProductGrid, admit, values
 
 # Above this order, basis evaluation moves to log form: the logs of the
@@ -97,11 +97,6 @@ def _rows(t, n: int):
     return row
 
 
-def _bern1d(n: int, t: np.ndarray) -> np.ndarray:
-    """One-dimensional Bernstein basis row, shape ``(G, n+1)``."""
-    return _rows(t, n)(n)
-
-
 def _collapsed(domain: Domain, xs: np.ndarray) -> np.ndarray:
     """The coordinates the basis factors in: ``x`` on the cube, and on
     the simplex ``u_i = x_i / (1 - x_1 - ... - x_{i-1})``, 0 where that
@@ -146,20 +141,6 @@ def basis_weights(domain: Domain, n: int, xs) -> np.ndarray:
     return _basis_columns(domain, n, xs, lattice(domain, n))
 
 
-def _apply_block(domain: Domain, n: int, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Scattered points on the cube, outermost axis first."""
-    d = domain.dim
-    tensor = values.reshape((n + 1,) * d)
-    if d == 1:
-        return _bern1d(n, xs[:, 0]) @ tensor
-    if d == 2:
-        tmp = _bern1d(n, xs[:, 0]) @ tensor
-        return np.einsum("gj,gj->g", tmp, _bern1d(n, xs[:, 1]))
-    tmp = np.einsum("gi,ijk->gjk", _bern1d(n, xs[:, 0]), tensor)
-    tmp = np.einsum("gj,gjk->gk", _bern1d(n, xs[:, 1]), tmp)
-    return np.einsum("gk,gk->g", _bern1d(n, xs[:, 2]), tmp)
-
-
 def _apply_collapsed(domain: Domain, n: int, values: np.ndarray, u: np.ndarray,
                      grid: bool) -> np.ndarray:
     """Axis-by-axis contraction of the lattice values, innermost axis first.
@@ -200,30 +181,42 @@ def _apply_collapsed(domain: Domain, n: int, values: np.ndarray, u: np.ndarray,
     return coeffs.reshape(-1)
 
 
-def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, xs) -> np.ndarray:
-    """Contract lattice values against the basis at each point.
+def admit_points(domain: Domain, x):
+    """``(x, single)``: a :class:`ProductGrid` of ``domain`` as it is, else
+    the batch and flag of :func:`~kantorov.geometry.admit`."""
+    if isinstance(x, ProductGrid):
+        if x.domain != domain:
+            raise ConfigError(f"grid domain {x.domain} does not match {domain}")
+        return x, False
+    return admit(domain, x)
 
-    ``values`` has one entry per lattice multi-index (in ``lattice``
-    order); returns ``sum_h basis(h, x) * values[h]`` for each point.
-    A :class:`ProductGrid` is contracted axis by axis on its shared
-    nodes (results in the order of ``grid.points``); a ``(G, d)`` batch
-    of scattered points is contracted point by point, in blocks of
+
+def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, x):
+    """Contract lattice values against the basis: ``sum_h basis(h, x) *
+    values[h]``, with one value per lattice multi-index (in ``lattice``
+    order).
+
+    At a single point the sum is compensated and returned as a float.  A
+    :class:`ProductGrid` is contracted axis by axis on its shared nodes
+    (results in the order of ``grid.points``); a ``(G, d)`` batch of
+    scattered points is contracted point by point, in blocks of
     ``_CHUNK`` rows on three axes.
     """
-    if isinstance(xs, ProductGrid):
-        if xs.domain != domain:
-            raise ValueError("grid domain does not match")
-        return _apply_collapsed(domain, n, values, xs.nodes_1d, grid=True)
-    xs, _ = admit(domain, xs)
+    idx, values = lattice(domain, n), np.asarray(values, dtype=float)
+    if values.shape != (len(idx),):
+        raise ConfigError(f"lattice values of shape {values.shape} do not match "
+                          f"the {len(idx)} multi-indices of order {n} on the {domain.kind}")
+    x, single = admit_points(domain, x)
+    if isinstance(x, ProductGrid):
+        return _apply_collapsed(domain, n, values, x.nodes_1d, grid=True)
+    if single:
+        return math.fsum((_basis_columns(domain, n, x, idx)[0] * values).tolist())
     # below three axes the intermediates take O(G n) memory, like the output
-    step = _CHUNK if domain.dim == 3 else xs.shape[0]
-    out = np.empty(xs.shape[0])
-    for i in range(0, xs.shape[0], step):
-        pts = xs[i : i + step]
-        if domain.kind == SIMPLEX:
-            out[i : i + step] = _apply_collapsed(domain, n, values, _collapsed(domain, pts), grid=False)
-        else:
-            out[i : i + step] = _apply_block(domain, n, values, pts)
+    step = _CHUNK if domain.dim == 3 else x.shape[0]
+    out = np.empty(x.shape[0])
+    for i in range(0, x.shape[0], step):
+        out[i : i + step] = _apply_collapsed(domain, n, values, _collapsed(domain, x[i : i + step]),
+                                             grid=False)
     return out
 
 
@@ -253,14 +246,8 @@ def lattice_points(domain: Domain, n: int) -> np.ndarray:
 
 
 def eval_Bn(domain: Domain, n: int, f, x):
-    """B_n(f) at a point or an ``(G, d)`` batch of points.
-
-    The scalar path uses compensated summation over the lattice.
-    """
+    """B_n(f) at a point, an ``(G, d)`` batch or a :class:`ProductGrid`
+    (see :func:`apply_lattice_values`)."""
     check_n(n)
-    xs, single = admit(domain, x)
-    fv = values(f, lattice_points(domain, n), "lattice point")
-    if single:
-        w = basis_weights(domain, n, xs)[0]
-        return math.fsum((w * fv).tolist())
-    return apply_lattice_values(domain, n, fv, xs)
+    admit_points(domain, x)
+    return apply_lattice_values(domain, n, values(f, lattice_points(domain, n), "lattice point"), x)

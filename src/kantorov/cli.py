@@ -35,7 +35,7 @@ from .analysis import (
     BOUND_IDS,
     check_bound,
     convergence_table,
-    convexity_report,
+    convexity_preservation,
     lipschitz_preservation,
     loglog_slope,
     random_affine_forms,
@@ -668,9 +668,7 @@ def _run_preserve(plan: RunPlan):
                        "ratio": rep.estimate / limit if limit > 0 else 0.0,
                        "pass": rep.passed}
             else:
-                rep = convexity_report(
-                    lambda pts: eval_Cn(cfg, n, f, pts), cfg.domain, mode, m
-                )
+                rep = convexity_preservation(cfg, n, f, mode, m)
                 row = {"n": n, "sup_error": rep.worst_violation, "bound_id": mode,
                        "bound_value": rep.tol, "pass": rep.passed}
             rows.append(row)

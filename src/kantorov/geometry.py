@@ -189,6 +189,18 @@ def uniform_grid(domain: Domain, m: int) -> np.ndarray:
     return idx / m
 
 
+def uniform_product_grid(domain: Domain, m: int) -> ProductGrid:
+    """:func:`uniform_grid` on the interval or hypercube as a :class:`ProductGrid`
+    (nodes ``i/m``, the same rows in the same order), with trapezoid weights."""
+    if domain.kind == SIMPLEX:
+        raise ValueError("the simplex's uniform grid is not a product grid")
+    if m < 1:
+        raise ValueError("grid resolution m must be >= 1")
+    w = np.full(m + 1, 1.0 / m)
+    w[0] = w[-1] = 0.5 / m
+    return ProductGrid(domain, np.arange(m + 1) / m, w)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Positive-weight rule: nodes ``(Q, d)`` inside the domain, raw

@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import apply_lattice_values, basis_weights, lattice
+from .bernstein import admit_points, apply_lattice_values, lattice
 from .errors import ConfigError, check_n
-from .geometry import SIMPLEX, Domain, ProductGrid, admit, values
+from .geometry import SIMPLEX, Domain, admit, values
 from .markov import MarkovOpId, markov_values
 from .measures import (
     CONSTANT_LEBESGUE,
@@ -295,23 +295,12 @@ def eval_In(cfg: OperatorConfig, n: int, f, x):
     return float(out[0]) if single else out
 
 
-def _contract(domain: Domain, n: int, coeffs: np.ndarray, x):
-    """sum_h basis(h, x) * coeffs[h] at a point (compensated sum), a
-    batch or a :class:`ProductGrid` (axis-by-axis contraction)."""
-    if isinstance(x, ProductGrid):
-        return apply_lattice_values(domain, n, coeffs, x)
-    xs, single = admit(domain, x)
-    if single:
-        w = basis_weights(domain, n, xs)[0]
-        return math.fsum((w * coeffs).tolist())
-    return apply_lattice_values(domain, n, coeffs, xs)
-
-
 def eval_Cn(cfg: OperatorConfig, n: int, f, x):
     """C_n(f) at a point, a batch or a :class:`ProductGrid`, via cached
-    inner integrals."""
+    inner integrals, which are computed once ``x`` is admitted."""
     check_n(n)
-    return _contract(cfg.domain, n, _inner_values(cfg, n, f), x)
+    admit_points(cfg.domain, x)
+    return apply_lattice_values(cfg.domain, n, _inner_values(cfg, n, f), x)
 
 
 def eval_Cn_cells(cfg: OperatorConfig, n: int, f, x):

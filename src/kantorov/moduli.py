@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .geometry import SIMPLEX, Domain, inside, uniform_grid, values
+from .geometry import SIMPLEX, Domain, inside, uniform_grid, uniform_product_grid, values
 
 # Flat row pairs per block of _pair_blocks.
 _PAIRS_PER_BLOCK = 1 << 15
@@ -161,12 +161,7 @@ def _grid_quad_weights(domain: Domain, m: int) -> np.ndarray:
     if domain.kind == SIMPLEX:
         count = uniform_grid(domain, m).shape[0]
         return np.full(count, domain.volume / count)
-    w1 = np.full(m + 1, 1.0 / m)
-    w1[0] = w1[-1] = 0.5 / m
-    w = w1
-    for _ in range(domain.dim - 1):
-        w = (w[:, None] * w1[None, :]).reshape(-1)
-    return w
+    return uniform_product_grid(domain, m).weights
 
 
 def tau_p(f, domain: Domain, delta, p: float, m: int):
@@ -255,7 +250,8 @@ def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int, seed: int = 0):
 
 
 def lipschitz_estimate(f, domain: Domain, m: int) -> float:
-    """Largest grid secant quotient |f(x)-f(y)| / |x-y|_1.
+    """Largest grid secant quotient |f(x)-f(y)| / |x-y|_1 of a callable
+    ``f`` or of its value array on ``uniform_grid(m)``.
 
     Any two grid points are joined by a monotone path of axis steps
     that stays in the domain (on the simplex, lower the falling
@@ -267,7 +263,7 @@ def lipschitz_estimate(f, domain: Domain, m: int) -> float:
     the secant of the points actually evaluated.
     """
     pts = uniform_grid(domain, m)
-    fv = values(f, pts)
+    fv = values(f if callable(f) else lambda _: f, pts)
     pos = _positions(domain, m)
     best = 0.0
     for axis in range(domain.dim):

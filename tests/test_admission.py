@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kantorov.analysis import convexity_report, lp_norm, sandwich_check
+from kantorov import kantorovich
+from kantorov.analysis import convexity_report, lp_grid, lp_norm, sandwich_check
 from kantorov.bernstein import apply_lattice_values, basis, basis_weights, eval_Bn, lattice_points
 from kantorov.catalog import lookup
 from kantorov.cli import main, parse_config
@@ -227,12 +228,28 @@ def test_inner_integrals_report_the_first_non_finite_point(domain):
     assert err.value.point.tolist() == seen[0].tolist()
 
 
+def test_eval_Cn_admits_points_before_the_inner_integrals():
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[:, 0]
+
+    before = kantorovich._inner_values.cache_info()
+    for bad in ([1.5], [[0.5], [np.nan]], lp_grid(K2, 2)):
+        with pytest.raises(ConfigError):
+            eval_Cn(cfg_for(I), 64, f, bad)
+    assert calls == []
+    assert kantorovich._inner_values.cache_info() == before
+
+
 NAN_CALLS = {
     "omega1": lambda f: omega1(f, Q2, 0.2, 8),
     "omega2": lambda f: omega2(f, Q2, 0.2, 8),
     "tau_p": lambda f: tau_p(f, Q2, 0.2, 1.0, 8),
     "omega_kp": lambda f: omega_kp(f, Q2, 1, 0.2, 1.0, 8),
     "lipschitz_estimate": lambda f: lipschitz_estimate(f, Q2, 8),
+    "lipschitz_estimate array": lambda f: lipschitz_estimate(f(uniform_grid(Q2, 8)), Q2, 8),
     "convexity_report": lambda f: convexity_report(f, I, "convex", 8),
     "convexity_report array": lambda f: convexity_report(f(uniform_grid(I, 16)), I, "convex", 8),
     "lp_norm": lambda f: lp_norm(I, f, 2.0),

@@ -6,6 +6,7 @@ import pytest
 from kantorov.analysis import (
     check_bound,
     convergence_table,
+    convexity_preservation,
     convexity_report,
     equibounded_constant,
     lambda_n,
@@ -19,11 +20,11 @@ from kantorov.analysis import (
     sandwich_check,
     sup_error,
 )
-from kantorov import analysis, bernstein
-from kantorov.bernstein import eval_Bn
+from kantorov import analysis, bernstein, kantorovich
+from kantorov.bernstein import basis_weights, eval_Bn
 from kantorov.catalog import lookup
 from kantorov.errors import ConfigError
-from kantorov.geometry import Domain, contains
+from kantorov.geometry import Domain, ProductGrid, contains, uniform_grid
 from kantorov.kantorovich import OperatorConfig, eval_Cn, eval_Cn_cells
 from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue, dirac_shift, lebesgue_measure, power_of_base
@@ -318,3 +319,65 @@ def test_lp_norms_of_cn_skip_the_dense_simplex_basis(monkeypatch):
         for cfg in (cfg_for(dom, 1.0), cfg_for(dom, 2.0, dirac_shift([0.25] * dom.dim))):
             assert 0.0 < lp_error(cfg, n, f, 2.0, level) < 0.1
         assert check_bound(cfg_for(dom, 1.0), f, [n], "lp_equibounded", level).passed
+
+
+def _uniform_grid_checks(cfg, n, f, m):
+    """The checks that evaluate C_n or B_n on ``uniform_grid(m)``, each as
+    a thunk returning its numbers."""
+    def convexity():
+        rep = convexity_preservation(cfg, n, f, "coordinate_convex", m)
+        return rep.passed, rep.worst_violation, tuple(map(tuple, rep.witness))
+
+    return {
+        "sup_error": lambda: sup_error(cfg, n, f, m),
+        "sandwich_check": lambda: sandwich_check(cfg, n, f, m),
+        "lipschitz_preservation": lambda: lipschitz_preservation(cfg, n, f, m),
+        "omega_pointwise": lambda: check_bound(cfg, f, [n], "omega_pointwise", m),
+        "convexity_preservation": convexity,
+    }
+
+
+def _record_contractions(monkeypatch):
+    """Every lattice contraction behind eval_Cn and eval_Bn, as
+    ``(domain, n, values, points, result)``."""
+    calls = []
+    contract = bernstein.apply_lattice_values
+
+    def recording(domain, n, values, x):
+        out = contract(domain, n, values, x)
+        calls.append((domain, n, np.asarray(values), x, out))
+        return out
+
+    monkeypatch.setattr(bernstein, "apply_lattice_values", recording)
+    monkeypatch.setattr(kantorovich, "apply_lattice_values", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dom", (I, Q2, Q3, K2), ids=lambda d: f"{d.kind}{d.dim}")
+def test_uniform_grid_checks_contract_on_a_product_grid_off_the_simplex(dom, monkeypatch):
+    # on the interval and cube the grid's rows contract axis by axis, to
+    # within a few ulp of the basis values times the lattice values; the
+    # simplex keeps the point batch
+    calls = _record_contractions(monkeypatch)
+    cfg, f = cfg_for(dom, 1.0), lookup("exp_sum", (), dom)
+    n, m = {1: (16, 40), 2: (8, 10), 3: (4, 6)}[dom.dim]
+    for name, check in _uniform_grid_checks(cfg, n, f, m).items():
+        calls.clear()
+        check()
+        assert calls, name
+        for domain, order, vals, x, out in calls:
+            if dom.kind == "simplex":
+                assert isinstance(x, np.ndarray), name
+                continue
+            assert isinstance(x, ProductGrid), name
+            ref = basis_weights(domain, order, x.points) @ vals
+            tol = 4.0 * np.finfo(float).eps * np.max(np.abs(vals))
+            np.testing.assert_allclose(out, ref, rtol=0.0, atol=tol, err_msg=name)
+
+
+def test_uniform_grid_checks_on_the_interval_equal_the_scattered_path(monkeypatch):
+    cfg, f = KANT1, lookup("abs_dist", [0.3], I)
+    on_grid = {name: check() for name, check in _uniform_grid_checks(cfg, 12, f, 50).items()}
+    monkeypatch.setattr(analysis, "_grid", uniform_grid)
+    for name, check in _uniform_grid_checks(cfg, 12, f, 50).items():
+        assert check() == on_grid[name], name

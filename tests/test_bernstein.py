@@ -340,8 +340,17 @@ def test_grid_contraction_partition_of_unity():
 
 
 def test_grid_contraction_checks_domain():
-    with pytest.raises(ValueError, match="grid domain"):
+    with pytest.raises(ConfigError, match="grid domain"):
         apply_lattice_values(Q2, 2, np.ones(9), lp_grid(K2, 2))
+
+
+@pytest.mark.parametrize("dom", ALL, ids=lambda d: f"{d.kind}{d.dim}")
+def test_contraction_checks_lattice_size(dom):
+    size = lattice_points(dom, 3).shape[0]
+    for x in (np.full(dom.dim, 0.25), np.full((2, dom.dim), 0.25), lp_grid(dom, 2)):
+        for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1))):
+            with pytest.raises(ConfigError, match=f"the {size} multi-indices"):
+                apply_lattice_values(dom, 3, bad, x)
 
 
 def test_scattered_cube_contraction_is_chunked(monkeypatch):

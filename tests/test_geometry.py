@@ -13,6 +13,7 @@ from kantorov.geometry import (
     quadrature_rule,
     simplex_from_cube,
     uniform_grid,
+    uniform_product_grid,
 )
 
 I = Domain.interval()
@@ -69,6 +70,31 @@ def test_uniform_grid_counts():
     # simplex keeps the points with coordinate sum <= 1
     assert uniform_grid(K2, 5).shape == (21, 2)
     assert uniform_grid(K3, 4).shape == (35, 3)
+
+
+def _trapezoid_weights(d, m):
+    """The tensor trapezoid weights on the ``(m+1)^d`` grid, one axis at a time."""
+    w1 = np.full(m + 1, 1.0 / m)
+    w1[0] = w1[-1] = 0.5 / m
+    w = w1
+    for _ in range(d - 1):
+        w = (w[:, None] * w1[None, :]).reshape(-1)
+    return w
+
+
+@pytest.mark.parametrize("dom", (I, Q2, Q3), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("m", [1, 4, 7, 40])
+def test_uniform_product_grid_is_the_uniform_grid(dom, m):
+    grid = uniform_product_grid(dom, m)
+    assert np.array_equal(grid.points, uniform_grid(dom, m))
+    assert np.array_equal(grid.weights, _trapezoid_weights(dom.dim, m))
+
+
+def test_uniform_product_grid_refuses_the_simplex_and_m_0():
+    with pytest.raises(ValueError, match="simplex"):
+        uniform_product_grid(K2, 4)
+    with pytest.raises(ValueError, match="m must be"):
+        uniform_product_grid(Q2, 0)
 
 
 @pytest.mark.parametrize("m", [3, 7, 13])
