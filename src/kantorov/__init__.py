@@ -5,7 +5,7 @@ identities, error-bound checks and shape-preservation experiments."""
 __version__ = "0.1.0"
 
 from .errors import ConfigError, KantorovError, NumericError
-from .geometry import Domain, QuadratureRule, contains, quadrature_rule, uniform_grid
+from .geometry import Domain, contains, quadrature_rule, uniform_grid
 from .measures import (
     DiscreteMeasure,
     MeasureSeqSpec,
@@ -61,7 +61,7 @@ from .analysis import (
 __all__ = [
     "__version__",
     "KantorovError", "ConfigError", "NumericError",
-    "Domain", "QuadratureRule", "contains", "quadrature_rule", "uniform_grid",
+    "Domain", "contains", "quadrature_rule", "uniform_grid",
     "DiscreteMeasure", "MeasureSpec", "MeasureSeqSpec",
     "lebesgue_measure", "discrete_measure", "discrete_spec", "dirac", "power_measure",
     "constant_lebesgue", "dirac_shift", "power_of_base", "explicit_list",

@@ -67,7 +67,7 @@ from .measures import (
     power_of_base,
     resolve,
 )
-from .moduli import difference_coeffs, omega1, omega2, omega_kp, tau_p
+from .moduli import _RADIUS_SLACK, difference_coeffs, omega1, omega2, omega_kp, tau_p
 
 COMMANDS = ("eval", "converge", "verify", "preserve", "moduli")
 
@@ -380,7 +380,7 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
     plan.k = _int(_get(exp_raw, "k", "experiment", 1), "experiment.k", 1)
     try:
         difference_coeffs(plan.k)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"experiment.k: {exc}") from None
     plan.seed = _int(_get(raw, "seed", "config", 42), "seed", 0)
     if seed_override is not None:
@@ -395,6 +395,10 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
         )
         if any(d <= 0.0 for d in plan.delta_list):
             raise ConfigError("experiment.delta_list: deltas must be positive")
+        m, smallest = plan.grid_resolution, plan.delta_list[0]
+        if (smallest * m) ** 2 * _RADIUS_SLACK < 1.0:
+            raise ConfigError(f"experiment.delta_list: no grid step lies within {smallest!r}; "
+                              f"the smallest admissible delta is 1/m = {1.0 / m!r}")
     else:
         plan.n_list = sorted(_int_list(_get(exp_raw, "n_list", "experiment"),
                                        "experiment.n_list"))
@@ -686,7 +690,7 @@ def _run_moduli(plan: RunPlan):
         "omega1": omega1(f, dom, deltas, m),
         "omega2": omega2(f, dom, deltas, m),
         "tau_p": tau_p(f, dom, deltas, p, m),
-        "omega_kp": omega_kp(f, dom, plan.k, deltas, p, m, plan.seed),
+        "omega_kp": omega_kp(f, dom, plan.k, deltas, p, m),
     }
     rows = [{"delta": delta, **{name: float(col[i]) for name, col in columns.items()}}
             for i, delta in enumerate(deltas)]

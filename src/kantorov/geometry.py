@@ -196,26 +196,15 @@ def uniform_product_grid(domain: Domain, m: int) -> ProductGrid:
         raise ValueError("the simplex's uniform grid is not a product grid")
     if m < 1:
         raise ValueError("grid resolution m must be >= 1")
-    w = np.full(m + 1, 1.0 / m)
-    w[0] = w[-1] = 0.5 / m
-    return ProductGrid(domain, np.arange(m + 1) / m, w)
+    return ProductGrid(domain, np.arange(m + 1) / m, trapezoid_weights(m, m))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Positive-weight rule: nodes ``(Q, d)`` inside the domain, raw
-    (unnormalized) weights summing to the domain volume."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.nodes.ndim != 2 or self.weights.ndim != 1:
-            raise ValueError("nodes must be (Q, d) and weights (Q,)")
-        if self.nodes.shape[0] != self.weights.shape[0]:
-            raise ValueError("nodes/weights length mismatch")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
+def trapezoid_weights(steps: int, m: int) -> np.ndarray:
+    """Trapezoid weights of ``steps`` steps of length ``1/m``, on
+    ``steps + 1`` nodes; a lone node (``steps = 0``) weighs 0."""
+    w = np.full(steps + 1, 1.0 / m)
+    w[0] = w[-1] = 0.5 / m if steps else 0.0
+    return w
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +298,7 @@ class ProductGrid:
         return self._rule[1]
 
 
-def quadrature_rule(domain: Domain, level: int) -> QuadratureRule:
+def quadrature_rule(domain: Domain, level: int) -> ProductGrid:
     """Rule exact for all monomials of total degree <= 2*level - 1.
 
     Interval/hypercube: tensor Gauss-Legendre with ``level`` nodes per
@@ -319,12 +308,4 @@ def quadrature_rule(domain: Domain, level: int) -> QuadratureRule:
     """
     if level < 1:
         raise ValueError("quadrature level must be >= 1")
-    d = domain.dim
-    if domain.kind == SIMPLEX:
-        n1, w1 = gauss01(level + 1)
-        unodes, uweights = _tensor(n1, w1, d)
-        nodes, jac = simplex_from_cube(unodes)
-        return QuadratureRule(nodes, uweights * jac)
-    n1, w1 = gauss01(level)
-    nodes, weights = _tensor(n1, w1, d)
-    return QuadratureRule(nodes, weights)
+    return ProductGrid(domain, *gauss01(level + (domain.kind == SIMPLEX)))

@@ -189,7 +189,7 @@ def _lebesgue_nodes(domain: Domain, level: int) -> tuple[np.ndarray, np.ndarray]
     weights = rule.weights
     if domain.kind == SIMPLEX:
         weights = weights * math.factorial(domain.dim)
-    return rule.nodes, weights
+    return rule.points, weights
 
 
 def _cardinal(k: int, u: np.ndarray) -> np.ndarray:

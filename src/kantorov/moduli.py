@@ -1,22 +1,32 @@
 """Grid estimators for moduli of continuity and smoothness.
 
-Every estimator scans a uniform grid and is a lower approximation of
-the true supremum (converging as the resolution grows); consumers that
+Each estimator scans the uniform grid ``{i/m}``.  ``omega1``, ``omega2``
+and ``lipschitz_estimate`` are sups over a subset of the pairs of their
+definitions: lower approximations, converging as ``m`` grows.
+``omega_kp`` is a sup over a subset of the steps (``h = j/m``), each
+norm integrated by the trapezoid rule (equal weights on K_d), and
+``tau_p`` integrates a lower local oscillation by the same rules; these
+rules err either way, so neither has a fixed direction.  Consumers that
 need a safe upper bound must either inflate these values or use the
 catalog's exact formulas.  Functions are anything callable on ``(G, d)``
 batches, in particular :class:`~kantorov.catalog.CatalogFunction`.
 
 The moduli take ``delta`` as a float or a 1-D array and return a float
 or an array in the input order; one walk of the grid serves all deltas.
+Grid points lie at least ``1/m`` apart, so ``omega1`` and ``omega_kp``
+are 0 for ``delta * m < 1``, ``omega2`` below 1/2 and ``tau_p`` below 2.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
-from .geometry import SIMPLEX, Domain, inside, uniform_grid, uniform_product_grid, values
+from .errors import ConfigError
+from .geometry import (SIMPLEX, Domain, trapezoid_weights, uniform_grid, uniform_product_grid,
+                       values)
 
 # Flat row pairs per block of _pair_blocks.
 _PAIRS_PER_BLOCK = 1 << 15
@@ -118,29 +128,37 @@ def _deltas(delta):
     deltas (a NaN is not), and the map that shapes a result like it."""
     deltas = np.asarray(delta, dtype=float)
     if deltas.ndim > 1 or not np.all(deltas > 0.0):
-        raise ValueError("delta must be positive (a float or a 1-D array)")
+        raise ConfigError("delta must be positive (a float or a 1-D array)")
     return deltas.reshape(-1), (lambda out: out) if deltas.ndim else (lambda out: float(out[0]))
 
 
-def _shell_max(domain: Domain, m: int, radii: np.ndarray, diff, midpoints=False):
-    """Largest ``diff(*block)`` over the pairs within each of ``radii``
-    grid steps, from one walk of their shells."""
+def _shell_max(domain: Domain, m: int, radii: np.ndarray, largest):
+    """Running maximum of ``largest(ks)`` over the offset shells within
+    each of ``radii`` grid steps, from one walk of the shells;
+    ``largest`` maps a shell's offsets to the largest value they give
+    (0 for none)."""
     if m < 2:
-        raise ValueError("resolution m must be >= 2")
+        raise ConfigError("resolution m must be >= 2")
     inverse, shells = _shells(domain.dim, m, radii)
     best, out = 0.0, []
     for ks in shells:
-        for block in _pair_blocks(domain, m, ks, midpoints):
-            best = max(best, float(np.max(diff(*block))))
+        best = max(best, largest(ks))
         out.append(best)
     return np.array(out)[inverse]
+
+
+def _pair_max(domain: Domain, m: int, diff, midpoints=False):
+    """``largest`` for :func:`_shell_max`: the largest ``diff`` over a shell's pairs."""
+    blocks = lambda ks: _pair_blocks(domain, m, ks, midpoints)
+    return lambda ks: max((float(np.max(diff(*b))) for b in blocks(ks)), default=0.0)
 
 
 def omega1(f, domain: Domain, delta, m: int):
     """First modulus: sup |f(x)-f(y)| over grid pairs with dist <= delta."""
     deltas, like = _deltas(delta)
     fv = values(f, uniform_grid(domain, m))
-    return like(_shell_max(domain, m, deltas * m, lambda a, b: np.abs(fv[a] - fv[b])))
+    diff = lambda a, b: np.abs(fv[a] - fv[b])
+    return like(_shell_max(domain, m, deltas * m, _pair_max(domain, m, diff)))
 
 
 def omega2(f, domain: Domain, delta, m: int):
@@ -149,7 +167,7 @@ def omega2(f, domain: Domain, delta, m: int):
     fv = values(f, uniform_grid(domain, m))
     fv2 = values(f, uniform_grid(domain, 2 * m))
     diff = lambda a, b, mid: np.abs(fv[a] + fv[b] - 2.0 * fv2[mid])
-    return like(_shell_max(domain, m, 2.0 * deltas * m, diff, midpoints=True))
+    return like(_shell_max(domain, m, 2.0 * deltas * m, _pair_max(domain, m, diff, True)))
 
 
 def _grid_quad_weights(domain: Domain, m: int) -> np.ndarray:
@@ -169,7 +187,7 @@ def tau_p(f, domain: Domain, delta, p: float, m: int):
     Euclidean balls of radius delta/2."""
     deltas, like = _deltas(delta)
     if not p >= 1.0:
-        raise ValueError("p must be >= 1")
+        raise ConfigError("p must be >= 1")
     fv = values(f, uniform_grid(domain, m))
     w = _grid_quad_weights(domain, m)
     lo, hi = fv.copy(), fv.copy()
@@ -185,68 +203,59 @@ def tau_p(f, domain: Domain, delta, p: float, m: int):
     return like(np.array(out)[inverse])
 
 
-def _directions(domain: Domain, seed: int = 0) -> np.ndarray:
-    """Unit directions for difference sampling: axes, diagonals, and a
-    fixed-seed random batch in d >= 2."""
-    d = domain.dim
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    axes = np.concatenate([np.eye(d), -np.eye(d)])
-    corners = np.array(
-        [c for c in np.indices((2,) * d).reshape(d, -1).T], dtype=float
-    )
-    diags = (2.0 * corners - 1.0) / math.sqrt(d)
-    rng = np.random.default_rng(seed)
-    rand = rng.normal(size=(16, d))
-    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
-    return np.concatenate([axes, diags, rand])
-
-
-_N_MAGNITUDES = 16
-
-
 def difference_coeffs(k: int) -> np.ndarray:
     """The weights ``(-1)^(k-l) C(k, l)``, l = 0..k, of the k-th forward
-    difference; ``ValueError`` unless k >= 1 and every C(k, l) fits a float."""
+    difference; ``ConfigError`` unless k >= 1 and every C(k, l) fits a float."""
     if k < 1:
-        raise ValueError("difference order k must be >= 1")
+        raise ConfigError("difference order k must be >= 1")
     try:
         return np.array([(-1.0) ** (k - l) * math.comb(k, l) for l in range(k + 1)])
     except OverflowError:
-        raise ValueError(
+        raise ConfigError(
             f"difference order k = {k} is too large: C({k}, {k // 2}) does not fit a float"
         ) from None
 
 
-def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int, seed: int = 0):
-    """Order-k L^p modulus: max over sampled steps h with |h| <= delta
-    of the L^p norm of the k-th forward difference (zero once x + k h
-    leaves the domain).  The step lengths are ``delta * j / 16``; a
-    length that several deltas share is computed once."""
+def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int):
+    """Order-k L^p modulus: max over the lattice steps ``h = j/m``,
+    ``|h| <= delta``, of the L^p norm of the k-th forward difference over
+    the grid rows ``i`` with ``i + k j`` on the grid: a box on I and Q_d,
+    integrated by its own trapezoid rule, and the simplex grid's equal
+    weights on K_d.  ``f`` is evaluated once, on the grid.  A step and its
+    negative give the same norm, so only half the offsets are walked."""
     deltas, like = _deltas(delta)
     coeffs = difference_coeffs(k)
     if not p >= 1.0:
-        raise ValueError("p must be >= 1")
-    pts = uniform_grid(domain, m)
-    w = _grid_quad_weights(domain, m)
-    fv = values(f, pts)
-    lengths = deltas[:, None] * np.arange(1, _N_MAGNITUDES + 1) / _N_MAGNITUDES
-    steps, inverse = np.unique(lengths, return_inverse=True)
-    best = np.zeros(len(deltas))
-    for u in _directions(domain, seed):
-        norms = np.zeros(len(steps))
-        for s, step in enumerate(steps):
-            h = step * u
-            valid = inside(domain, pts + k * h)
-            if not np.any(valid):
-                continue
-            xs = pts[valid]
-            acc = coeffs[0] * fv[valid]
-            for l in range(1, k + 1):
-                acc += coeffs[l] * values(f, xs + l * h)
-            norms[s] = (w[valid] @ np.abs(acc) ** p) ** (1.0 / p)
-        best = np.maximum(best, norms[inverse.reshape(lengths.shape)].max(axis=1))
-    return like(best)
+        raise ConfigError("p must be >= 1")
+    fv = values(f, uniform_grid(domain, m))
+    pos = _positions(domain, m)
+    w = _grid_quad_weights(domain, m) if domain.kind == SIMPLEX else None
+
+    def norm(j):
+        # grid steps the box of rows i spans on each axis
+        steps = [m - k * abs(c) for c in j]
+        if min(steps) < 0:
+            return 0.0
+        lo = [max(-k * c, 0) for c in j]
+        rows = [
+            pos[tuple(slice(a + l * c, a + l * c + s + 1) for a, c, s in zip(lo, j, steps))]
+            .ravel()
+            for l in range(k + 1)
+        ]
+        if w is None:
+            weights = reduce(np.multiply.outer, [trapezoid_weights(s, m) for s in steps]).ravel()
+        else:
+            # a row inside the simplex whose last point is inside has every point inside
+            valid = (rows[0] >= 0) & (rows[-1] >= 0)
+            rows = [r[valid] for r in rows]
+            weights = w[rows[0]]
+        acc = coeffs[0] * fv[rows[0]]
+        for c, r in zip(coeffs[1:], rows[1:]):
+            acc += c * fv[r]
+        return float((weights @ np.abs(acc) ** p) ** (1.0 / p))
+
+    largest = lambda ks: max(map(norm, ks.tolist()), default=0.0)
+    return like(_shell_max(domain, m, deltas * m, largest))
 
 
 def lipschitz_estimate(f, domain: Domain, m: int) -> float:

@@ -138,7 +138,7 @@ def test_grid_modulus_of_the_bound_checks_is_omega1(dom, name):
         "omega1": lambda d: omega1(f, dom, d, m),
         "omega2": lambda d: omega2(f, dom, d, m),
         "tau_p": lambda d: tau_p(f, dom, d, 2.0, m),
-        "omega_kp": lambda d: omega_kp(f, dom, 2, d, 1.5, m, seed=3),
+        "omega_kp": lambda d: omega_kp(f, dom, 2, d, 1.5, m),
     }
     for modulus, call in moduli.items():
         got = call(deltas)

@@ -200,6 +200,41 @@ def test_moduli_table(tmp_path):
     assert float(row[2]) == pytest.approx(0.125, abs=1e-3)
 
 
+def test_moduli_csv_does_not_depend_on_the_seed(tmp_path):
+    csv = tmp_path / "m.csv"
+    cfgp = write_config(
+        tmp_path, "m.json",
+        domain={"kind": "hypercube", "dim": 2},
+        function={"name": "runge", "params": []},
+        experiment={"grid_resolution": 16, "p": 2, "k": 2, "delta_list": [0.125, 0.3]},
+        output={"csv_path": str(csv)},
+    )
+    assert main(["moduli", "--config", str(cfgp), "--seed", "1"]) == 0
+    first = csv.read_bytes()
+    assert main(["moduli", "--config", str(cfgp), "--seed", "2"]) == 0
+    assert csv.read_bytes() == first
+
+
+def test_moduli_refuses_deltas_below_one_grid_step(tmp_path, capsys):
+    # no lattice step lies within delta * m < 1, so omega1 and omega_kp
+    # would print a structural 0
+    csv = tmp_path / "m.csv"
+    cfgp = write_config(tmp_path, "m.json",
+                        experiment={"grid_resolution": 50, "delta_list": [0.5, 0.01]},
+                        output={"csv_path": str(csv)})
+    assert main(["moduli", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "experiment.delta_list" in captured.err and "1/m = 0.02" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not csv.exists()
+    # (1/49) * 49 rounds to 0.9999999999999999, yet one step lies within 1/49
+    cfgp = write_config(tmp_path, "m.json",
+                        experiment={"grid_resolution": 49, "delta_list": [1 / 49]},
+                        output={"csv_path": str(csv)})
+    assert main(["moduli", "--config", str(cfgp)]) == 0
+    assert float(csv.read_text().splitlines()[1].split(",")[1]) > 0.0
+
+
 def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
     # invalid JSON
     bad = tmp_path / "bad.json"

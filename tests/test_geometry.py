@@ -12,6 +12,7 @@ from kantorov.geometry import (
     gauss01,
     quadrature_rule,
     simplex_from_cube,
+    trapezoid_weights,
     uniform_grid,
     uniform_product_grid,
 )
@@ -108,7 +109,13 @@ def test_quadrature_positive_weights():
     for dom in (I, Q2, K2, K3):
         rule = quadrature_rule(dom, 6)
         assert np.all(rule.weights > 0.0)
-        assert all(contains(dom, p) for p in rule.nodes)
+        assert all(contains(dom, p) for p in rule.points)
+
+
+def test_trapezoid_weights():
+    np.testing.assert_array_equal(trapezoid_weights(4, 8), [1 / 16, 1 / 8, 1 / 8, 1 / 8, 1 / 16])
+    assert trapezoid_weights(0, 8).tolist() == [0.0]  # a lone node spans no length
+    assert isinstance(quadrature_rule(K2, 3), ProductGrid)
 
 
 def test_quadrature_normalization():
@@ -131,7 +138,7 @@ def test_quadrature_normalization():
 def test_quadrature_monomials(dom, expo, value):
     rule = quadrature_rule(dom, 8)
     f = lambda p: np.prod(p ** np.asarray(expo), axis=1)
-    assert math.fsum((rule.weights * f(rule.nodes)).tolist()) == pytest.approx(value, abs=1e-14)
+    assert math.fsum((rule.weights * f(rule.points)).tolist()) == pytest.approx(value, abs=1e-14)
 
 
 def test_simplex_quadrature_degree():
@@ -143,7 +150,7 @@ def test_simplex_quadrature_degree():
             math.factorial(deg) * math.factorial(0)
             / math.factorial(deg + 0 + 2)
         )  # int x^deg over K2 = deg! / (deg+2)!
-        got = math.fsum((rule.weights * rule.nodes[:, 0] ** deg).tolist())
+        got = math.fsum((rule.weights * rule.points[:, 0] ** deg).tolist())
         assert got == pytest.approx(exact, rel=1e-13)
 
 
@@ -160,7 +167,7 @@ def test_integrate_rejects_nonfinite():
     rule = quadrature_rule(I, 4)
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError) as err:
-            apply_rule(rule.nodes, rule.weights, lambda p: 1.0 / (p[:, 0] - rule.nodes[0, 0]))
+            apply_rule(rule.points, rule.weights, lambda p: 1.0 / (p[:, 0] - rule.points[0, 0]))
     assert err.value.point is not None
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantorov import moduli
+from kantorov.errors import ConfigError
 from kantorov.analysis import _MODES
 from kantorov.geometry import Domain, uniform_grid
 from kantorov.moduli import (
@@ -116,7 +117,17 @@ def test_tau_p_monotone_in_p():
 def test_omega_kp_identity_oracle():
     # first difference of id at step h is h; L^1 over the surviving
     # window [0, 1-h] gives h(1-h) -> max at h = 1/2
-    assert omega_kp(ID, I, 1, 0.5, 1.0, 2000) == pytest.approx(0.25, abs=2e-3)
+    assert omega_kp(ID, I, 1, 0.5, 1.0, 2000) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("dom,m", [(I, 1024), (Q2, 32), (Q3, 16)])
+def test_omega_kp_square_oracle(dom, m):
+    # omega_{1,1}(t^2, delta) = delta (1 - delta) for delta <= 1/2, at the
+    # axis step of length delta; Delta_h t^2 = 2 t h + h^2 is affine, so
+    # the box's trapezoid rule is exact
+    deltas = np.array([0.0625, 0.125, 0.25, 0.5])
+    got = omega_kp(SQ, dom, 1, deltas, 1.0, m)
+    np.testing.assert_allclose(got, deltas * (1.0 - deltas), rtol=0.0, atol=1e-12)
 
 
 def test_omega_kp_second_order_kills_affine():
@@ -124,20 +135,69 @@ def test_omega_kp_second_order_kills_affine():
     assert omega_kp(f, I, 2, 0.4, 2.0, 400) <= 1e-12
 
 
-def test_omega_kp_seed_is_reproducible():
-    f = lambda p: np.sin(p[:, 0] + 2.0 * p[:, 1])
-    a = omega_kp(f, Q2, 1, 0.3, 2.0, 40, seed=5)
-    b = omega_kp(f, Q2, 1, 0.3, 2.0, 40, seed=5)
-    assert a == b
+@pytest.mark.parametrize("dom", [I, Q2, K2, K3])
+def test_omega_kp_evaluates_f_once_on_the_grid(dom):
+    seen = []
+
+    def f(p):
+        seen.append(p.copy())
+        return np.sin(p.sum(axis=1) + p[:, 0] ** 2)
+
+    m = 6
+    got = omega_kp(f, dom, 2, np.array([0.2, 0.5]), 1.5, m)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], uniform_grid(dom, m))
+    assert got.tolist() == omega_kp(f, dom, 2, np.array([0.2, 0.5]), 1.5, m).tolist()
+
+
+def _omega_kp_reference(f, dom, k, delta, p, m):
+    """Every offset j with |j| <= delta m, both signs; each valid row
+    i (i + k j on the grid) weighed by the product trapezoid rule of the
+    valid box on I and Q_d, and by the simplex grid's equal weights."""
+    idx = np.rint(uniform_grid(dom, m) * m).astype(int)
+    row = {tuple(i): r for r, i in enumerate(idx.tolist())}
+    fv = f(uniform_grid(dom, m))
+    coeffs = moduli.difference_coeffs(k)
+    best = 0.0
+    for j in np.indices((2 * m + 1,) * dom.dim).reshape(dom.dim, -1).T - m:
+        if not 0 < (j**2).sum() <= (delta * m) ** 2 * (1 + 1e-12):
+            continue
+        total = 0.0
+        for i in idx:
+            if tuple(i + k * j) not in row:
+                continue
+            diff = sum(c * fv[row[tuple(i + l * j)]] for l, c in enumerate(coeffs))
+            if dom.kind == "simplex":
+                weight = dom.volume / len(idx)
+            else:
+                lo, hi = np.maximum(0, -k * j), m - np.maximum(0, k * j)
+                weight = np.prod([(hi[a] > lo[a]) * (0.5 if i[a] in (lo[a], hi[a]) else 1.0) / m
+                                  for a in range(dom.dim)])
+            total += weight * abs(diff) ** p
+        best = max(best, total ** (1.0 / p))
+    return best
+
+
+@pytest.mark.parametrize("dom", [I, Q2, Q3, K2, K3])
+def test_omega_kp_walks_half_the_lattice_steps(dom):
+    # a step and its negative give the same norm, so the half offsets
+    # reach the maximum over every lattice step
+    f = lambda p: np.exp(p[:, 0] - 2.0 * p.sum(axis=1) ** 2)
+    m = {1: 12, 2: 6, 3: 4}[dom.dim]
+    for k, delta in ((1, 0.4), (2, 0.6), (3, 1.0)):
+        expect = _omega_kp_reference(f, dom, k, delta, 1.5, m)
+        assert omega_kp(f, dom, k, delta, 1.5, m) == pytest.approx(expect, rel=1e-12)
 
 
 def test_moduli_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         omega_kp(ID, I, 0, 0.1, 1.0, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         omega_kp(ID, I, 1, -0.1, 1.0, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         omega_kp(ID, I, 1, 0.1, 0.5, 100)
+    with pytest.raises(ConfigError, match="m must be >= 2"):
+        omega1(ID, I, 0.1, 1)
 
 
 def test_omega_kp_rejects_orders_whose_coefficients_overflow():
@@ -146,7 +206,7 @@ def test_omega_kp_rejects_orders_whose_coefficients_overflow():
     top = moduli.difference_coeffs(1029)
     assert np.all(np.isfinite(top)) and np.abs(top).max() == float(math.comb(1029, 514))
     for k in (1030, 2000):
-        with pytest.raises(ValueError, match=f"k = {k} is too large"):
+        with pytest.raises(ConfigError, match=f"k = {k} is too large"):
             omega_kp(ID, I, k, 0.1, 1.0, 20)
 
 
@@ -166,7 +226,7 @@ def test_moduli_reject_nan_arguments(name):
     if name in ("tau_p", "omega_kp"):
         bad.append((0.25, math.nan))
     for delta, p in bad:
-        with pytest.raises(ValueError, match="delta must be positive|p must be >= 1"):
+        with pytest.raises(ConfigError, match="delta must be positive|p must be >= 1"):
             call(delta, p)
     assert call(np.array([0.25]), 1.0).tolist() == [call(0.25, 1.0)]
 
