@@ -20,7 +20,7 @@ from .measures import (
     power_measure,
     power_of_base,
 )
-from .markov import MarkovOpId, canonical_markov, markov_values, selection
+from .markov import markov_values, selection
 from .bernstein import basis, basis_weights, eval_Bn, lattice_points
 from .kantorovich import (
     AffineForm,
@@ -65,7 +65,7 @@ __all__ = [
     "DiscreteMeasure", "MeasureSpec", "MeasureSeqSpec",
     "lebesgue_measure", "discrete_measure", "discrete_spec", "dirac", "power_measure",
     "constant_lebesgue", "dirac_shift", "power_of_base", "explicit_list",
-    "MarkovOpId", "canonical_markov", "markov_values", "selection",
+    "markov_values", "selection",
     "basis", "basis_weights", "lattice_points", "eval_Bn",
     "AffineForm", "OperatorConfig", "coordinate_form",
     "eval_In", "eval_Cn", "eval_Cn_cells", "measure_moments",

@@ -40,6 +40,10 @@ from .moduli import _half_offsets, _pair_blocks, _positions, lipschitz_estimate,
 
 TOL_CLOSED = 1e-6
 TOL_GRID = 0.02
+# pass tolerances of the shape-preservation reports
+TOL_CONVEX = 1e-10
+TOL_SANDWICH = 1e-11
+TOL_LIPSCHITZ = 1e-6
 _OMEGA_INFLATE = 1.02
 
 BOUND_IDS = (
@@ -133,14 +137,10 @@ def random_points(domain: Domain, count: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(0.0, 1.0, size=(count, domain.dim))
 
 
-def random_affine_forms(
-    domain: Domain, count: int, rng: np.random.Generator, scale: float = 1.0
-) -> list[AffineForm]:
+def random_affine_forms(domain: Domain, count: int, rng: np.random.Generator) -> list[AffineForm]:
+    """Affine forms with coefficients uniform on [-1, 1]."""
     return [
-        AffineForm(
-            rng.uniform(-scale, scale),
-            tuple(rng.uniform(-scale, scale, domain.dim)),
-        )
+        AffineForm(rng.uniform(-1.0, 1.0), tuple(rng.uniform(-1.0, 1.0, domain.dim)))
         for _ in range(count)
     ]
 
@@ -285,7 +285,7 @@ def _check_omega_sup(cfg, f, n_list, m, delta):
 def _check_omega_pointwise(cfg, f, n_list, m):
     xs, grid = uniform_grid(cfg.domain, m), _grid(cfg.domain, m)
     fv = values(f, xs)
-    gap_x = markov_values(cfg.op, lambda v: (v**2).sum(axis=1), xs) - (xs**2).sum(axis=1)
+    gap_x = markov_values(cfg.domain, lambda v: (v**2).sum(axis=1), xs) - (xs**2).sum(axis=1)
     deltas = []
     for n in n_list:
         if cfg.a > 0.0:
@@ -417,9 +417,7 @@ _MODES = {
 }
 
 
-def convexity_report(
-    g, domain: Domain, mode: str, m: int, tol: float = 1e-10
-) -> ConvexityReport:
+def convexity_report(g, domain: Domain, mode: str, m: int) -> ConvexityReport:
     """Midpoint convexity scan over grid pairs.
 
     ``convex`` checks all pairs; ``coordinate_convex`` only pairs along
@@ -446,15 +444,13 @@ def convexity_report(
         if viol[j] > worst:
             worst = float(viol[j])
             witness = (pts[a[j]].copy(), pts[b[j]].copy())
-    return ConvexityReport(mode, worst <= tol, worst, witness, tol)
+    return ConvexityReport(mode, worst <= TOL_CONVEX, worst, witness, TOL_CONVEX)
 
 
-def convexity_preservation(
-    cfg: OperatorConfig, n: int, f, mode: str, m: int, tol: float = 1e-10
-) -> ConvexityReport:
+def convexity_preservation(cfg: OperatorConfig, n: int, f, mode: str, m: int) -> ConvexityReport:
     """:func:`convexity_report` of C_n(f), evaluated on ``uniform_grid(2m)``."""
     grid = _grid(cfg.domain, 2 * m)
-    return convexity_report(eval_Cn(cfg, n, f, grid), cfg.domain, mode, m, tol)
+    return convexity_report(eval_Cn(cfg, n, f, grid), cfg.domain, mode, m)
 
 
 @dataclass(frozen=True)
@@ -466,20 +462,19 @@ class SandwichReport(_Verdict):
     tol: float
 
 
-def sandwich_check(cfg: OperatorConfig, n: int, f, m: int, tol: float = 1e-11) -> SandwichReport:
+def sandwich_check(cfg: OperatorConfig, n: int, f, m: int) -> SandwichReport:
     """Grid check of f <= B_n(f) <= T(f) and C_n(f) <= C_n(T f)."""
     xs, grid = uniform_grid(cfg.domain, m), _grid(cfg.domain, m)
     fv = values(f, xs)
     bn = eval_Bn(cfg.domain, n, f, grid)
-    tf = markov_values(cfg.op, f, xs)
+    tf = markov_values(cfg.domain, f, xs)
     below = float(np.max(fv - bn))
     above = float(np.max(bn - tf))
     cnf = eval_Cn(cfg, n, f, grid)
-    cntf = eval_Cn(cfg, n, lambda pts: markov_values(cfg.op, f, pts), grid)
+    cntf = eval_Cn(cfg, n, lambda pts: markov_values(cfg.domain, f, pts), grid)
     blend = float(np.max(cnf - cntf))
-    return SandwichReport(
-        below <= tol and above <= tol and blend <= tol, below, above, blend, tol
-    )
+    passed = max(below, above, blend) <= TOL_SANDWICH
+    return SandwichReport(passed, below, above, blend, TOL_SANDWICH)
 
 
 @dataclass(frozen=True)
@@ -490,15 +485,14 @@ class LipschitzReport(_Verdict):
     tol: float
 
 
-def lipschitz_preservation(
-    cfg: OperatorConfig, n: int, f, m: int, tol: float = 1e-6
-) -> LipschitzReport:
+def lipschitz_preservation(cfg: OperatorConfig, n: int, f, m: int) -> LipschitzReport:
     """C_n should not enlarge the l1-Lipschitz constant of f."""
     meta = getattr(f, "meta", None)
     if meta is None or meta.lipschitz_l1 is None:
         raise ValueError("function needs a known l1-Lipschitz constant")
     est = lipschitz_estimate(eval_Cn(cfg, n, f, _grid(cfg.domain, m)), cfg.domain, m)
-    return LipschitzReport(est <= meta.lipschitz_l1 + tol, meta.lipschitz_l1, est, tol)
+    return LipschitzReport(est <= meta.lipschitz_l1 + TOL_LIPSCHITZ, meta.lipschitz_l1, est,
+                           TOL_LIPSCHITZ)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .kantorovich import AffineForm
 
 @dataclass(frozen=True, eq=False)
 class FunctionMeta:
-    affine: Optional[AffineForm] = None
     convex: Optional[bool] = None
     coordinate_convex: Optional[bool] = None
     axially_convex: Optional[bool] = None
@@ -73,7 +72,6 @@ def _sum_max(domain: Domain) -> float:
 def _constant(domain: Domain, params) -> CatalogFunction:
     (c,) = params
     meta = FunctionMeta(
-        affine=AffineForm(c, (0.0,) * domain.dim),
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
@@ -90,7 +88,6 @@ def _affine(domain: Domain, params) -> CatalogFunction:
     if domain.dim == 1:
         exact = lambda delta: abs(g[0]) * min(delta, 1.0)
     meta = FunctionMeta(
-        affine=form,
         convex=True,
         coordinate_convex=True,
         axially_convex=True,
@@ -106,17 +103,11 @@ def _monomial(domain: Domain, params) -> CatalogFunction:
     kk = int(k)
     if kk != k or kk < 1:
         raise ConfigError("monomial exponent must be an integer >= 1")
-    form = None
-    if kk == 1:
-        grad = [0.0] * domain.dim
-        grad[ax] = 1.0
-        form = AffineForm(0.0, tuple(grad))
     exact = None
     if domain.dim == 1:
         # sup of (x+t)^k - x^k sits at x = 1-t
         exact = lambda delta: 1.0 - (1.0 - min(delta, 1.0)) ** kk
     meta = FunctionMeta(
-        affine=form,
         convex=True,
         coordinate_convex=True,
         axially_convex=True,

@@ -44,7 +44,7 @@ from .analysis import (
 )
 from .catalog import catalog_names, lookup
 from .errors import ConfigError, KantorovError, NumericError
-from .geometry import SIMPLEX, Domain, contains
+from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, contains
 from .kantorovich import (
     OperatorConfig,
     cn_affine_moment,
@@ -52,7 +52,6 @@ from .kantorovich import (
     eval_Cn,
     ladder_record,
 )
-from .markov import MarkovOpId, canonical_markov
 from .measures import (
     EXPLICIT_LIST,
     MeasureSeqSpec,
@@ -86,6 +85,10 @@ _PRESERVE_MODES = (
 # tolerances for the seeded moment oracle suite run by `verify`
 _AFFINE_TOL = 1e-10
 _QUADRATIC_TOL = 1e-9
+
+# the name of each domain kind's Markov operator T, which is the only
+# value operator.markov admits
+_MARKOV_NAMES = {INTERVAL: "T1", HYPERCUBE: "Sd", SIMPLEX: "Td"}
 
 _MISSING = object()
 
@@ -334,15 +337,10 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
 
     op_raw = _require_object(_get(raw, "operator", "config"), "operator")
     _reject_unknown(op_raw, ("markov", "a", "measures"), "operator")
-    markov_name = op_raw.get("markov")
-    if markov_name is None:
-        op = canonical_markov(domain)
-    else:
-        _str(markov_name, "operator.markov", choices=("T1", "Sd", "Td"))
-        try:
-            op = MarkovOpId(markov_name, domain)
-        except ValueError as exc:
-            raise ConfigError(f"operator.markov: {exc}") from None
+    markov, own = op_raw.get("markov"), _MARKOV_NAMES[domain.kind]
+    if markov is not None and markov != own:
+        raise ConfigError(f"operator.markov: the {domain.kind}'s Markov operator is "
+                          f"{own!r}, got {markov!r}")
     a = _num(_get(op_raw, "a", "operator"), "operator.a", 0.0)
     measures = _parse_measures(op_raw.get("measures"), domain)
 
@@ -356,7 +354,7 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
         )
     quad_level = _int(_get(exp_raw, "quad_level", "experiment", 8), "experiment.quad_level", 1)
     try:
-        cfg = OperatorConfig(domain, op, a, measures, quad_level)
+        cfg = OperatorConfig(domain, a, measures, quad_level)
     except ConfigError as exc:
         raise ConfigError(f"operator: {exc}") from None
 
@@ -395,10 +393,14 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
         )
         if any(d <= 0.0 for d in plan.delta_list):
             raise ConfigError("experiment.delta_list: deltas must be positive")
+        # tau_p's balls of radius delta/2 must reach a neighbouring grid
+        # point, with the radius test tau_p's shells make
         m, smallest = plan.grid_resolution, plan.delta_list[0]
-        if (smallest * m) ** 2 * _RADIUS_SLACK < 1.0:
-            raise ConfigError(f"experiment.delta_list: no grid step lies within {smallest!r}; "
-                              f"the smallest admissible delta is 1/m = {1.0 / m!r}")
+        radius = smallest * m / 2.0
+        if radius * radius * _RADIUS_SLACK < 1.0:
+            raise ConfigError(f"experiment.delta_list: a ball of radius {smallest!r}/2 holds "
+                              f"no neighbouring grid point; the smallest admissible delta "
+                              f"is 2/m = {2.0 / m!r}")
     else:
         plan.n_list = sorted(_int_list(_get(exp_raw, "n_list", "experiment"),
                                        "experiment.n_list"))

@@ -24,7 +24,7 @@ import numpy as np
 from .bernstein import admit_points, apply_lattice_values, lattice
 from .errors import ConfigError, check_n
 from .geometry import SIMPLEX, Domain, admit, values
-from .markov import MarkovOpId, markov_values
+from .markov import markov_values
 from .measures import (
     CONSTANT_LEBESGUE,
     DIRAC_SHIFT,
@@ -32,6 +32,7 @@ from .measures import (
     MeasureSeqSpec,
     MeasureSpec,
     integrate_measure,
+    is_discrete,
     measure_nodes,
     resolve,
     rule_node_count,
@@ -111,8 +112,10 @@ def coordinate_form(domain: Domain, i: int) -> AffineForm:
 
 @dataclass(frozen=True)
 class OperatorConfig:
+    """C_n on ``domain``, whose canonical vertex operator is the Markov
+    operator T, with blend parameter ``a`` and measure sequence (mu_n)."""
+
     domain: Domain
-    op: MarkovOpId
     a: float
     measures: MeasureSeqSpec
     quad_level: int = 8
@@ -121,8 +124,6 @@ class OperatorConfig:
         object.__setattr__(self, "a", float(self.a))
         if not math.isfinite(self.a) or self.a < 0.0:
             raise ConfigError("blend parameter a must be finite and >= 0")
-        if self.op.domain != self.domain:
-            raise ConfigError("Markov operator domain does not match config domain")
         if self.measures.kind == DIRAC_SHIFT and self.a == 0.0:
             raise ConfigError("dirac_shift measure sequences require a > 0")
         if isinstance(self.quad_level, bool) or not isinstance(self.quad_level, numbers.Integral):
@@ -147,11 +148,11 @@ def _blend_at_level(
     c = cfg.a / (n + cfg.a)
     m, d = base.shape
     if cuts is None:
-        nodes, weights, _ = measure_nodes(mu, cfg.domain, level)
+        nodes, weights = measure_nodes(mu, cfg.domain, level)
         q = weights.size
     else:
-        nodes, weights, _ = measure_nodes(mu, cfg.domain, level,
-                                          cuts=[None if cut is None else cut[0] for cut in cuts])
+        nodes, weights = measure_nodes(mu, cfg.domain, level,
+                                       cuts=[None if cut is None else cut[0] for cut in cuts])
         q = math.prod(w.shape[-1] for w in weights)
     out = np.empty(m)
     block = max(4, _BLOCK_POINTS // q // 4 * 4)
@@ -263,14 +264,14 @@ def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray)
 def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.ndarray:
     """Adaptive version of :func:`_blend_at_level`.
 
-    Exact measures (discrete / power-of-discrete) are applied once; the
+    Exact measures (:func:`is_discrete`) are applied once; the
     quadrature-backed ones climb the :func:`_ladder`, bounded by the rule
     node budget, with their rules cut at the kinks f declares.
     """
     if cfg.a == 0.0:
         return values(f, base)
     mu = _resolved(cfg, n)
-    if mu.kind == "discrete" or (mu.kind == "power" and mu.base.kind == "discrete"):
+    if is_discrete(mu):
         return _blend_at_level(cfg, mu, n, f, base, cfg.quad_level)
     cuts = _row_cuts(cfg, mu, n, f, base)
     return _ladder(
@@ -381,7 +382,7 @@ def cn_bilinear_moment(cfg: OperatorConfig, n: int, h: AffineForm, k: AffineForm
     def hk(pts):
         return h(pts) * k(pts)
 
-    bn_hk = markov_values(cfg.op, hk, xs) / n + (n - 1) / n * h(xs) * k(xs)
+    bn_hk = markov_values(cfg.domain, hk, xs) / n + (n - 1) / n * h(xs) * k(xs)
     if a == 0.0:
         out = n**2 / denom * bn_hk
     else:

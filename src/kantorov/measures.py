@@ -36,7 +36,8 @@ MAX_RULE_NODES = 4_000_000
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finitely supported probability measure."""
+    """Finitely supported probability measure; :class:`ConfigError`
+    unless the weights are finite, non-negative and sum to 1."""
 
     atoms: np.ndarray  # (k, d)
     weights: np.ndarray  # (k,)
@@ -47,16 +48,16 @@ class DiscreteMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         if atoms.shape[0] != weights.shape[0]:
-            raise ValueError("atoms/weights length mismatch")
+            raise ConfigError("atoms/weights length mismatch")
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
-            raise ValueError("discrete measure atoms and weights must be finite")
+            raise ConfigError("discrete measure atoms and weights must be finite")
         if np.any(weights < 0.0):
-            raise ValueError("discrete measure weights must be >= 0")
+            raise ConfigError("discrete measure weights must be >= 0")
         total = math.fsum(weights.tolist())
         # twice the boundary tolerance: the vertex weights of a simplex
         # point admitted just beyond the face sum to 1 + BOUNDARY_TOL
         if not abs(total - 1.0) <= 2 * BOUNDARY_TOL:
-            raise ValueError(
+            raise ConfigError(
                 f"discrete measure weights sum to {total!r}, not 1 (not renormalizing)"
             )
 
@@ -258,12 +259,16 @@ def _bspline_rule(k: int, level: int, cut=None) -> tuple[np.ndarray, np.ndarray]
     return nodes.reshape(cut.size, -1), weights.reshape(cut.size, -1)
 
 
+def is_discrete(mu: MeasureSpec) -> bool:
+    """True for a discrete measure or a power of one: its rule is its own
+    finite support, with no quadrature error at any level."""
+    return (mu.base or mu).kind == DISCRETE
+
+
 def rule_node_count(mu: MeasureSpec, domain: Domain, level: int) -> int:
     """Number of nodes ``measure_nodes`` would materialize."""
-    if mu.kind == DISCRETE:
-        return mu.discrete.atoms.shape[0]
-    if mu.base is not None and mu.base.kind == DISCRETE:
-        k = mu.base.discrete.atoms.shape[0]
+    if is_discrete(mu):
+        k = (mu.base or mu).discrete.atoms.shape[0]
         return math.comb(k + mu.exponent - 1, mu.exponent)
     # Lebesgue or its power (a Lebesgue spec has exponent 1)
     if domain.kind == SIMPLEX:
@@ -285,14 +290,13 @@ def check_rule_budget(mu: MeasureSpec, domain: Domain, level: int) -> None:
 
 def measure_nodes(
     mu: MeasureSpec, domain: Domain, level: int, cuts=None
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Finite rule (nodes, weights, exact) integrating against ``mu``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Finite rule (nodes, weights) integrating against ``mu``.
 
-    ``exact`` is True when the rule represents the measure with no
-    quadrature error (discrete and power-of-discrete cases).  Powers of
-    Lebesgue get ``(exponent * level)^d`` nodes on the interval and the
-    hypercube (a product of B-spline rules) and the ``exponent``-fold
-    tensor of the Lebesgue rule on the simplex.
+    The rule of a discrete measure or a power of one is exact
+    (:func:`is_discrete`).  Powers of Lebesgue get ``(exponent * level)^d``
+    nodes on the interval and the hypercube (a product of B-spline rules)
+    and the ``exponent``-fold tensor of the Lebesgue rule on the simplex.
 
     ``cuts`` (Lebesgue or its power, on the interval or the hypercube)
     holds per axis ``None`` or a 1-D array of cut coordinates.  The
@@ -301,17 +305,15 @@ def measure_nodes(
     per cut ``(len(cuts[i]), q)``, with ``q = exponent * level``.
     """
     if cuts is not None:
-        lebesgue = mu.kind == LEBESGUE or (mu.kind == POWER and mu.base.kind == LEBESGUE)
-        if domain.kind == SIMPLEX or not lebesgue:
+        if domain.kind == SIMPLEX or is_discrete(mu):
             raise ValueError("cut rules need Lebesgue or its power on the interval or cube")
         check_rule_budget(mu, domain, level)
         nodes, weights = zip(*(_bspline_rule(mu.exponent, level, cut) for cut in cuts))
-        return nodes, weights, False
+        return nodes, weights
     if mu.kind == LEBESGUE:
-        nodes, weights = _lebesgue_nodes(domain, level)
-        return nodes, weights, False
+        return _lebesgue_nodes(domain, level)
     if mu.kind == DISCRETE:
-        return mu.discrete.atoms, mu.discrete.weights, True
+        return mu.discrete.atoms, mu.discrete.weights
 
     a = mu.exponent
     base = mu.base
@@ -329,12 +331,12 @@ def measure_nodes(
                 w *= bw[idx] ** c
             nodes.append(atoms[list(combo)].mean(axis=0))
             weights.append(coef * w)
-        return np.array(nodes), np.array(weights), True
+        return np.array(nodes), np.array(weights)
 
     check_rule_budget(mu, domain, level)
     if domain.kind != SIMPLEX:
         grid = ProductGrid(domain, *_bspline_rule(a, level))
-        return grid.points, grid.weights, False
+        return grid.points, grid.weights
     bnodes, bweights = _lebesgue_nodes(domain, level)
     q = bnodes.shape[0]
     idx = np.indices((q,) * a).reshape(a, -1)
@@ -342,7 +344,7 @@ def measure_nodes(
     weights = np.ones(idx.shape[1])
     for row in idx:
         weights = weights * bweights[row]
-    return nodes, weights, False
+    return nodes, weights
 
 
 def apply_rule(nodes: np.ndarray, weights: np.ndarray, f) -> float:
@@ -351,5 +353,4 @@ def apply_rule(nodes: np.ndarray, weights: np.ndarray, f) -> float:
 
 def integrate_measure(mu: MeasureSpec, domain: Domain, f, level: int = 8) -> float:
     """Integral of ``f`` against ``mu`` (probability-normalized)."""
-    nodes, weights, _ = measure_nodes(mu, domain, level)
-    return apply_rule(nodes, weights, f)
+    return apply_rule(*measure_nodes(mu, domain, level), f)

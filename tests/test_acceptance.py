@@ -39,7 +39,6 @@ from kantorov.kantorovich import (
     eval_Cn_cells,
     eval_In,
 )
-from kantorov.markov import canonical_markov
 from kantorov.measures import (
     constant_lebesgue,
     dirac_shift,
@@ -56,7 +55,7 @@ K2 = Domain.simplex(2)
 
 def operator(domain, a, measures=None, level=8):
     return OperatorConfig(
-        domain, canonical_markov(domain), a, measures or constant_lebesgue(), level
+        domain, a, measures or constant_lebesgue(), level
     )
 
 

@@ -30,7 +30,7 @@ from kantorov.kantorovich import (
     eval_Cn_cells,
     eval_In,
 )
-from kantorov.markov import canonical_markov, selection
+from kantorov.markov import selection
 from kantorov.measures import constant_lebesgue
 from kantorov.moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p
 
@@ -43,7 +43,7 @@ N = 3
 
 
 def cfg_for(domain, a=1.0):
-    return OperatorConfig(domain, canonical_markov(domain), a, constant_lebesgue())
+    return OperatorConfig(domain, a, constant_lebesgue())
 
 
 def eval_config(domain, x):
@@ -75,7 +75,7 @@ def entry_points(domain):
         "cn_affine_moment": lambda x: cn_affine_moment(cfg, N, h, x),
         "cn_quadratic_moment": lambda x: cn_quadratic_moment(cfg, N, 0, x),
         "cn_bilinear_moment": lambda x: cn_bilinear_moment(cfg, N, h, h, x),
-        "selection": lambda x: selection(cfg.op, x),
+        "selection": lambda x: selection(cfg.domain, x),
         "parse_config": lambda x: parse_config(eval_config(domain, x), "eval"),
     }
 

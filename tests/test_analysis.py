@@ -26,7 +26,6 @@ from kantorov.catalog import lookup
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, ProductGrid, contains, uniform_grid
 from kantorov.kantorovich import OperatorConfig, eval_Cn, eval_Cn_cells
-from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue, dirac_shift, lebesgue_measure, power_of_base
 from kantorov.moduli import omega1, omega2, omega_kp, tau_p
 
@@ -38,7 +37,7 @@ K3 = Domain.simplex(3)
 
 
 def cfg_for(domain, a, measures=None):
-    return OperatorConfig(domain, canonical_markov(domain), a, measures or constant_lebesgue())
+    return OperatorConfig(domain, a, measures or constant_lebesgue())
 
 
 KANT1 = cfg_for(I, 1.0)

@@ -187,11 +187,10 @@ import kantorov.cli
 from kantorov.catalog import lookup
 from kantorov.geometry import Domain
 from kantorov.kantorovich import OperatorConfig, eval_Cn
-from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue
 
 K2 = Domain.simplex(2)
-cfg = OperatorConfig(K2, canonical_markov(K2), 1.0, constant_lebesgue())
+cfg = OperatorConfig(K2, 1.0, constant_lebesgue())
 value = eval_Cn(cfg, 64, lookup("exp_sum", (), K2), np.array([0.2, 0.3]))
 assert np.isfinite(value), value
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))

@@ -215,24 +215,49 @@ def test_moduli_csv_does_not_depend_on_the_seed(tmp_path):
     assert csv.read_bytes() == first
 
 
-def test_moduli_refuses_deltas_below_one_grid_step(tmp_path, capsys):
-    # no lattice step lies within delta * m < 1, so omega1 and omega_kp
-    # would print a structural 0
+def test_moduli_refuses_deltas_below_two_grid_steps(tmp_path, capsys):
+    # tau_p's balls of radius delta/2 hold no neighbouring grid point when
+    # delta * m < 2, so its column would print a structural 0
     csv = tmp_path / "m.csv"
+    for small in (0.01, 0.03):
+        cfgp = write_config(tmp_path, "m.json",
+                            experiment={"grid_resolution": 50, "delta_list": [0.5, small]},
+                            output={"csv_path": str(csv)})
+        assert main(["moduli", "--config", str(cfgp)]) == 2
+        captured = capsys.readouterr()
+        assert "experiment.delta_list" in captured.err and "2/m = 0.04" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not csv.exists()
+    # (2/49) * 49 / 2 rounds to 0.9999999999999999, yet a neighbour lies
+    # within the radius 1/49
     cfgp = write_config(tmp_path, "m.json",
-                        experiment={"grid_resolution": 50, "delta_list": [0.5, 0.01]},
-                        output={"csv_path": str(csv)})
-    assert main(["moduli", "--config", str(cfgp)]) == 2
-    captured = capsys.readouterr()
-    assert "experiment.delta_list" in captured.err and "1/m = 0.02" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
-    assert not csv.exists()
-    # (1/49) * 49 rounds to 0.9999999999999999, yet one step lies within 1/49
-    cfgp = write_config(tmp_path, "m.json",
-                        experiment={"grid_resolution": 49, "delta_list": [1 / 49]},
+                        experiment={"grid_resolution": 49, "delta_list": [2 / 49]},
                         output={"csv_path": str(csv)})
     assert main(["moduli", "--config", str(cfgp)]) == 0
-    assert float(csv.read_text().splitlines()[1].split(",")[1]) > 0.0
+    assert float(csv.read_text().splitlines()[1].split(",")[3]) > 0.0
+
+
+@pytest.mark.parametrize("markov", ["Sd", "Td", "X", 3, 1.5])
+def test_operator_markov_must_name_the_domains_operator(tmp_path, capsys, markov):
+    csv = tmp_path / "c.csv"
+    cfgp = write_config(tmp_path, "c.json", operator={"markov": markov},
+                        output={"csv_path": str(csv)})
+    assert main(["converge", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "operator.markov" in captured.err and "'T1'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not csv.exists()
+
+
+def test_operator_markov_accepts_the_domains_operator(tmp_path, capsys):
+    csv = tmp_path / "c.csv"
+    plain = tmp_path / "plain.csv"
+    cfgp = write_config(tmp_path, "c.json", operator={"markov": "T1"},
+                        output={"csv_path": str(csv)})
+    assert main(["converge", "--config", str(cfgp)]) == 0
+    cfgp = write_config(tmp_path, "plain.json", output={"csv_path": str(plain)})
+    assert main(["converge", "--config", str(cfgp)]) == 0
+    assert csv.read_text() == plain.read_text()
 
 
 def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
@@ -496,7 +521,7 @@ _FUZZ_BASES = {
         "domain": {"kind": "hypercube", "dim": 2},
         "operator": {"a": 0.5, "measures": {"kind": "dirac_shift", "point": [0.5, 0.25]}},
         "function": {"name": "runge", "params": []},
-        "experiment": {"delta_list": [0.5, 0.25], "grid_resolution": 6, "p": 1.5, "k": 2},
+        "experiment": {"delta_list": [0.5, 0.25], "grid_resolution": 8, "p": 1.5, "k": 2},
     },
     "verify": {
         "domain": {"kind": "interval", "dim": 1},

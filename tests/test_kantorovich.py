@@ -28,7 +28,6 @@ from kantorov.kantorovich import (
     ladder_record,
     measure_moments,
 )
-from kantorov.markov import canonical_markov
 from kantorov.measures import (
     constant_lebesgue,
     dirac_shift,
@@ -52,7 +51,7 @@ SQ = lambda p: p[:, 0] ** 2
 
 def cfg_for(domain, a, measures=None, level=8):
     return OperatorConfig(
-        domain, canonical_markov(domain), a, measures or constant_lebesgue(), level
+        domain, a, measures or constant_lebesgue(), level
     )
 
 
@@ -64,8 +63,6 @@ def test_config_validation():
         cfg_for(I, -0.5)
     with pytest.raises(ConfigError):
         cfg_for(I, math.inf)
-    with pytest.raises(ConfigError):
-        OperatorConfig(I, canonical_markov(Q2), 1.0, constant_lebesgue())
     with pytest.raises(ConfigError):
         cfg_for(I, 0.0, dirac_shift([0.5]))  # blend point needs a > 0
     with pytest.raises(ConfigError):
@@ -557,7 +554,6 @@ import numpy as np
 from kantorov import kantorovich
 from kantorov.catalog import lookup
 from kantorov.geometry import Domain
-from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue, lebesgue_measure, power_of_base
 
 I, Q3 = Domain.interval(), Domain.hypercube(3)
@@ -574,7 +570,7 @@ cases = [
     (Q3, constant_lebesgue(), 32, 4, lookup("abs_diff12", (), Q3)),
 ]
 dom, measures, level, n, f = cases[int(sys.argv[1])]
-cfg = kantorovich.OperatorConfig(dom, canonical_markov(dom), 1.0, measures, level)
+cfg = kantorovich.OperatorConfig(dom, 1.0, measures, level)
 values = []
 for budget in (1 << 21, 1 << 16, 1):
     kantorovich._BLOCK_POINTS = budget
@@ -609,11 +605,10 @@ _THREADS_SCRIPT = """
 from kantorov import kantorovich
 from kantorov.catalog import lookup
 from kantorov.geometry import Domain
-from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue
 
 Q3 = Domain.hypercube(3)
-cfg = kantorovich.OperatorConfig(Q3, canonical_markov(Q3), 1.0, constant_lebesgue(), 32)
+cfg = kantorovich.OperatorConfig(Q3, 1.0, constant_lebesgue(), 32)
 kantorovich._BLOCK_POINTS = 1 << 21
 f = lookup("abs_dist", (0.5, 0.5, 0.5), Q3)
 print(kantorovich._inner_values(cfg, 4, f).tobytes().hex())
@@ -637,7 +632,6 @@ from kantorov import kantorovich
 from kantorov.catalog import lookup
 from kantorov.geometry import Domain, values
 from kantorov.kantorovich import AffineForm
-from kantorov.markov import canonical_markov
 from kantorov.measures import constant_lebesgue, measure_nodes
 
 
@@ -645,11 +639,11 @@ def row_major_blend(cfg, mu, n, f, base, level, cuts=None):
     c = cfg.a / (n + cfg.a)
     m, d = base.shape
     if cuts is None:
-        nodes, weights, _ = measure_nodes(mu, cfg.domain, level)
+        nodes, weights = measure_nodes(mu, cfg.domain, level)
         q = weights.size
     else:
-        nodes, weights, _ = measure_nodes(mu, cfg.domain, level,
-                                          cuts=[None if cut is None else cut[0] for cut in cuts])
+        nodes, weights = measure_nodes(mu, cfg.domain, level,
+                                       cuts=[None if cut is None else cut[0] for cut in cuts])
         q = math.prod(w.shape[-1] for w in weights)
     out = np.empty(m)
     block = max(4, kantorovich._BLOCK_POINTS // q // 4 * 4)
@@ -702,7 +696,7 @@ engine = kantorovich._blend_at_level
 differ = []
 for key, (dom, n, f) in cases.items():
     for a in (1.0, 2.0):
-        cfg = kantorovich.OperatorConfig(dom, canonical_markov(dom), a, constant_lebesgue(), 8)
+        cfg = kantorovich.OperatorConfig(dom, a, constant_lebesgue(), 8)
         for budget in (1 << 16, 1):
             kantorovich._BLOCK_POINTS = budget
             kantorovich._blend_at_level = engine

@@ -16,6 +16,7 @@ from kantorov.measures import (
     discrete_spec,
     explicit_list,
     integrate_measure,
+    is_discrete,
     lebesgue_measure,
     measure_nodes,
     power_measure,
@@ -35,12 +36,14 @@ COIN = discrete_measure([[0.0], [1.0]], [0.5, 0.5], I)
 
 
 def test_discrete_measure_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="not 1"):
         discrete_measure([[0.0], [1.0]], [0.6, 0.6], I)  # weights must sum to 1
     with pytest.raises(ConfigError, match="outside"):
         discrete_measure([[0.5], [2.0]], [0.5, 0.5], I)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=">= 0"):
         discrete_measure([[0.25], [0.75]], [1.25, -0.25], I)
+    with pytest.raises(ConfigError, match="length mismatch"):
+        discrete_measure([[0.25], [0.75]], [1.0], I)
 
 
 @pytest.mark.parametrize("atoms,weights", [
@@ -51,7 +54,7 @@ def test_discrete_measure_validation():
 ])
 def test_discrete_measure_rejects_non_finite_atoms_and_weights(atoms, weights):
     # abs(nan - 1) > tol is False, so a NaN weight used to pass the sum test
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         discrete_measure(atoms, weights)
 
 
@@ -109,11 +112,25 @@ def test_discrete_integration():
 def test_power_of_discrete_matches_enumeration():
     # average of two fair coin flips: P(0)=1/4, P(1/2)=1/2, P(1)=1/4
     mu = power_measure(discrete_spec(COIN), 2)
-    nodes, weights, exact = measure_nodes(mu, I, level=4)
-    assert exact
+    nodes, weights = measure_nodes(mu, I, level=4)
+    assert is_discrete(mu)
     order = np.argsort(nodes[:, 0])
     np.testing.assert_allclose(nodes[order, 0], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(weights[order], [0.25, 0.5, 0.25])
+
+
+def test_rule_node_count_matches_the_rule():
+    # is_discrete decides the rule's kind for both measure_nodes and
+    # rule_node_count, which must agree on its size
+    tri = discrete_spec(discrete_measure([[0.0], [0.5], [1.0]], [0.25, 0.5, 0.25], I))
+    for mu, discrete in ((discrete_spec(COIN), True), (tri, True),
+                         (power_measure(tri, 3), True),
+                         (lebesgue_measure(), False),
+                         (power_measure(lebesgue_measure(), 2), False)):
+        assert is_discrete(mu) is discrete
+        for dom in ((I,) if discrete else (I, Q2, K2)):
+            nodes, weights = measure_nodes(mu, dom, 3)
+            assert len(nodes) == weights.size == rule_node_count(mu, dom, 3)
 
 
 def test_power_of_discrete_third_moment():
@@ -147,7 +164,7 @@ def test_rule_node_count_matches():
         if dom == I:
             measures += [discrete_spec(COIN), power_measure(discrete_spec(COIN), 3)]
         for mu in measures:
-            nodes, _, _ = measure_nodes(mu, dom, level=5)
+            nodes, _ = measure_nodes(mu, dom, level=5)
             assert rule_node_count(mu, dom, 5) == nodes.shape[0]
 
 
@@ -192,8 +209,9 @@ def test_power_of_lebesgue_rule_is_positive_with_exact_moments(k):
     # negative weights at k = 8 on levels 16 and 32
     moments = [float(exact_moment(k, j)) for j in range(5)]
     for level in (8, 16, 32):
-        nodes, weights, exact = measure_nodes(power_measure(lebesgue_measure(), k), I, level)
-        assert not exact and nodes.shape == (level * k, 1)
+        mu = power_measure(lebesgue_measure(), k)
+        nodes, weights = measure_nodes(mu, I, level)
+        assert not is_discrete(mu) and nodes.shape == (level * k, 1)
         assert np.all(weights > 0.0)
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
         t = nodes[:, 0]
@@ -222,8 +240,8 @@ def test_cut_rule_keeps_its_size_and_is_exact_on_each_side(k):
     mu = lebesgue_measure() if k == 1 else power_measure(lebesgue_measure(), k)
     cuts = np.array([-0.25, 0.0, 0.1, 0.3, 0.5, 2 / 3, 0.77, 1.0, 1.5])
     for level in (1, 2, 5, 8, 16):
-        (x,), (w,), exact = measure_nodes(mu, I, level, cuts=[cuts])
-        assert not exact and x.shape == w.shape == (cuts.size, rule_node_count(mu, I, level))
+        (x,), (w,) = measure_nodes(mu, I, level, cuts=[cuts])
+        assert x.shape == w.shape == (cuts.size, rule_node_count(mu, I, level))
         assert np.all(w > 0.0) and np.all((x >= 0.0) & (x <= 1.0))
         if 2 * (level // 2) > k:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
@@ -231,8 +249,8 @@ def test_cut_rule_keeps_its_size_and_is_exact_on_each_side(k):
             got = (w * np.abs(x - cuts[:, None])).sum(axis=1)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
     # an uncut axis keeps the shared rule
-    (x, y), (wx, wy), _ = measure_nodes(mu, Q2, 4, cuts=[None, cuts])
-    shared, sw, _ = measure_nodes(mu, I, 4)
+    (x, y), (wx, wy) = measure_nodes(mu, Q2, 4, cuts=[None, cuts])
+    shared, sw = measure_nodes(mu, I, 4)
     np.testing.assert_array_equal(x, shared[:, 0])
     np.testing.assert_array_equal(wx, sw)
     assert y.shape == (cuts.size, 4 * k)
@@ -254,8 +272,8 @@ def test_cut_rules_need_lebesgue_on_the_interval_or_cube():
 
 def test_power_of_lebesgue_rule_is_a_product_over_axes():
     mu = power_measure(lebesgue_measure(), 3)
-    n1, w1, _ = measure_nodes(mu, I, level=4)
-    nodes, weights, _ = measure_nodes(mu, Q2, level=4)
+    n1, w1 = measure_nodes(mu, I, level=4)
+    nodes, weights = measure_nodes(mu, Q2, level=4)
     np.testing.assert_array_equal(nodes[:, 0], np.repeat(n1[:, 0], 12))
     np.testing.assert_array_equal(nodes[:, 1], np.tile(n1[:, 0], 12))
     np.testing.assert_array_equal(weights, np.outer(w1, w1).reshape(-1))
@@ -282,5 +300,5 @@ def test_measure_weights_sum_to_one():
     w[-1] = 1.0 - w[:-1].sum()
     disc = discrete_measure(atoms, w, K2)
     for mu in (lebesgue_measure(), discrete_spec(disc), power_measure(discrete_spec(disc), 2)):
-        _, weights, _ = measure_nodes(mu, K2, level=6)
+        _, weights = measure_nodes(mu, K2, level=6)
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
