@@ -35,7 +35,7 @@ from .kantorovich import (
     measure_moments,
 )
 from .markov import markov_values
-from .measures import CONSTANT_LEBESGUE
+from .measures import all_lebesgue
 from .moduli import _half_offsets, _pair_blocks, _positions, lipschitz_estimate, omega1
 
 TOL_CLOSED = 1e-6
@@ -162,7 +162,7 @@ def sup_error(cfg: OperatorConfig, n: int, f, m: int) -> float:
 
 
 def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.ndarray]:
-    if cfg.a > 0.0 and cfg.measures.kind == CONSTANT_LEBESGUE:
+    if cfg.a > 0.0 and all_lebesgue(cfg.measures):
         return lambda pts: eval_Cn_cells(cfg, n, f, pts)
     return lambda pts: eval_Cn(cfg, n, f, pts)
 
@@ -325,7 +325,7 @@ def equibounded_constant(domain: Domain, a: float) -> float:
 
 
 def _require_lebesgue(cfg: OperatorConfig, bound_id: str) -> None:
-    if cfg.measures.kind != CONSTANT_LEBESGUE:
+    if not all_lebesgue(cfg.measures):
         raise ConfigError(f"{bound_id} is stated for constant Lebesgue measures")
 
 

@@ -66,7 +66,7 @@ from .measures import (
     power_of_base,
     resolve,
 )
-from .moduli import _RADIUS_SLACK, difference_coeffs, omega1, omega2, omega_kp, tau_p
+from .moduli import check_tau_deltas, difference_coeffs, omega1, omega2, omega_kp, tau_p
 
 COMMANDS = ("eval", "converge", "verify", "preserve", "moduli")
 
@@ -190,20 +190,21 @@ def _parse_measure(raw, domain: Domain, path: str):
     raw = _require_object(raw, path)
     kind = _str(_get(raw, "kind", path), f"{path}.kind",
                 choices=("lebesgue", "discrete", "power"))
+    if kind == "lebesgue":
+        _reject_unknown(raw, ("kind",), path)
+        return lebesgue_measure()
+    if kind == "power":
+        return _at(path, power_measure, *_parse_power(raw, domain, path))
+    _reject_unknown(raw, ("kind", "atoms", "weights"), path)
+    atoms, weights = _get(raw, "atoms", path), _get(raw, "weights", path)
+    return _at(path, lambda: discrete_spec(discrete_measure(atoms, weights, domain)))
+
+
+def _at(path: str, build, *args):
+    """``build(*args)``, with its errors as ``ConfigError``s that name ``path``."""
     try:
-        if kind == "lebesgue":
-            _reject_unknown(raw, ("kind",), path)
-            return lebesgue_measure()
-        if kind == "discrete":
-            _reject_unknown(raw, ("kind", "atoms", "weights"), path)
-            atoms = _get(raw, "atoms", path)
-            weights = _get(raw, "weights", path)
-            try:
-                return discrete_spec(discrete_measure(atoms, weights, domain))
-            except ConfigError as exc:  # an atom outside the domain or of the wrong length
-                raise ConfigError(f"{path}: {exc}") from None
-        return power_measure(*_parse_power(raw, domain, path))
-    except (ValueError, TypeError, OverflowError) as exc:
+        return build(*args)
+    except (ConfigError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -230,11 +231,7 @@ def _parse_measures(raw, domain: Domain) -> MeasureSeqSpec:
         _reject_unknown(raw, ("kind", "point"), path)
         return dirac_shift(_point(_get(raw, "point", path), f"{path}.point", domain))
     if kind == "power_of_base":
-        base, exponent = _parse_power(raw, domain, path)
-        try:
-            return power_of_base(base, exponent)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        return _at(path, power_of_base, *_parse_power(raw, domain, path))
     _reject_unknown(raw, ("kind", "measures"), path)
     entries = _get(raw, "measures", path)
     if not isinstance(entries, list) or not entries:
@@ -393,14 +390,10 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
         )
         if any(d <= 0.0 for d in plan.delta_list):
             raise ConfigError("experiment.delta_list: deltas must be positive")
-        # tau_p's balls of radius delta/2 must reach a neighbouring grid
-        # point, with the radius test tau_p's shells make
-        m, smallest = plan.grid_resolution, plan.delta_list[0]
-        radius = smallest * m / 2.0
-        if radius * radius * _RADIUS_SLACK < 1.0:
-            raise ConfigError(f"experiment.delta_list: a ball of radius {smallest!r}/2 holds "
-                              f"no neighbouring grid point; the smallest admissible delta "
-                              f"is 2/m = {2.0 / m!r}")
+        try:
+            check_tau_deltas(plan.delta_list, plan.grid_resolution)
+        except ConfigError as exc:
+            raise ConfigError(f"experiment.delta_list: {exc}") from None
     else:
         plan.n_list = sorted(_int_list(_get(exp_raw, "n_list", "experiment"),
                                        "experiment.n_list"))

@@ -26,11 +26,11 @@ from .errors import ConfigError, check_n
 from .geometry import SIMPLEX, Domain, admit, values
 from .markov import markov_values
 from .measures import (
-    CONSTANT_LEBESGUE,
     DIRAC_SHIFT,
     MAX_RULE_NODES,
     MeasureSeqSpec,
     MeasureSpec,
+    all_lebesgue,
     integrate_measure,
     is_discrete,
     measure_nodes,
@@ -315,7 +315,7 @@ def eval_Cn_cells(cfg: OperatorConfig, n: int, f, x):
     this validates the configuration and shares its cache.
     """
     check_n(n)
-    if cfg.a <= 0.0 or cfg.measures.kind != CONSTANT_LEBESGUE:
+    if cfg.a <= 0.0 or not all_lebesgue(cfg.measures):
         raise ConfigError("cell form needs a > 0 and constant Lebesgue measures")
     return eval_Cn(cfg, n, f, x)
 

@@ -1,13 +1,13 @@
 """Probability measures on a domain and per-n measure sequences.
 
-Measures come in three concrete flavors: normalized Lebesgue (mass 1,
-i.e. ``d! * lambda_d`` on the simplex), discrete, and the "averaging
-power" of a base measure (the law of the mean of ``exponent`` i.i.d.
-draws).  Power measures are kept lazy (base + exponent) and only turned
-into finite node/weight rules inside integrals.  On the interval and the
-hypercube each coordinate of the mean of ``k`` uniform draws has the
-cardinal B-spline density of order ``k`` on the knots ``j/k`` (Curry &
-Schoenberg 1966), so that power of Lebesgue is a product of 1-D rules.
+A measure is a base, normalized Lebesgue (mass 1, i.e. ``d! * lambda_d``
+on the simplex) or discrete, to an "averaging power" ``exponent``: the
+law of the mean of ``exponent`` i.i.d. draws from the base, so exponent
+1 is the base itself.  Powers are kept lazy (base + exponent) and only
+turned into finite node/weight rules inside integrals.  On the interval
+and the hypercube each coordinate of the mean of ``k`` uniform draws has
+the cardinal B-spline density of order ``k`` on the knots ``j/k`` (Curry
+& Schoenberg 1966), so that power of Lebesgue is a product of 1-D rules.
 Those 1-D rules can be cut at a given coordinate, so that an integrand
 with a kink there is integrated exactly by Gauss on each side.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .geometry import (BOUNDARY_TOL, SIMPLEX, Domain, ProductGrid, contains, gau
 
 LEBESGUE = "lebesgue"
 DISCRETE = "discrete"
-POWER = "power"
 
 # Node budget for a single materialized measure rule.
 MAX_RULE_NODES = 4_000_000
@@ -78,25 +77,20 @@ def dirac(point, domain: Optional[Domain] = None) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A single measure: ``lebesgue``, ``discrete`` or ``power``."""
+    """A single measure: a ``lebesgue`` or ``discrete`` base to the
+    averaging power ``exponent`` (1: the base itself)."""
 
     kind: str
     discrete: Optional[DiscreteMeasure] = None
-    base: Optional["MeasureSpec"] = None
     exponent: int = 1
 
     def __post_init__(self):
-        if self.kind not in (LEBESGUE, DISCRETE, POWER):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
+        if self.kind not in (LEBESGUE, DISCRETE):
+            raise ConfigError(f"unknown measure kind {self.kind!r}")
         if self.kind == DISCRETE and self.discrete is None:
-            raise ValueError("discrete measure spec needs a DiscreteMeasure")
-        if self.kind == POWER:
-            if self.base is None:
-                raise ValueError("power measure spec needs a base measure")
-            if not isinstance(self.exponent, int) or self.exponent < 1:
-                raise ValueError("power measure exponent must be an integer >= 1")
-            if self.base.kind == POWER:
-                raise ValueError("nested power measures are not supported")
+            raise ConfigError("discrete measure spec needs a DiscreteMeasure")
+        if not isinstance(self.exponent, int) or self.exponent < 1:
+            raise ConfigError("power measure exponent must be an integer >= 1")
 
 
 def lebesgue_measure() -> MeasureSpec:
@@ -108,18 +102,22 @@ def discrete_spec(mu: DiscreteMeasure) -> MeasureSpec:
 
 
 def power_measure(base: MeasureSpec, exponent: int) -> MeasureSpec:
-    return MeasureSpec(POWER, base=base, exponent=exponent)
+    """``base`` to the averaging power ``exponent``; ``base`` must be
+    a plain (exponent 1) measure."""
+    if base.exponent != 1:
+        raise ConfigError("nested power measures are not supported")
+    return replace(base, exponent=exponent)
 
 
-CONSTANT_LEBESGUE = "constant_lebesgue"
+CONSTANT = "constant"
 DIRAC_SHIFT = "dirac_shift"
-POWER_OF_BASE = "power_of_base"
 EXPLICIT_LIST = "explicit_list"
 
 
 @dataclass(frozen=True, eq=False)
 class MeasureSeqSpec:
-    """The sequence (mu_n) feeding the operator family.
+    """The sequence (mu_n) feeding the operator family: one ``measure``
+    for every n, a ``dirac_shift`` or an ``explicit_list``.
 
     ``dirac_shift`` carries a rule ``n -> point`` giving the atom of
     mu_n (for a shift sequence (b_n) and parameter a, the atom is
@@ -128,26 +126,22 @@ class MeasureSeqSpec:
 
     kind: str
     point_rule: Optional[Callable[[int], np.ndarray]] = None
-    base: Optional[MeasureSpec] = None
-    exponent: int = 1
+    measure: Optional[MeasureSpec] = None
     measures: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind not in (CONSTANT_LEBESGUE, DIRAC_SHIFT, POWER_OF_BASE, EXPLICIT_LIST):
-            raise ValueError(f"unknown measure sequence kind {self.kind!r}")
+        if self.kind not in (CONSTANT, DIRAC_SHIFT, EXPLICIT_LIST):
+            raise ConfigError(f"unknown measure sequence kind {self.kind!r}")
+        if self.kind == CONSTANT and self.measure is None:
+            raise ConfigError("a constant sequence needs its measure")
         if self.kind == DIRAC_SHIFT and self.point_rule is None:
-            raise ValueError("dirac_shift needs a point rule n -> point")
-        if self.kind == POWER_OF_BASE:
-            if self.base is None:
-                raise ValueError("power_of_base needs a base measure")
-            if not isinstance(self.exponent, int) or self.exponent < 1:
-                raise ValueError("power_of_base exponent must be an integer >= 1")
+            raise ConfigError("dirac_shift needs a point rule n -> point")
         if self.kind == EXPLICIT_LIST and not self.measures:
-            raise ValueError("explicit_list needs at least one measure")
+            raise ConfigError("explicit_list needs at least one measure")
 
 
 def constant_lebesgue() -> MeasureSeqSpec:
-    return MeasureSeqSpec(CONSTANT_LEBESGUE)
+    return MeasureSeqSpec(CONSTANT, measure=lebesgue_measure())
 
 
 def dirac_shift(rule) -> MeasureSeqSpec:
@@ -159,38 +153,33 @@ def dirac_shift(rule) -> MeasureSeqSpec:
 
 
 def power_of_base(base: MeasureSpec, exponent: int) -> MeasureSeqSpec:
-    return MeasureSeqSpec(POWER_OF_BASE, base=base, exponent=exponent)
+    return MeasureSeqSpec(CONSTANT, measure=power_measure(base, exponent))
 
 
 def explicit_list(measures: Sequence[MeasureSpec]) -> MeasureSeqSpec:
     return MeasureSeqSpec(EXPLICIT_LIST, measures=tuple(measures))
 
 
+def all_lebesgue(seq: MeasureSeqSpec) -> bool:
+    """True when every mu_n is the Lebesgue measure (exponent 1)."""
+    return seq.kind == CONSTANT and seq.measure == lebesgue_measure()
+
+
 def resolve(seq: MeasureSeqSpec, n: int, domain: Optional[Domain] = None) -> MeasureSpec:
     """Measure mu_n of the sequence (list indexing starts at n = 1)."""
     check_n(n)
-    if seq.kind == CONSTANT_LEBESGUE:
-        return lebesgue_measure()
+    if seq.kind == CONSTANT:
+        return seq.measure
     if seq.kind == DIRAC_SHIFT:
         point = np.atleast_1d(np.asarray(seq.point_rule(n), dtype=float))
         if domain is not None and not contains(domain, point):
             raise ConfigError(f"dirac_shift point {point} outside the domain at n={n}")
         return discrete_spec(DiscreteMeasure(point[None, :], np.array([1.0])))
-    if seq.kind == POWER_OF_BASE:
-        return power_measure(seq.base, seq.exponent)
     if n > len(seq.measures):
         raise ConfigError(
             f"explicit measure list has {len(seq.measures)} entries; n={n} out of range"
         )
     return seq.measures[n - 1]
-
-
-def _lebesgue_nodes(domain: Domain, level: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = quadrature_rule(domain, level)
-    weights = rule.weights
-    if domain.kind == SIMPLEX:
-        weights = weights * math.factorial(domain.dim)
-    return rule.points, weights
 
 
 def _cardinal(k: int, u: np.ndarray) -> np.ndarray:
@@ -262,23 +251,22 @@ def _bspline_rule(k: int, level: int, cut=None) -> tuple[np.ndarray, np.ndarray]
 def is_discrete(mu: MeasureSpec) -> bool:
     """True for a discrete measure or a power of one: its rule is its own
     finite support, with no quadrature error at any level."""
-    return (mu.base or mu).kind == DISCRETE
+    return mu.kind == DISCRETE
 
 
 def rule_node_count(mu: MeasureSpec, domain: Domain, level: int) -> int:
     """Number of nodes ``measure_nodes`` would materialize."""
     if is_discrete(mu):
-        k = (mu.base or mu).discrete.atoms.shape[0]
+        k = mu.discrete.atoms.shape[0]
         return math.comb(k + mu.exponent - 1, mu.exponent)
-    # Lebesgue or its power (a Lebesgue spec has exponent 1)
     if domain.kind == SIMPLEX:
         return (level + 1) ** (domain.dim * mu.exponent)
     return (mu.exponent * level) ** domain.dim
 
 
 def check_rule_budget(mu: MeasureSpec, domain: Domain, level: int) -> None:
-    """Refuse a power-of-Lebesgue rule above ``MAX_RULE_NODES`` nodes."""
-    if mu.kind == POWER and mu.base.kind == LEBESGUE:
+    """Refuse a Lebesgue rule above ``MAX_RULE_NODES`` nodes."""
+    if not is_discrete(mu):
         count = rule_node_count(mu, domain, level)
         if count > MAX_RULE_NODES:
             raise ConfigError(
@@ -293,40 +281,28 @@ def measure_nodes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Finite rule (nodes, weights) integrating against ``mu``.
 
-    The rule of a discrete measure or a power of one is exact
-    (:func:`is_discrete`).  Powers of Lebesgue get ``(exponent * level)^d``
-    nodes on the interval and the hypercube (a product of B-spline rules)
-    and the ``exponent``-fold tensor of the Lebesgue rule on the simplex.
+    A discrete base to the power ``k`` is exact (:func:`is_discrete`):
+    the means of the ``k``-fold combinations of its atoms.  Lebesgue to
+    the power ``k`` gets ``(k * level)^d`` nodes on the interval and the
+    hypercube (a product of B-spline rules, Gauss-Legendre at ``k = 1``)
+    and the ``k``-fold tensor of :func:`quadrature_rule` on the simplex.
 
-    ``cuts`` (Lebesgue or its power, on the interval or the hypercube)
-    holds per axis ``None`` or a 1-D array of cut coordinates.  The
-    product rule then comes axis by axis: ``nodes[i]`` and ``weights[i]``
-    are axis i's rule from :func:`_bspline_rule`, shared ``(q,)`` or one
-    per cut ``(len(cuts[i]), q)``, with ``q = exponent * level``.
+    ``cuts`` (Lebesgue on the interval or the hypercube) holds per axis
+    ``None`` or a 1-D array of cut coordinates.  The product rule then
+    comes axis by axis: ``nodes[i]`` and ``weights[i]`` are axis i's rule
+    from :func:`_bspline_rule`, shared ``(q,)`` or one per cut
+    ``(len(cuts[i]), q)``, with ``q = exponent * level``.
     """
-    if cuts is not None:
-        if domain.kind == SIMPLEX or is_discrete(mu):
-            raise ValueError("cut rules need Lebesgue or its power on the interval or cube")
-        check_rule_budget(mu, domain, level)
-        nodes, weights = zip(*(_bspline_rule(mu.exponent, level, cut) for cut in cuts))
-        return nodes, weights
-    if mu.kind == LEBESGUE:
-        return _lebesgue_nodes(domain, level)
-    if mu.kind == DISCRETE:
-        return mu.discrete.atoms, mu.discrete.weights
-
-    a = mu.exponent
-    base = mu.base
-    if base.kind == DISCRETE:
-        atoms, bw = base.discrete.atoms, base.discrete.weights
-        k = atoms.shape[0]
+    k = mu.exponent
+    if cuts is not None and (domain.kind == SIMPLEX or is_discrete(mu)):
+        raise ValueError("cut rules need Lebesgue or its power on the interval or cube")
+    if is_discrete(mu):
+        atoms, bw = mu.discrete.atoms, mu.discrete.weights
         nodes, weights = [], []
-        fact_a = math.factorial(a)
-        for combo in itertools.combinations_with_replacement(range(k), a):
-            counts = Counter(combo)
-            coef = fact_a
+        for combo in itertools.combinations_with_replacement(range(atoms.shape[0]), k):
+            coef = math.factorial(k)
             w = 1.0
-            for idx, c in counts.items():
+            for idx, c in Counter(combo).items():
                 coef //= math.factorial(c)
                 w *= bw[idx] ** c
             nodes.append(atoms[list(combo)].mean(axis=0))
@@ -334,17 +310,21 @@ def measure_nodes(
         return np.array(nodes), np.array(weights)
 
     check_rule_budget(mu, domain, level)
+    if cuts is not None:
+        nodes, weights = zip(*(_bspline_rule(k, level, cut) for cut in cuts))
+        return nodes, weights
     if domain.kind != SIMPLEX:
-        grid = ProductGrid(domain, *_bspline_rule(a, level))
+        grid = ProductGrid(domain, *_bspline_rule(k, level))
         return grid.points, grid.weights
-    bnodes, bweights = _lebesgue_nodes(domain, level)
-    q = bnodes.shape[0]
-    idx = np.indices((q,) * a).reshape(a, -1)
-    nodes = bnodes[idx].mean(axis=0)
-    weights = np.ones(idx.shape[1])
-    for row in idx:
-        weights = weights * bweights[row]
-    return nodes, weights
+    rule = quadrature_rule(domain, level)
+    # mass 1: d! times the simplex's Lebesgue measure
+    points, mass = rule.points, rule.weights * math.factorial(domain.dim)
+    # the k-fold tensor in C order, each node the mean of its k draws
+    nodes, weights = points, mass
+    for _ in range(k - 1):
+        nodes = (nodes[:, None] + points).reshape(-1, domain.dim)
+        weights = (weights[:, None] * mass).reshape(-1)
+    return nodes / k, weights
 
 
 def apply_rule(nodes: np.ndarray, weights: np.ndarray, f) -> float:

@@ -14,7 +14,8 @@ batches, in particular :class:`~kantorov.catalog.CatalogFunction`.
 The moduli take ``delta`` as a float or a 1-D array and return a float
 or an array in the input order; one walk of the grid serves all deltas.
 Grid points lie at least ``1/m`` apart, so ``omega1`` and ``omega_kp``
-are 0 for ``delta * m < 1``, ``omega2`` below 1/2 and ``tau_p`` below 2.
+are 0 for ``delta * m < 1`` and ``omega2`` below 1/2; ``tau_p`` would be
+0 below 2 and raises :class:`ConfigError` there.
 """
 
 from __future__ import annotations
@@ -182,12 +183,24 @@ def _grid_quad_weights(domain: Domain, m: int) -> np.ndarray:
     return uniform_product_grid(domain, m).weights
 
 
+def check_tau_deltas(delta, m: int) -> None:
+    """``ConfigError`` unless every ball of radius delta/2 that ``tau_p``
+    takes on the grid holds a neighbouring grid point: ``delta * m >= 2``,
+    with the radius test of :func:`_shells`."""
+    smallest = float(_deltas(delta)[0].min())
+    radius = smallest * m / 2.0
+    if radius * radius * _RADIUS_SLACK < 1.0:
+        raise ConfigError(f"a ball of radius {smallest!r}/2 holds no neighbouring grid point; "
+                          f"the smallest admissible delta is 2/m = {2.0 / m!r}")
+
+
 def tau_p(f, domain: Domain, delta, p: float, m: int):
     """Averaged modulus: L^p norm of the local oscillation over
-    Euclidean balls of radius delta/2."""
+    Euclidean balls of radius delta/2 (see :func:`check_tau_deltas`)."""
     deltas, like = _deltas(delta)
     if not p >= 1.0:
         raise ConfigError("p must be >= 1")
+    check_tau_deltas(deltas, m)
     fv = values(f, uniform_grid(domain, m))
     w = _grid_quad_weights(domain, m)
     lo, hi = fv.copy(), fv.copy()

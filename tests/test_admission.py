@@ -246,7 +246,7 @@ def test_eval_Cn_admits_points_before_the_inner_integrals():
 NAN_CALLS = {
     "omega1": lambda f: omega1(f, Q2, 0.2, 8),
     "omega2": lambda f: omega2(f, Q2, 0.2, 8),
-    "tau_p": lambda f: tau_p(f, Q2, 0.2, 1.0, 8),
+    "tau_p": lambda f: tau_p(f, Q2, 0.25, 1.0, 8),  # delta >= 2/m
     "omega_kp": lambda f: omega_kp(f, Q2, 1, 0.2, 1.0, 8),
     "lipschitz_estimate": lambda f: lipschitz_estimate(f, Q2, 8),
     "lipschitz_estimate array": lambda f: lipschitz_estimate(f(uniform_grid(Q2, 8)), Q2, 8),

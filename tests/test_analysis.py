@@ -26,7 +26,8 @@ from kantorov.catalog import lookup
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, ProductGrid, contains, uniform_grid
 from kantorov.kantorovich import OperatorConfig, eval_Cn, eval_Cn_cells
-from kantorov.measures import constant_lebesgue, dirac_shift, lebesgue_measure, power_of_base
+from kantorov.measures import (all_lebesgue, constant_lebesgue, dirac_shift, lebesgue_measure,
+                               power_of_base)
 from kantorov.moduli import omega1, omega2, omega_kp, tau_p
 
 I = Domain.interval()
@@ -129,20 +130,24 @@ def test_omega_total_bound_grid_modulus():
 def test_grid_modulus_of_the_bound_checks_is_omega1(dom, name):
     # every modulus of an unsorted delta array, with a duplicate, a delta
     # below one grid step and 0.29 (0.29 * 100 is 28.999999999999996),
-    # is bitwise the scalar call; the bound checks inflate omega1
+    # is bitwise the scalar call; tau_p takes deltas of two grid steps or
+    # more, and refuses the others; the bound checks inflate omega1
     f = lookup(name, [], dom)
     m = {1: 100, 2: 12, 3: 5}[dom.dim]
     deltas = np.array([0.29, 0.05, 0.4 / m, 1.0 / 6.0, 0.29, 0.125, 1.0])
     moduli = {
-        "omega1": lambda d: omega1(f, dom, d, m),
-        "omega2": lambda d: omega2(f, dom, d, m),
-        "tau_p": lambda d: tau_p(f, dom, d, 2.0, m),
-        "omega_kp": lambda d: omega_kp(f, dom, 2, d, 1.5, m),
+        "omega1": (lambda d: omega1(f, dom, d, m), deltas),
+        "omega2": (lambda d: omega2(f, dom, d, m), deltas),
+        "tau_p": (lambda d: tau_p(f, dom, d, 2.0, m), np.maximum(deltas, 2.0 / m)),
+        "omega_kp": (lambda d: omega_kp(f, dom, 2, d, 1.5, m), deltas),
     }
-    for modulus, call in moduli.items():
-        got = call(deltas)
+    for modulus, (call, ds) in moduli.items():
+        got = call(ds)
         assert isinstance(got, np.ndarray), modulus
-        assert got.tolist() == [call(float(d)) for d in deltas], modulus
+        assert got.tolist() == [call(float(d)) for d in ds], modulus
+    for bad in (deltas, 0.4 / m):
+        with pytest.raises(ConfigError, match=r"2/m = "):
+            tau_p(f, dom, bad, 2.0, m)
     with_zero = np.concatenate([[0.0], deltas])
     bound_omega, exact = analysis._omegas(f, dom, m, with_zero)
     assert not exact
@@ -167,6 +172,23 @@ def test_lambda_p_bound_report():
     assert rep.passed
     assert [r.n for r in rep.rows] == [1, 5, 25]
     assert all(r.bound == lambda_p_bound_value(Q2, 2.0, r.n, 2.0) for r in rep.rows)
+
+
+def test_power_one_of_lebesgue_is_constant_lebesgue():
+    # the first power of Lebesgue is Lebesgue itself: the cell form and
+    # the constant-Lebesgue bounds take it, with the same numbers
+    leb, pow1 = constant_lebesgue(), power_of_base(lebesgue_measure(), 1)
+    assert all_lebesgue(leb) and all_lebesgue(pow1)
+    assert not all_lebesgue(power_of_base(lebesgue_measure(), 2))
+    assert not all_lebesgue(dirac_shift([0.25]))
+    for dom in (I, K2):
+        f = lookup("exp_sum", [], dom)
+        xs = uniform_grid(dom, 5)
+        want = eval_Cn_cells(cfg_for(dom, 1.0, leb), 6, f, xs)
+        assert eval_Cn_cells(cfg_for(dom, 1.0, pow1), 6, f, xs).tobytes() == want.tobytes()
+        reports = [check_bound(cfg_for(dom, 2.0, seq), None, [1, 5], "lambda_p_bound", 6, p=2.0)
+                   for seq in (leb, pow1)]
+        assert reports[0].passed and reports[1] == reports[0]
 
 
 def test_lp_equibounded_report():
@@ -276,7 +298,7 @@ def test_loglog_slope_recovers_exponent():
 def _dense_lp_error(cfg, n, f, p, level):
     """lp_error with C_n evaluated at the grid's points one by one (the
     dense per-point contraction)."""
-    cn = eval_Cn_cells if cfg.a > 0.0 and cfg.measures.kind == "constant_lebesgue" else eval_Cn
+    cn = eval_Cn_cells if cfg.a > 0.0 and all_lebesgue(cfg.measures) else eval_Cn
     return lp_norm(cfg.domain, lambda pts: cn(cfg, n, f, pts) - f(pts), p, level)
 
 

@@ -482,6 +482,22 @@ def test_nan_discrete_weight_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("measures,path", [
+    ({"kind": "explicit_list", "measures": [
+        {"kind": "power", "base": {"kind": "power", "exponent": 2}, "exponent": 2}]},
+     "operator.measures.measures[0]"),
+    ({"kind": "power_of_base", "base": {"kind": "power", "exponent": 2}, "exponent": 3},
+     "operator.measures"),
+])
+def test_nested_power_measure_is_a_config_error_at_its_path(tmp_path, capsys, measures, path):
+    cfgp = write_config(tmp_path, "e.json", operator={"a": 1.0, "measures": measures},
+                        experiment={"n_list": [1], "points": [[0.5]]})
+    assert main(["eval", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: nested power measures are not supported" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_discrete_atom_outside_the_domain_is_a_config_error(tmp_path, capsys):
     cfgp = write_config(
         tmp_path, "e.json",

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kantorov.bernstein import eval_Bn, lattice
 from kantorov.catalog import lookup
+from kantorov.cli import _AFFINE_TOL, _QUADRATIC_TOL
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, uniform_grid
 from kantorov import kantorovich
@@ -44,6 +45,7 @@ I = Domain.interval()
 Q2 = Domain.hypercube(2)
 Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
+K3 = Domain.simplex(3)
 
 ID = lambda p: p[:, 0]
 SQ = lambda p: p[:, 0] ** 2
@@ -488,6 +490,70 @@ def test_cn_is_monotone(case, data):
     g = lambda p: f(p) + h(p)
     cf, cg = eval_Cn(cfg, n, f, xs), eval_Cn(cfg, n, g, xs)
     assert np.all(cf <= cg + 1e-14 * np.abs(cg))
+
+
+def _inside(draw, dom):
+    """A random point of ``dom``."""
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dom.dim, max_size=dom.dim)))
+    return u / max(1.0, u.sum()) if dom.kind == "simplex" else u
+
+
+@st.composite
+def _moment_cases(draw):
+    """(config, n, exact m1, exact m2, points): a domain, a in (0, 3], a
+    small n and a measure sequence whose first and second coordinate
+    moments have closed forms: Lebesgue or a 2-3 atom discrete base to a
+    power k in {1, 2, 3}, or a Dirac shift."""
+    dom = draw(st.sampled_from([I, Q2, Q3, K2, K3]))
+    a = draw(st.floats(0.0, 3.0, exclude_min=True))
+    kind = draw(st.sampled_from(["lebesgue", "discrete", "dirac"]))
+    # Lebesgue to the third power on K3 takes (L+1)^9 rule nodes: 2M at
+    # the ladder's second level
+    k = draw(st.integers(1, 2 if (kind, dom) == ("lebesgue", K3) else 3))
+    d = dom.dim
+    if kind == "lebesgue":
+        seq = power_of_base(lebesgue_measure(), k)
+        if dom.kind == "simplex":
+            mean, square = 1.0 / (d + 1), 2.0 / ((d + 1) * (d + 2))
+        else:
+            mean, square = 0.5, 1.0 / 3.0
+        m1, m2 = np.full(d, mean), np.full(d, mean**2 + (square - mean**2) / k)
+    elif kind == "discrete":
+        atoms = np.array([_inside(draw, dom) for _ in range(draw(st.integers(2, 3)))])
+        w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms),
+                                   max_size=len(atoms))))
+        w /= w.sum()
+        seq = power_of_base(discrete_spec(discrete_measure(atoms, w, dom)), k)
+        m1 = w @ atoms
+        m2 = m1**2 + (w @ atoms**2 - m1**2) / k
+    else:
+        point = _inside(draw, dom)
+        seq = dirac_shift(point)
+        m1, m2 = point, point**2
+    cfg = cfg_for(dom, a, seq, level=2)
+    xs = np.array([_inside(draw, dom) for _ in range(draw(st.integers(1, 3)))])
+    return cfg, draw(st.integers(1, 4)), m1, m2, xs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_moment_cases(), data=st.data())
+def test_moments_match_their_closed_forms(case, data):
+    # the measure moments against forms derived without any rule, and C_n
+    # of an affine form and of pr_i^2 against the moment identities, to
+    # the tolerances the verify subcommand uses
+    cfg, n, m1, m2, xs = case
+    got1, got2 = measure_moments(cfg, n)
+    np.testing.assert_allclose(got1, m1, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got2, m2, rtol=0.0, atol=1e-14)
+    d = cfg.domain.dim
+    coef = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d + 1, max_size=d + 1))
+    h = AffineForm(coef[0], tuple(coef[1:]))
+    gap = np.abs(eval_Cn(cfg, n, h, xs) - cn_affine_moment(cfg, n, h, xs))
+    assert gap.max() <= _AFFINE_TOL
+    for i in range(d):
+        square = lambda p, i=i: p[:, i] ** 2
+        gap = np.abs(eval_Cn(cfg, n, square, xs) - cn_quadratic_moment(cfg, n, i, xs))
+        assert gap.max() <= _QUADRATIC_TOL
 
 
 def test_invalid_n():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from kantorov.errors import ConfigError
-from kantorov.geometry import Domain
+from kantorov.geometry import Domain, quadrature_rule
 from kantorov.measures import (
     MAX_RULE_NODES,
+    MeasureSeqSpec,
+    MeasureSpec,
     check_rule_budget,
     constant_lebesgue,
     dirac,
@@ -65,10 +67,58 @@ def test_dirac():
 
 
 def test_power_measure_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="integer >= 1"):
         power_measure(lebesgue_measure(), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="nested"):
         power_measure(power_measure(lebesgue_measure(), 2), 2)  # no nesting
+    with pytest.raises(ConfigError, match="unknown measure kind"):
+        MeasureSpec("power")
+    with pytest.raises(ConfigError, match="needs a DiscreteMeasure"):
+        MeasureSpec("discrete")
+    with pytest.raises(ConfigError, match="unknown measure sequence kind"):
+        MeasureSeqSpec("constant_lebesgue")
+    with pytest.raises(ConfigError, match="needs its measure"):
+        MeasureSeqSpec("constant")
+    with pytest.raises(ConfigError, match="point rule"):
+        MeasureSeqSpec("dirac_shift")
+    with pytest.raises(ConfigError, match="at least one measure"):
+        explicit_list([])
+
+
+def test_power_one_is_the_base():
+    coin = discrete_spec(COIN)
+    for mu in (lebesgue_measure(), coin):
+        assert power_measure(mu, 1) == mu and power_measure(mu, 1).exponent == 1
+    assert power_measure(coin, 1).discrete is COIN
+    assert power_measure(coin, 3) != coin and power_measure(coin, 3).discrete is COIN
+    # a constant sequence resolves to its one measure at every n
+    seq = power_of_base(coin, 2)
+    assert resolve(seq, 1) is resolve(seq, 9) and resolve(seq, 9) == power_measure(coin, 2)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dom", [I, Q2, Q3, K2, K3], ids=lambda d: f"{d.kind}{d.dim}")
+def test_lebesgue_rule_is_the_quadrature_rule_bitwise(dom):
+    # exponent 1 of the B-spline product rule is Gauss-Legendre on I and
+    # Q_d; on K_d the 1-fold tensor is the collapsed rule, of mass 1
+    mass = math.factorial(dom.dim) if dom.kind == "simplex" else 1
+    for level in (1, 2, 5, 8, 16):
+        nodes, weights = measure_nodes(lebesgue_measure(), dom, level)
+        rule = quadrature_rule(dom, level)
+        assert _same_bits(nodes, rule.points)
+        assert _same_bits(weights, rule.weights * mass)
+
+
+def test_discrete_rule_is_its_atoms_bitwise():
+    rng = np.random.default_rng(7)
+    atoms = rng.uniform(0.0, 0.5, size=(3, 2))
+    w = rng.uniform(0.2, 1.0, size=3)
+    for mu, dom in ((COIN, I), (discrete_measure(atoms, w / w.sum(), K2), K2)):
+        nodes, weights = measure_nodes(discrete_spec(mu), dom, 5)
+        assert _same_bits(nodes, mu.atoms) and _same_bits(weights, mu.weights)
 
 
 def test_sequence_resolution():
