@@ -36,7 +36,7 @@ from .kantorovich import (
 )
 from .markov import markov_values
 from .measures import all_lebesgue
-from .moduli import _half_offsets, _pair_blocks, _positions, lipschitz_estimate, omega1
+from .moduli import _half_offsets, _pair_blocks, lipschitz_estimate, omega1
 
 TOL_CLOSED = 1e-6
 TOL_GRID = 0.02
@@ -92,10 +92,6 @@ class BoundReport(_Verdict):
         return max((r.ratio for r in self.rows), default=0.0)
 
     @property
-    def n_range(self) -> tuple:
-        return (self.rows[0].n, self.rows[-1].n) if self.rows else (0, 0)
-
-    @property
     def passed(self) -> bool:
         return self.max_ratio <= 1.0 + self.tol
 
@@ -124,7 +120,7 @@ def lp_norm(domain: Domain, g, p: float, level: int = 8) -> float:
     """(integral of |g|^p over the domain, plain Lebesgue)^(1/p) on
     the grid :func:`lp_grid`."""
     if p < 1.0:
-        raise ValueError("p must be >= 1")
+        raise ConfigError("p must be >= 1")
     grid = lp_grid(domain, level)
     return _grid_norm(grid, values(g, grid.points), p)
 
@@ -170,7 +166,7 @@ def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.n
 def lp_error(cfg: OperatorConfig, n: int, f, p: float, level: int = 8) -> float:
     """L^p distance between C_n(f) and f (cell form where available)."""
     if p < 1.0:
-        raise ValueError("p must be >= 1")
+        raise ConfigError("p must be >= 1")
     grid = lp_grid(cfg.domain, level)
     cn = _cn_evaluator(cfg, n, f)(grid)
     return _grid_norm(grid, cn - values(f, grid.points), p)
@@ -426,24 +422,20 @@ def convexity_report(g, domain: Domain, mode: str, m: int) -> ConvexityReport:
     doubled grid) or a precomputed value array on ``uniform_grid(2m)``.
     """
     if mode not in _MODES:
-        raise ValueError(f"unknown convexity mode {mode!r}")
+        raise ConfigError(f"unknown convexity mode {mode!r}")
     if mode == "axially_convex" and domain.kind != SIMPLEX:
-        raise ValueError("axially_convex applies to the simplex")
-    pts = uniform_grid(domain, m)
+        raise ConfigError("axially_convex applies to the simplex")
     pts2 = uniform_grid(domain, 2 * m)
     g2 = values(g if callable(g) else lambda _: g, pts2)
-    # the m grid's points are the rows of the 2m grid at even indices
-    even = _positions(domain, 2 * m)[(slice(None, None, 2),) * domain.dim]
-    gv = g2[even[even >= 0]]
     ks = _half_offsets(domain.dim, m)
     worst = -math.inf
     witness = None
     for a, b, mid in _pair_blocks(domain, m, ks[_MODES[mode](ks)], midpoints=True):
-        viol = g2[mid] - 0.5 * (gv[a] + gv[b])
+        viol = g2[mid] - 0.5 * (g2[a] + g2[b])
         j = int(np.argmax(viol))
         if viol[j] > worst:
             worst = float(viol[j])
-            witness = (pts[a[j]].copy(), pts[b[j]].copy())
+            witness = (pts2[a[j]].copy(), pts2[b[j]].copy())
     return ConvexityReport(mode, worst <= TOL_CONVEX, worst, witness, TOL_CONVEX)
 
 
@@ -489,7 +481,7 @@ def lipschitz_preservation(cfg: OperatorConfig, n: int, f, m: int) -> LipschitzR
     """C_n should not enlarge the l1-Lipschitz constant of f."""
     meta = getattr(f, "meta", None)
     if meta is None or meta.lipschitz_l1 is None:
-        raise ValueError("function needs a known l1-Lipschitz constant")
+        raise ConfigError("function needs a known l1-Lipschitz constant")
     est = lipschitz_estimate(eval_Cn(cfg, n, f, _grid(cfg.domain, m)), cfg.domain, m)
     return LipschitzReport(est <= meta.lipschitz_l1 + TOL_LIPSCHITZ, meta.lipschitz_l1, est,
                            TOL_LIPSCHITZ)

@@ -223,11 +223,11 @@ def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, x):
 def _validate_index(domain: Domain, n: int, h) -> np.ndarray:
     harr = np.atleast_1d(np.asarray(h, dtype=int))
     if harr.shape != (domain.dim,):
-        raise ValueError(f"multi-index {h!r} does not match domain dim {domain.dim}")
+        raise ConfigError(f"multi-index {h!r} does not match domain dim {domain.dim}")
     if np.any(harr < 0) or np.any(harr > n):
-        raise ValueError(f"multi-index {h!r} out of range for order {n}")
+        raise ConfigError(f"multi-index {h!r} out of range for order {n}")
     if domain.kind == SIMPLEX and harr.sum() > n:
-        raise ValueError(f"multi-index {h!r} exceeds simplex order {n}")
+        raise ConfigError(f"multi-index {h!r} exceeds simplex order {n}")
     return harr
 
 
@@ -236,7 +236,7 @@ def basis(domain: Domain, n: int, h, x) -> float:
     harr = _validate_index(domain, n, h)
     xs, single = admit(domain, x)
     if not single:
-        raise ValueError(f"basis takes one point, got shape {xs.shape}")
+        raise ConfigError(f"basis takes one point, got shape {xs.shape}")
     return float(_basis_columns(domain, n, xs, harr[None])[0, 0])
 
 

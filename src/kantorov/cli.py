@@ -174,16 +174,7 @@ def _parse_domain(raw) -> Domain:
     kind = _str(_get(raw, "kind", "domain"), "domain.kind",
                 choices=("interval", "hypercube", "simplex"))
     dim = _int(_get(raw, "dim", "domain", 1), "domain.dim", 1)
-    try:
-        if kind == "interval":
-            if dim != 1:
-                raise ValueError("the interval is one-dimensional")
-            return Domain.interval()
-        if kind == "hypercube":
-            return Domain.hypercube(dim)
-        return Domain.simplex(dim)
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from None
+    return _at("domain", Domain, kind, dim)
 
 
 def _parse_measure(raw, domain: Domain, path: str):
@@ -201,10 +192,10 @@ def _parse_measure(raw, domain: Domain, path: str):
 
 
 def _at(path: str, build, *args):
-    """``build(*args)``, with its errors as ``ConfigError``s that name ``path``."""
+    """``build(*args)``, with its ``ConfigError`` prefixed by ``path``."""
     try:
         return build(*args)
-    except (ConfigError, ValueError, TypeError, OverflowError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -253,10 +244,7 @@ def _parse_function(raw, domain: Domain, required: bool):
     params = _get(raw, "params", "function", [])
     if not isinstance(params, list):
         raise ConfigError("function.params: expected a list of numbers")
-    try:
-        return lookup(name, params, domain)
-    except ConfigError as exc:
-        raise ConfigError(f"function: {exc}") from None
+    return _at("function", lookup, name, params, domain)
 
 
 def _parse_p(value, path: str):
@@ -307,7 +295,6 @@ class RunPlan:
     n_list: list[int] = field(default_factory=list)
     grid_resolution: int = 0
     p: Optional[float] = None
-    quad_level: int = 8
     bounds: list[str] = field(default_factory=list)
     points: list[np.ndarray] = field(default_factory=list)
     delta_list: list[float] = field(default_factory=list)
@@ -350,10 +337,7 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
             f"{command!r} subcommand was invoked"
         )
     quad_level = _int(_get(exp_raw, "quad_level", "experiment", 8), "experiment.quad_level", 1)
-    try:
-        cfg = OperatorConfig(domain, a, measures, quad_level)
-    except ConfigError as exc:
-        raise ConfigError(f"operator: {exc}") from None
+    cfg = _at("operator", OperatorConfig, domain, a, measures, quad_level)
 
     bounds = exp_raw.get("bounds", [])
     if not isinstance(bounds, list):
@@ -365,7 +349,6 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
     f = _parse_function(raw.get("function"), domain, required=needs_f)
 
     plan = RunPlan(command=command, cfg=cfg, f=f, raw=raw)
-    plan.quad_level = quad_level
     plan.bounds = list(bounds)
     plan.grid_resolution = _int(
         _get(exp_raw, "grid_resolution", "experiment", _default_grid(domain)),
@@ -373,10 +356,7 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
     )
     plan.p = _parse_p(exp_raw.get("p"), "experiment.p")
     plan.k = _int(_get(exp_raw, "k", "experiment", 1), "experiment.k", 1)
-    try:
-        difference_coeffs(plan.k)
-    except ConfigError as exc:
-        raise ConfigError(f"experiment.k: {exc}") from None
+    _at("experiment.k", difference_coeffs, plan.k)
     plan.seed = _int(_get(raw, "seed", "config", 42), "seed", 0)
     if seed_override is not None:
         plan.seed = seed_override
@@ -390,10 +370,7 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
         )
         if any(d <= 0.0 for d in plan.delta_list):
             raise ConfigError("experiment.delta_list: deltas must be positive")
-        try:
-            check_tau_deltas(plan.delta_list, plan.grid_resolution)
-        except ConfigError as exc:
-            raise ConfigError(f"experiment.delta_list: {exc}") from None
+        _at("experiment.delta_list", check_tau_deltas, plan.delta_list, plan.grid_resolution)
     else:
         plan.n_list = sorted(_int_list(_get(exp_raw, "n_list", "experiment"),
                                        "experiment.n_list"))
@@ -402,10 +379,8 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
                 f"operator.measures.measures: {len(measures.measures)} measure(s) listed, "
                 f"one per n, but experiment.n_list reaches n = {plan.n_list[-1]}")
         for n in plan.n_list:
-            try:
-                check_rule_budget(resolve(measures, n, domain), domain, quad_level)
-            except ConfigError as exc:
-                raise ConfigError(f"operator.measures: n = {n}: {exc}") from None
+            _at(f"operator.measures: n = {n}",
+                lambda: check_rule_budget(resolve(measures, n, domain), domain, quad_level))
 
     if command == "eval":
         pts_raw = _get(exp_raw, "points", "experiment")
@@ -538,7 +513,7 @@ def _run_eval(plan: RunPlan):
 
 def _run_converge(plan: RunPlan):
     table = convergence_table(
-        plan.cfg, plan.f, plan.n_list, plan.grid_resolution, plan.p, plan.quad_level
+        plan.cfg, plan.f, plan.n_list, plan.grid_resolution, plan.p, plan.cfg.quad_level
     )
     rows = [
         {"n": r.n, "sup_error": r.sup_error, "lp_error": r.lp_error}
@@ -609,7 +584,7 @@ def _bound_rows(plan: RunPlan):
     """Rows and one summary group per requested bound id."""
     rows, groups = [], []
     for bound_id in plan.bounds:
-        m_or_level = plan.grid_resolution if bound_id in _SUP_BOUNDS else plan.quad_level
+        m_or_level = plan.grid_resolution if bound_id in _SUP_BOUNDS else plan.cfg.quad_level
         report = check_bound(
             plan.cfg, plan.f, plan.n_list, bound_id, m_or_level,
             plan.p if plan.p is not None else 2.0,

@@ -10,8 +10,8 @@ class KantorovError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ConfigError(KantorovError):
-    """An operator / run configuration is structurally invalid."""
+class ConfigError(KantorovError, ValueError):
+    """An argument or a run configuration is invalid; a ``ValueError`` too."""
 
 
 class NumericError(KantorovError):

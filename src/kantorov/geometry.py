@@ -36,11 +36,11 @@ class Domain:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            raise ConfigError(f"unknown domain kind {self.kind!r}")
         if self.kind == INTERVAL and self.dim != 1:
-            raise ValueError("interval domain must have dim=1")
+            raise ConfigError("interval domain must have dim=1")
         if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
+            raise ConfigError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
 
     @classmethod
     def interval(cls) -> "Domain":
@@ -156,7 +156,7 @@ def values(f, pts: np.ndarray, where: str = "point") -> np.ndarray:
     finite; raises :class:`NumericError` at the first non-finite value."""
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (pts.shape[0],):
-        raise ValueError("function must map (G, d) points to (G,) values")
+        raise ConfigError("function must map (G, d) points to (G,) values")
     if not np.isfinite(vals).all():
         pt = pts[np.argmin(np.isfinite(vals))].copy()
         raise NumericError(f"function non-finite at {where} {pt}", point=pt)
@@ -172,7 +172,7 @@ def uniform_grid(domain: Domain, m: int) -> np.ndarray:
     :func:`inside` admits the rounding noise of ``i/m`` anyway.
     """
     if m < 1:
-        raise ValueError("grid resolution m must be >= 1")
+        raise ConfigError("grid resolution m must be >= 1")
     d = domain.dim
     idx = np.indices((m + 1,) * d).reshape(d, -1).T
     if domain.kind == SIMPLEX:
@@ -193,9 +193,9 @@ def uniform_product_grid(domain: Domain, m: int) -> ProductGrid:
     """:func:`uniform_grid` on the interval or hypercube as a :class:`ProductGrid`
     (nodes ``i/m``, the same rows in the same order), with trapezoid weights."""
     if domain.kind == SIMPLEX:
-        raise ValueError("the simplex's uniform grid is not a product grid")
+        raise ConfigError("the simplex's uniform grid is not a product grid")
     if m < 1:
-        raise ValueError("grid resolution m must be >= 1")
+        raise ConfigError("grid resolution m must be >= 1")
     return ProductGrid(domain, np.arange(m + 1) / m, trapezoid_weights(m, m))
 
 
@@ -266,9 +266,9 @@ class ProductGrid:
         nodes = np.asarray(self.nodes_1d, dtype=float)
         weights = np.asarray(self.weights_1d, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
-            raise ValueError("grid needs matching non-empty 1-D nodes and weights")
+            raise ConfigError("grid needs matching non-empty 1-D nodes and weights")
         if not np.all((nodes >= 0.0) & (nodes <= 1.0)):
-            raise ValueError("grid nodes must lie in [0, 1]")
+            raise ConfigError("grid nodes must lie in [0, 1]")
         object.__setattr__(self, "nodes_1d", nodes)
         object.__setattr__(self, "weights_1d", weights)
 
@@ -307,5 +307,5 @@ def quadrature_rule(domain: Domain, level: int) -> ProductGrid:
     are used there to keep the same total-degree exactness.
     """
     if level < 1:
-        raise ValueError("quadrature level must be >= 1")
+        raise ConfigError("quadrature level must be >= 1")
     return ProductGrid(domain, *gauss01(level + (domain.kind == SIMPLEX)))

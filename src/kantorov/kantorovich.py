@@ -83,7 +83,7 @@ class AffineForm:
         object.__setattr__(self, "gradient", grad)
         object.__setattr__(self, "constant", float(self.constant))
         if not math.isfinite(self.constant) or not all(math.isfinite(g) for g in grad):
-            raise ValueError("affine form coefficients must be finite")
+            raise ConfigError("affine form coefficients must be finite")
 
     @property
     def dim(self) -> int:
@@ -97,14 +97,11 @@ class AffineForm:
             pts = np.stack(tuple(pts.T), axis=1)
         return self.constant + pts @ np.asarray(self.gradient)
 
-    def value(self, x) -> float:
-        return float(self.constant + np.dot(np.atleast_1d(x), self.gradient))
-
 
 def coordinate_form(domain: Domain, i: int) -> AffineForm:
     """The i-th coordinate projection (0-based) as an affine form."""
     if not 0 <= i < domain.dim:
-        raise ValueError(f"coordinate index {i} out of range for dim {domain.dim}")
+        raise ConfigError(f"coordinate index {i} out of range for dim {domain.dim}")
     grad = [0.0] * domain.dim
     grad[i] = 1.0
     return AffineForm(0.0, tuple(grad))
@@ -354,7 +351,7 @@ def cn_quadratic_moment(cfg: OperatorConfig, n: int, i: int, x):
     """
     check_n(n)
     if not 0 <= i < cfg.domain.dim:
-        raise ValueError(f"coordinate index {i} out of range")
+        raise ConfigError(f"coordinate index {i} out of range")
     xs, single = admit(cfg.domain, x)
     xi = xs[:, i]
     a = cfg.a

@@ -36,14 +36,18 @@ MAX_RULE_NODES = 4_000_000
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure; :class:`ConfigError`
-    unless the weights are finite, non-negative and sum to 1."""
+    unless the atoms and weights are finite numbers and the weights are
+    non-negative and sum to 1."""
 
     atoms: np.ndarray  # (k, d)
     weights: np.ndarray  # (k,)
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        try:
+            atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+            weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("discrete measure atoms and weights must be numbers") from None
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         if atoms.shape[0] != weights.shape[0]:
@@ -62,7 +66,7 @@ class DiscreteMeasure:
 
 
 def discrete_measure(atoms, weights, domain: Optional[Domain] = None) -> DiscreteMeasure:
-    mu = DiscreteMeasure(np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float))
+    mu = DiscreteMeasure(atoms, weights)
     if domain is not None:
         for atom in mu.atoms:
             if not contains(domain, atom):
@@ -295,7 +299,7 @@ def measure_nodes(
     """
     k = mu.exponent
     if cuts is not None and (domain.kind == SIMPLEX or is_discrete(mu)):
-        raise ValueError("cut rules need Lebesgue or its power on the interval or cube")
+        raise ConfigError("cut rules need Lebesgue or its power on the interval or cube")
     if is_discrete(mu):
         atoms, bw = mu.discrete.atoms, mu.discrete.weights
         nodes, weights = [], []

@@ -79,13 +79,14 @@ def _pair_blocks(domain: Domain, m: int, ks: np.ndarray, midpoints=False):
 
     ``ks`` is a lexicographically ordered subset of ``_half_offsets``.
     A pair is a row ``a`` at index ``i`` and a row ``b`` at index
-    ``i + k``.  Yields ``(a, b)``, or ``(a, b, mid)`` with ``mid`` the
-    row of ``2i + k`` in ``uniform_grid(domain, 2m)``.
+    ``i + k``.  Yields ``(a, b)``, or with ``midpoints`` ``(a, b, mid)``:
+    the rows of ``2i``, ``2i + 2k`` and ``2i + k`` in
+    ``uniform_grid(domain, 2m)``.
     """
     if not len(ks):
         return
-    pos = _positions(domain, m)
     pos2 = _positions(domain, 2 * m) if midpoints else None
+    pos = pos2[(slice(None, None, 2),) * domain.dim] if midpoints else _positions(domain, m)
     # A run of offsets that share all but the last entry, and fall in one
     # window of _PAIRS_PER_BLOCK pairs (counted on the cube), takes one
     # slicing of the leading axes.
@@ -165,9 +166,8 @@ def omega1(f, domain: Domain, delta, m: int):
 def omega2(f, domain: Domain, delta, m: int):
     """Second modulus: sup |f(x) - 2f((x+y)/2) + f(y)|, dist(x,y) <= 2*delta."""
     deltas, like = _deltas(delta)
-    fv = values(f, uniform_grid(domain, m))
     fv2 = values(f, uniform_grid(domain, 2 * m))
-    diff = lambda a, b, mid: np.abs(fv[a] + fv[b] - 2.0 * fv2[mid])
+    diff = lambda a, b, mid: np.abs(fv2[a] + fv2[b] - 2.0 * fv2[mid])
     return like(_shell_max(domain, m, 2.0 * deltas * m, _pair_max(domain, m, diff, True)))
 
 
@@ -286,13 +286,9 @@ def lipschitz_estimate(f, domain: Domain, m: int) -> float:
     """
     pts = uniform_grid(domain, m)
     fv = values(f if callable(f) else lambda _: f, pts)
-    pos = _positions(domain, m)
     best = 0.0
-    for axis in range(domain.dim):
-        a = np.take(pos, np.arange(m), axis=axis).ravel()
-        b = np.take(pos, np.arange(1, m + 1), axis=axis).ravel()
-        # -1 marks a row outside the simplex; a lies below b, so inside when b is
-        a, b = a[b >= 0], b[b >= 0]
+    # the unit offsets, in the lexicographic order _pair_blocks takes
+    for a, b in _pair_blocks(domain, m, np.eye(domain.dim, dtype=int)[::-1]):
         dist = sum(np.abs(x[a] - x[b]) for x in pts.T)
         best = max(best, float(np.max(np.abs(fv[a] - fv[b]) / dist)))
     return best

@@ -7,20 +7,25 @@ package reads passes ``geometry.values``, so a NaN raises
 """
 
 import json
+import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kantorov import kantorovich
-from kantorov.analysis import convexity_report, lp_grid, lp_norm, sandwich_check
+from kantorov import geometry, kantorovich
+from kantorov.analysis import (convexity_report, lipschitz_preservation, lp_error, lp_grid,
+                               lp_norm, sandwich_check)
 from kantorov.bernstein import apply_lattice_values, basis, basis_weights, eval_Bn, lattice_points
 from kantorov.catalog import lookup
 from kantorov.cli import main, parse_config
 from kantorov.errors import ConfigError, NumericError
-from kantorov.geometry import Domain, admit, contains, uniform_grid, values
+from kantorov.geometry import (Domain, ProductGrid, admit, contains, quadrature_rule,
+                               uniform_grid, uniform_product_grid, values)
 from kantorov.kantorovich import (
+    AffineForm,
     OperatorConfig,
     cn_affine_moment,
     cn_bilinear_moment,
@@ -31,7 +36,7 @@ from kantorov.kantorovich import (
     eval_In,
 )
 from kantorov.markov import selection
-from kantorov.measures import constant_lebesgue
+from kantorov.measures import constant_lebesgue, discrete_measure, lebesgue_measure, measure_nodes
 from kantorov.moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p
 
 I = Domain.interval()
@@ -195,7 +200,7 @@ def test_values_names_the_first_non_finite_point():
     with pytest.raises(NumericError, match="non-finite") as err:
         values(nan_above(0.6), pts)
     assert err.value.point.tolist() == [0.75]
-    with pytest.raises(ValueError, match=r"\(G,\)"):
+    with pytest.raises(ConfigError, match=r"\(G,\)"):
         values(lambda p: p, pts)
 
 
@@ -263,3 +268,49 @@ NAN_CALLS = {
 def test_nan_function_values_raise_numeric_error(name):
     with pytest.raises(NumericError):
         NAN_CALLS[name](nan_above(0.7))
+
+
+# Every argument check of the library, called through a public function.
+_FIRST = lambda p: p[:, 0]
+BAD_ARGUMENTS = {
+    "Domain kind": lambda: Domain("cube", 1),
+    "Domain interval dim": lambda: Domain("interval", 2),
+    "Domain dim": lambda: Domain.hypercube(4),
+    "values shape": lambda: values(lambda p: p, uniform_grid(Q2, 2)),
+    "uniform_grid m": lambda: uniform_grid(I, 0),
+    "uniform_product_grid simplex": lambda: uniform_product_grid(K2, 4),
+    "uniform_product_grid m": lambda: uniform_product_grid(Q2, 0),
+    "ProductGrid shapes": lambda: ProductGrid(I, np.array([0.5]), np.ones(2)),
+    "ProductGrid nodes": lambda: ProductGrid(I, np.array([1.5]), np.ones(1)),
+    "quadrature_rule level": lambda: quadrature_rule(I, 0),
+    "lp_norm p": lambda: lp_norm(I, _FIRST, 0.5),
+    "lp_error p": lambda: lp_error(cfg_for(I), 2, _FIRST, 0.5),
+    "convexity_report mode": lambda: convexity_report(_FIRST, I, "concave", 4),
+    "convexity_report axially_convex": lambda: convexity_report(_FIRST, Q2, "axially_convex", 4),
+    "lipschitz_preservation constant": lambda: lipschitz_preservation(cfg_for(I), 2, _FIRST, 4),
+    "basis index dim": lambda: basis(Q2, 2, [1], [0.5, 0.5]),
+    "basis index range": lambda: basis(I, 2, [3], [0.5]),
+    "basis simplex order": lambda: basis(K2, 2, [2, 1], [0.25, 0.25]),
+    "basis one point": lambda: basis(I, 2, [1], [[0.2], [0.3]]),
+    "AffineForm finite": lambda: AffineForm(math.inf, (1.0,)),
+    "coordinate_form index": lambda: coordinate_form(Q2, 2),
+    "cn_quadratic_moment index": lambda: cn_quadratic_moment(cfg_for(Q2), 2, 2, [0.5, 0.5]),
+    "measure_nodes cut": lambda: measure_nodes(lebesgue_measure(), K2, 4,
+                                               cuts=[np.array([0.5])] * 2),
+    "discrete_measure numbers": lambda: discrete_measure([[0.1], "x"], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_bad_arguments_raise_config_error_which_is_a_value_error(name):
+    with pytest.raises(ConfigError) as err:
+        BAD_ARGUMENTS[name]()
+    assert isinstance(err.value, ValueError)
+
+
+def test_the_package_raises_no_bare_value_error():
+    src = pathlib.Path(geometry.__file__).parent
+    offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if "raise ValueError" in line]
+    assert offenders == []

@@ -42,9 +42,9 @@ def test_basis_hand_values():
 
 
 def test_basis_index_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         basis(I, 2, [3], [0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         basis(K2, 2, [2, 1], [0.25, 0.25])  # index sum exceeds n
 
 

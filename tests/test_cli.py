@@ -512,6 +512,23 @@ def test_discrete_atom_outside_the_domain_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("atoms", [[[0.1], "x"], {"a": 1}, [[10**400]]],
+                         ids=["string", "object", "beyond-float"])
+def test_junk_discrete_atoms_are_a_config_error_at_their_path(tmp_path, capsys, atoms):
+    cfgp = write_config(
+        tmp_path, "e.json",
+        operator={"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
+            {"kind": "discrete", "atoms": atoms, "weights": [1.0]},
+        ]}},
+        experiment={"n_list": [1], "points": [[0.5]]},
+    )
+    assert main(["eval", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: operator.measures.measures[0]: "
+                            "discrete measure atoms and weights must be numbers\n")
+    assert captured.out == ""
+
+
 # Small valid configs, one per subcommand, each a fraction of a second to
 # run; together they reach every measure kind and bound id.
 _FUZZ_BASES = {

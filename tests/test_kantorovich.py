@@ -88,7 +88,7 @@ def test_quad_level_above_the_ladder_cap_is_rejected():
 def test_affine_form():
     h = AffineForm(0.5, (2.0, -1.0))
     np.testing.assert_allclose(h(np.array([[0.25, 0.5]])), [0.5])
-    assert h.value([0.25, 0.5]) == pytest.approx(0.5)
+    assert float(h(np.array([0.25, 0.5]))[0]) == pytest.approx(0.5)
     assert coordinate_form(Q2, 1).gradient == (0.0, 1.0)
 
 

@@ -316,7 +316,7 @@ def test_cuts_split_only_inside_knot_intervals():
 def test_cut_rules_need_lebesgue_on_the_interval_or_cube():
     for mu, dom in ((lebesgue_measure(), K2), (discrete_spec(COIN), I),
                     (power_measure(discrete_spec(COIN), 2), I)):
-        with pytest.raises(ValueError, match="cut rules"):
+        with pytest.raises(ConfigError, match="cut rules"):
             measure_nodes(mu, dom, 4, cuts=[np.array([0.5])] * dom.dim)
 
 

@@ -270,13 +270,19 @@ def test_lipschitz_estimate_is_the_all_pairs_maximum(data):
     assert est <= ref <= est * (1.0 + 4.0 * np.finfo(float).eps)
 
 
-def test_lipschitz_estimate_does_not_walk_the_pair_kernel(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("lipschitz_estimate walked _pair_blocks")
+def test_lipschitz_estimate_walks_the_pair_kernel_on_unit_offsets(monkeypatch):
+    walked = []
 
-    monkeypatch.setattr(moduli, "_pair_blocks", refuse)
+    def record(domain, m, ks, midpoints=False):
+        walked.append(ks.tolist())
+        return _pair_blocks(domain, m, ks, midpoints)
+
+    monkeypatch.setattr(moduli, "_pair_blocks", record)
     for dom in (I, Q2, Q3, K2, K3):
+        walked.clear()
         assert lipschitz_estimate(lambda p: p.sum(axis=1), dom, 5) == pytest.approx(1.0)
+        # one walk, of the d unit offsets in lexicographic order
+        assert walked == [np.eye(dom.dim, dtype=int)[::-1].tolist()]
 
 
 def test_scaled_metric_on_hypercube():
@@ -304,16 +310,25 @@ def test_pair_blocks_yield_each_admitted_pair_once(dom, m, name, block, monkeypa
     keep = _FILTERS[name]
     idx = np.rint(uniform_grid(dom, m) * m).astype(int)
     idx2 = np.rint(uniform_grid(dom, 2 * m) * 2 * m).astype(int)
+    # the m grid's index tuples, as rows of the 2m grid (index 2i)
+    row2 = {tuple(t): r for r, t in enumerate(idx2.tolist())}
+    even = [row2[tuple(2 * c for c in t)] for t in idx.tolist()]
     expect = set()
     for p in range(len(idx)):
         for q in range(p + 1, len(idx)):
             if keep((idx[q] - idx[p])[None, :])[0]:
                 expect.add((p, q))
     ks = _half_offsets(dom.dim, m)
-    got = []
+    pairs, pairs2 = [], []
+    for a, b in _pair_blocks(dom, m, ks[keep(ks)]):
+        pairs += zip(a.tolist(), b.tolist())
     for a, b, mid in _pair_blocks(dom, m, ks[keep(ks)], midpoints=True):
         assert a.shape == b.shape == mid.shape
-        np.testing.assert_array_equal(idx2[mid], idx[a] + idx[b])
-        got += [(min(p, q), max(p, q)) for p, q in zip(a.tolist(), b.tolist())]
+        # a, b and mid are 2m rows: 2i, 2i + 2k and their midpoint 2i + k
+        np.testing.assert_array_equal(2 * idx2[mid], idx2[a] + idx2[b])
+        pairs2 += zip(a.tolist(), b.tolist())
+    got = [(min(p, q), max(p, q)) for p, q in pairs]
     assert len(got) == len(set(got))
     assert set(got) == expect
+    # the same pairs in the same order, each row as its 2m row
+    assert pairs2 == [(even[p], even[q]) for p, q in pairs]
