@@ -36,8 +36,8 @@ MAX_RULE_NODES = 4_000_000
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure; :class:`ConfigError`
-    unless the atoms and weights are finite numbers and the weights are
-    non-negative and sum to 1."""
+    unless the atoms are a ``(k, d)`` and the weights a ``(k,)`` array of
+    finite numbers and the weights are non-negative and sum to 1."""
 
     atoms: np.ndarray  # (k, d)
     weights: np.ndarray  # (k,)
@@ -50,6 +50,9 @@ class DiscreteMeasure:
             raise ConfigError("discrete measure atoms and weights must be numbers") from None
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
+        if atoms.ndim != 2 or weights.ndim != 1:
+            raise ConfigError("discrete measure atoms must be a list of points and weights "
+                              f"a list of numbers, got shapes {atoms.shape} and {weights.shape}")
         if atoms.shape[0] != weights.shape[0]:
             raise ConfigError("atoms/weights length mismatch")
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):

@@ -298,6 +298,7 @@ BAD_ARGUMENTS = {
     "measure_nodes cut": lambda: measure_nodes(lebesgue_measure(), K2, 4,
                                                cuts=[np.array([0.5])] * 2),
     "discrete_measure numbers": lambda: discrete_measure([[0.1], "x"], [0.5, 0.5]),
+    "discrete_measure shapes": lambda: discrete_measure([[0.1]], [[1.0]]),
 }
 
 

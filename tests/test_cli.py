@@ -529,6 +529,29 @@ def test_junk_discrete_atoms_are_a_config_error_at_their_path(tmp_path, capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("atoms,weights,shapes", [
+    ([[0.1]], [[1.0]], "(1, 1) and (1, 1)"),
+    ([[0.1], [0.2]], [[0.5], [0.5]], "(2, 1) and (2, 1)"),
+    ([[0.1]], [[]], "(1, 1) and (1, 0)"),
+    ([[[0.1]]], [1.0], "(1, 1, 1) and (1,)"),
+], ids=["nested-weight", "nested-weights", "empty-nested-weight", "nested-atom"])
+def test_nested_discrete_atoms_or_weights_are_a_config_error_at_their_path(
+        tmp_path, capsys, atoms, weights, shapes):
+    cfgp = write_config(
+        tmp_path, "e.json",
+        operator={"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
+            {"kind": "discrete", "atoms": atoms, "weights": weights},
+        ]}},
+        experiment={"n_list": [1], "points": [[0.5]]},
+    )
+    assert main(["eval", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: operator.measures.measures[0]: discrete measure "
+                            "atoms must be a list of points and weights a list of numbers, "
+                            f"got shapes {shapes}\n")
+    assert captured.out == ""
+
+
 # Small valid configs, one per subcommand, each a fraction of a second to
 # run; together they reach every measure kind and bound id.
 _FUZZ_BASES = {
@@ -570,7 +593,9 @@ _FUZZ_BASES = {
         "experiment": {"n_list": [2], "grid_resolution": 4, "quad_level": 4},
     },
 }
-_FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", [], 2**64, 10**400]
+# [[0.5], [0.5]]: a nested list of the length of the two-atom weights
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", [], 2**64, 10**400,
+                [[0.5], [0.5]]]
 
 
 def _field_paths(node, prefix=()):
