@@ -112,8 +112,10 @@ def lp_grid(domain: Domain, level: int = 8) -> ProductGrid:
 
 
 def _grid_norm(grid: ProductGrid, values, p: float) -> float:
-    vals = np.abs(np.asarray(values, dtype=float))
-    return float((grid.weights @ vals**p) ** (1.0 / p))
+    t = np.abs(np.asarray(values, dtype=float))
+    t **= p
+    t *= grid.weights
+    return float(t.sum() ** (1.0 / p))
 
 
 def lp_norm(domain: Domain, g, p: float, level: int = 8) -> float:
@@ -286,7 +288,7 @@ def _check_omega_pointwise(cfg, f, n_list, m):
     for n in n_list:
         if cfg.a > 0.0:
             m1, m2 = measure_moments(cfg, n)
-            i2 = float(m2.sum()) - 2.0 * xs @ m1 + (xs**2).sum(axis=1)
+            i2 = float(m2.sum()) - 2.0 * (xs * m1).sum(axis=1) + (xs**2).sum(axis=1)
         else:
             i2 = np.zeros(xs.shape[0])
         cn_dx2 = (cfg.a**2 * i2 + n * gap_x) / (n + cfg.a) ** 2

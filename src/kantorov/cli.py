@@ -152,6 +152,19 @@ def _float_list(value, path: str) -> list[float]:
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _num_leaves(value, path: str):
+    """``value``, once :func:`_num` has accepted every leaf of its nested
+    lists (walked without recursion: JSON nests deeper than Python's stack)."""
+    stack = [(value, path)]
+    while stack:
+        node, at = stack.pop()
+        if isinstance(node, list):
+            stack.extend((node[i], f"{at}[{i}]") for i in reversed(range(len(node))))
+        else:
+            _num(node, at)
+    return value
+
+
 def _int_list(value, path: str, minimum: int = 1) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of integers")
@@ -187,7 +200,8 @@ def _parse_measure(raw, domain: Domain, path: str):
     if kind == "power":
         return _at(path, power_measure, *_parse_power(raw, domain, path))
     _reject_unknown(raw, ("kind", "atoms", "weights"), path)
-    atoms, weights = _get(raw, "atoms", path), _get(raw, "weights", path)
+    atoms = _num_leaves(_get(raw, "atoms", path), f"{path}.atoms")
+    weights = _num_leaves(_get(raw, "weights", path), f"{path}.weights")
     return _at(path, lambda: discrete_spec(discrete_measure(atoms, weights, domain)))
 
 
@@ -244,6 +258,7 @@ def _parse_function(raw, domain: Domain, required: bool):
     params = _get(raw, "params", "function", [])
     if not isinstance(params, list):
         raise ConfigError("function.params: expected a list of numbers")
+    params = [_num(v, f"function.params[{i}]") for i, v in enumerate(params)]
     return _at("function", lookup, name, params, domain)
 
 

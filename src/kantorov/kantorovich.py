@@ -42,9 +42,7 @@ from .measures import (
 _MAX_LEVEL = 32
 _LADDER_TOL = 1e-11
 # Integrand points per block of _blend_at_level (1.5 MB of coordinates on
-# Q3).  Block rows come in groups of 4, the row group of OpenBLAS's
-# dgemv_t, so on one BLAS thread a row's weighted sum has the same bits
-# whatever the budget.
+# Q3).
 _BLOCK_POINTS = 1 << 16
 
 # The ladder_record() blocks open in this process, innermost last.
@@ -91,11 +89,10 @@ class AffineForm:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if not pts.flags.c_contiguous:
-            # BLAS sums a row in another order on other layouts, so copy
-            # to row-major (column by column: the fast copy for small d)
-            pts = np.stack(tuple(pts.T), axis=1)
-        return self.constant + pts @ np.asarray(self.gradient)
+        out = np.full(pts.shape[0], self.constant)
+        for g, col in zip(self.gradient, pts.T, strict=True):
+            out += g * col
+        return out
 
 
 def coordinate_form(domain: Domain, i: int) -> AffineForm:
@@ -152,22 +149,20 @@ def _blend_at_level(
                                        cuts=[None if cut is None else cut[0] for cut in cuts])
         q = math.prod(w.shape[-1] for w in weights)
     out = np.empty(m)
-    block = max(4, _BLOCK_POINTS // q // 4 * 4)
-    starts = list(range(0, m, block))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()  # a lone last row would take numpy's 1-row kernel
-    bounds = list(zip(starts, starts[1:] + [m]))
+    block = max(1, _BLOCK_POINTS // q)
+    bounds = [(i, min(i + block, m)) for i in range(0, m, block)]
     if cuts is None:
         # axis-major points: f gets a (G, d) batch with contiguous columns
         cn = (c * nodes).T
-        buf = np.empty(d * q * max(stop - i for i, stop in bounds))
+        buf = np.empty(d * q * min(block, m))
     for i, stop in bounds:
         pb = base[i:stop]
         if cuts is None:
             pts = buf[: d * q * (stop - i)].reshape(d, stop - i, q)
             for j in range(d):
                 np.add(pb[:, j, None], cn[j], out=pts[j])
-            out[i:stop] = values(f, pts.reshape(d, -1).T).reshape(stop - i, q) @ weights
+            vals = values(f, pts.reshape(d, -1).T).reshape(stop - i, q)
+            out[i:stop] = (vals * weights).sum(axis=1)
         else:
             rows = [None if cut is None else cut[1][i:stop] for cut in cuts]
             out[i:stop] = _cut_block(f, pb, c, nodes, weights, rows)
@@ -179,7 +174,7 @@ def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
     ``weights[i]``: shared ``(q,)``, or ``(cuts, q)`` with ``rows[i]``
     picking each block row's cut.  The points are broadcast from the axis
     rules into axis-major storage, and each row reduces its own values
-    axis by axis (no BLAS)."""
+    axis by axis."""
     b, d = pb.shape
     qs = tuple(w.shape[-1] for w in weights)
     pts = np.empty((d, b) + qs)

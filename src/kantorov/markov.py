@@ -46,5 +46,5 @@ def markov_values(domain: Domain, f, xs) -> np.ndarray:
     """T(f) at a point or a batch of points.  Only the shape of ``xs`` is
     checked: T also runs on integrand points a rounding error outside."""
     xs, single = _batch(domain, xs)
-    out = selection_weights(domain, xs) @ values(f, domain.vertices())
+    out = (selection_weights(domain, xs) * values(f, domain.vertices())).sum(axis=1)
     return out[0] if single else out

@@ -212,7 +212,7 @@ def tau_p(f, domain: Domain, delta, p: float, m: int):
             np.maximum.at(hi, b, fv[a])
             np.minimum.at(lo, a, fv[b])
             np.minimum.at(lo, b, fv[a])
-        out.append(float((w @ (hi - lo) ** p) ** (1.0 / p)))
+        out.append(float(((hi - lo) ** p * w).sum() ** (1.0 / p)))
     return like(np.array(out)[inverse])
 
 
@@ -265,7 +265,7 @@ def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int):
         acc = coeffs[0] * fv[rows[0]]
         for c, r in zip(coeffs[1:], rows[1:]):
             acc += c * fv[r]
-        return float((weights @ np.abs(acc) ** p) ** (1.0 / p))
+        return float((np.abs(acc) ** p * weights).sum() ** (1.0 / p))
 
     largest = lambda ks: max(map(norm, ks.tolist()), default=0.0)
     return like(_shell_max(domain, m, deltas * m, largest))

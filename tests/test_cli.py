@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kantorov
 from kantorov.cli import main
 
 BASE = {
@@ -289,7 +291,6 @@ def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
     ({"name": "abs_dist", "params": [0.5, 0.5]}, "takes 1 parameter"),
     ({"name": "monomial", "params": [1, 0]}, "exponent"),
     ({"name": "wiggle", "params": []}, "unknown catalog function"),
-    ({"name": "constant", "params": ["x"]}, "must be numbers"),
 ])
 def test_catalog_parameter_errors_exit_2(tmp_path, capsys, function, needle):
     cfgp = write_config(tmp_path, "f.json", function=function)
@@ -322,6 +323,32 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "sup_error" in proc.stdout
+
+
+def test_converge_csv_does_not_depend_on_the_blas_threads(tmp_path):
+    # the Q3-abs-leb benchmark run: its lp_error cells moved with 2 threads
+    # while the L^p norms were BLAS dot products
+    src = os.path.dirname(os.path.dirname(kantorov.__file__))
+    csvs = []
+    for threads in ("1", "2"):
+        csv, cfgp = tmp_path / f"out{threads}.csv", tmp_path / f"q3-{threads}.json"
+        cfgp.write_text(json.dumps({
+            "domain": {"kind": "hypercube", "dim": 3},
+            "operator": {"a": 1.0, "measures": {"kind": "constant_lebesgue"}},
+            "function": {"name": "abs_dist", "params": [0.5, 0.5, 0.5]},
+            "experiment": {"n_list": [2, 4], "grid_resolution": 12, "p": 2},
+            "output": {"csv_path": str(csv)},
+        }))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kantorov.cli", "converge", "--config", str(cfgp)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append(csv.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_power_measure_config(tmp_path):
@@ -512,9 +539,20 @@ def test_discrete_atom_outside_the_domain_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("atoms", [[[0.1], "x"], {"a": 1}, [[10**400]]],
-                         ids=["string", "object", "beyond-float"])
-def test_junk_discrete_atoms_are_a_config_error_at_their_path(tmp_path, capsys, atoms):
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("atoms,error", [
+    ([[0.1], "x"], ".atoms[1]: expected a number, got 'x'"),
+    ({"a": 1}, ".atoms: expected a number, got {'a': 1}"),
+    ([[10**400]], f".atoms[0][0]: expected a finite number, got {10**400}"),
+    # deeper than Python's stack would allow a recursive walk
+    (_nested(0.5, 500), ": discrete measure atoms and weights must be numbers"),
+], ids=["string", "object", "beyond-float", "deep"])
+def test_junk_discrete_atoms_are_a_config_error_at_their_path(tmp_path, capsys, atoms, error):
     cfgp = write_config(
         tmp_path, "e.json",
         operator={"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
@@ -524,8 +562,30 @@ def test_junk_discrete_atoms_are_a_config_error_at_their_path(tmp_path, capsys, 
     )
     assert main(["eval", "--config", str(cfgp)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("config error: operator.measures.measures[0]: "
-                            "discrete measure atoms and weights must be numbers\n")
+    assert captured.err == f"config error: operator.measures.measures[0]{error}\n"
+    assert captured.out == ""
+
+
+def _discrete(atoms, weights):
+    return {"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
+        {"kind": "discrete", "atoms": atoms, "weights": weights}]}}
+
+
+@pytest.mark.parametrize("overrides,error", [
+    ({"operator": _discrete([["0.25"]], [1.0])},
+     "operator.measures.measures[0].atoms[0][0]: expected a number, got '0.25'"),
+    ({"operator": _discrete([[0.25]], [True])},
+     "operator.measures.measures[0].weights[0]: expected a number, got True"),
+    ({"function": {"name": "abs_dist", "params": ["0.5"]}},
+     "function.params[0]: expected a number, got '0.5'"),
+], ids=["string-atom", "boolean-weight", "string-param"])
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, overrides, error):
+    # numpy and float() would read each of these as a number, and eval exited 0
+    cfgp = write_config(tmp_path, "e.json", experiment={"n_list": [1], "points": [[0.5]]},
+                        **overrides)
+    assert main(["eval", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {error}\n"
     assert captured.out == ""
 
 
@@ -594,7 +654,7 @@ _FUZZ_BASES = {
     },
 }
 # [[0.5], [0.5]]: a nested list of the length of the two-atom weights
-_FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", [], 2**64, 10**400,
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", "0.5", [], 2**64, 10**400,
                 [[0.5], [0.5]]]
 
 
@@ -633,4 +693,6 @@ def test_random_cli_configs_never_crash(tmp_path_factory, field, value):
     cfgp = tmp_path_factory.mktemp("fuzz") / "c.json"
     cfgp.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main([command, "--config", str(cfgp)]) in (0, 1, 2)
+        code = main([command, "--config", str(cfgp)])
+    # no field takes a string or a boolean in place of what it holds
+    assert code == 2 if isinstance(value, (str, bool)) else code in (0, 1, 2)

@@ -14,7 +14,7 @@ from kantorov.bernstein import eval_Bn, lattice
 from kantorov.catalog import lookup
 from kantorov.cli import _AFFINE_TOL, _QUADRATIC_TOL
 from kantorov.errors import ConfigError
-from kantorov.geometry import Domain, uniform_grid
+from kantorov.geometry import Domain, uniform_grid, values
 from kantorov import kantorovich
 from kantorov.kantorovich import (
     AffineForm,
@@ -37,6 +37,7 @@ from kantorov.measures import (
     explicit_list,
     integrate_measure,
     lebesgue_measure,
+    measure_nodes,
     power_of_base,
     resolve,
 )
@@ -610,13 +611,11 @@ def test_ladder_record_keeps_the_final_level_and_largest_residual():
                      "max_level": 32, "max_residual": 1.0 / 32}
 
 
-# Runs in a fresh interpreter with one BLAS thread: threaded OpenBLAS
-# splits a block's rows among its threads, and that split, not the block
-# size, then decides the last bits.  Prints, per budget, the rows whose
-# inner values differ from those under a 2^21-point budget.
+# Prints, per block budget, the bytes of the inner values of one case.
+# Every row reduces its own values in a fixed order, so neither the block
+# split nor the BLAS threads can move a bit.
 _BLOCK_SCRIPT = """
 import json, sys
-import numpy as np
 from kantorov import kantorovich
 from kantorov.catalog import lookup
 from kantorov.geometry import Domain
@@ -624,12 +623,10 @@ from kantorov.measures import constant_lebesgue, lebesgue_measure, power_of_base
 
 I, Q3 = Domain.interval(), Domain.hypercube(3)
 cases = [
-    # the rule cut at the kink of |x - c| on Q3, at level 32: 125 lattice
-    # rows, 1 mod 4
+    # the rule cut at the kink of |x - c| on Q3, at level 32: 125 lattice rows
     (Q3, constant_lebesgue(), 32, 4, lookup("abs_dist", (0.5, 0.5, 0.5), Q3)),
-    # Lebesgue squared on I cut at 0.45, 16 -> 32 nodes: 4097 rows, 1 mod
-    # the 4096- and 2048-row blocks of the 2^16 budget and the 4-row blocks
-    # of budget 1
+    # Lebesgue squared on I cut at 0.45, 16 -> 32 nodes: 4097 rows, one
+    # more than the 4096- and 2048-row blocks of the 2^16 budget
     (I, power_of_base(lebesgue_measure(), 2), 8, 4096, lookup("abs_dist", (0.45,), I)),
     # the diagonal kink of |x_1 - x_2| declares no breakpoints, so the rule
     # is the shared one at level 32: 125 rows again
@@ -640,8 +637,8 @@ cfg = kantorovich.OperatorConfig(dom, 1.0, measures, level)
 values = []
 for budget in (1 << 21, 1 << 16, 1):
     kantorovich._BLOCK_POINTS = budget
-    values.append(kantorovich._inner_values.__wrapped__(cfg, n, f))
-print(json.dumps([np.nonzero(v != values[0])[0].tolist() for v in values[1:]]))
+    values.append(kantorovich._inner_values.__wrapped__(cfg, n, f).tobytes().hex())
+print(json.dumps(values))
 """
 
 
@@ -660,48 +657,21 @@ def _run_script(script, arg, threads):
 
 @pytest.mark.parametrize("case", [0, 1, 2])
 def test_inner_values_do_not_depend_on_the_block_size(case):
-    assert json.loads(_run_script(_BLOCK_SCRIPT, str(case), "1")) == [[], []]
-
-
-# Prints the bytes of the inner values of the rule cut at the kink of
-# |x - c| on Q3 at level 32, in 2^21-point blocks (125 rows).  Each row
-# reduces its own values, so the BLAS threads do not split a sum; the
-# shared rule's dgemv does, and there 2 threads change the last bits.
-_THREADS_SCRIPT = """
-from kantorov import kantorovich
-from kantorov.catalog import lookup
-from kantorov.geometry import Domain
-from kantorov.measures import constant_lebesgue
-
-Q3 = Domain.hypercube(3)
-cfg = kantorovich.OperatorConfig(Q3, 1.0, constant_lebesgue(), 32)
-kantorovich._BLOCK_POINTS = 1 << 21
-f = lookup("abs_dist", (0.5, 0.5, 0.5), Q3)
-print(kantorovich._inner_values(cfg, 4, f).tobytes().hex())
-"""
+    # nor on the BLAS thread count: every budget at 1 and 2 threads gives the same bytes
+    runs = [json.loads(_run_script(_BLOCK_SCRIPT, str(case), threads)) for threads in ("1", "2")]
+    assert len({v for values in runs for v in values}) == 1
 
 
 def test_cut_inner_values_do_not_depend_on_the_blas_threads():
-    one, two = (_run_script(_THREADS_SCRIPT, "", threads) for threads in ("1", "2"))
-    assert one == two and len(one) == 125 * 16 + 1
+    # case 0 of the block script, the rule cut at the kink on Q3: 125 rows of 8 bytes
+    one, two = (json.loads(_run_script(_BLOCK_SCRIPT, "0", threads))[0] for threads in ("1", "2"))
+    assert one == two and len(one) == 125 * 16
 
 
-# Runs in a fresh interpreter with one BLAS thread.  The reference is the
-# row-major construction the engine used before its blocks went
-# axis-major: the same block split and reductions, with each block's
-# points broadcast into a (G, d) C-ordered batch.  Prints the cases whose
-# inner values differ from the reference in any bit.
-_ROW_MAJOR_SCRIPT = """
-import json, math
-import numpy as np
-from kantorov import kantorovich
-from kantorov.catalog import lookup
-from kantorov.geometry import Domain, values
-from kantorov.kantorovich import AffineForm
-from kantorov.measures import constant_lebesgue, measure_nodes
-
-
-def row_major_blend(cfg, mu, n, f, base, level, cuts=None):
+def _row_major_blend(cfg, mu, n, f, base, level, cuts=None):
+    """The row-major construction the engine used before its blocks went
+    axis-major: the same block split and reductions, with each block's
+    points broadcast into a (G, d) C-ordered batch."""
     c = cfg.a / (n + cfg.a)
     m, d = base.shape
     if cuts is None:
@@ -712,22 +682,19 @@ def row_major_blend(cfg, mu, n, f, base, level, cuts=None):
                                        cuts=[None if cut is None else cut[0] for cut in cuts])
         q = math.prod(w.shape[-1] for w in weights)
     out = np.empty(m)
-    block = max(4, kantorovich._BLOCK_POINTS // q // 4 * 4)
-    starts = list(range(0, m, block))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    for i, stop in zip(starts, starts[1:] + [m]):
-        pb = base[i:stop]
+    block = max(1, kantorovich._BLOCK_POINTS // q)
+    for i in range(0, m, block):
+        pb = base[i:i + block]
         if cuts is None:
             pts = (pb[:, None, :] + c * nodes[None, :, :]).reshape(-1, d)
-            out[i:stop] = values(f, pts).reshape(pb.shape[0], q) @ weights
+            out[i:i + block] = (values(f, pts).reshape(pb.shape[0], q) * weights).sum(axis=1)
         else:
-            rows = [None if cut is None else cut[1][i:stop] for cut in cuts]
-            out[i:stop] = row_major_cut(f, pb, c, nodes, weights, rows)
+            rows = [None if cut is None else cut[1][i:i + block] for cut in cuts]
+            out[i:i + block] = _row_major_cut(f, pb, c, nodes, weights, rows)
     return out
 
 
-def row_major_cut(f, pb, c, nodes, weights, rows):
+def _row_major_cut(f, pb, c, nodes, weights, rows):
     b, d = pb.shape
     qs = tuple(w.shape[-1] for w in weights)
     pts = np.empty((b,) + qs + (d,))
@@ -749,34 +716,29 @@ def row_major_cut(f, pb, c, nodes, weights, rows):
     return vals
 
 
-I, Q2, Q3 = Domain.interval(), Domain.hypercube(2), Domain.hypercube(3)
-K2, K3 = Domain.simplex(2), Domain.simplex(3)
-cases = {}
-for name, dom, n in (("I", I, 33), ("Q2", Q2, 12), ("Q3", Q3, 4), ("K2", K2, 24), ("K3", K3, 6)):
-    grad = tuple(0.37 * (-1.5) ** j for j in range(dom.dim))
-    cases[f"affine-{name}"] = (dom, n, AffineForm(-0.2, grad))
-    cases[f"exp_sum-{name}"] = (dom, n, lookup("exp_sum", (), dom))
-for name, dom, n in (("Q2", Q2, 12), ("Q3", Q3, 4)):
-    cases[f"abs_dist-{name}"] = (dom, n, lookup("abs_dist", (0.3,) * dom.dim, dom))
-engine = kantorovich._blend_at_level
-differ = []
-for key, (dom, n, f) in cases.items():
-    for a in (1.0, 2.0):
-        cfg = kantorovich.OperatorConfig(dom, a, constant_lebesgue(), 8)
-        for budget in (1 << 16, 1):
-            kantorovich._BLOCK_POINTS = budget
-            kantorovich._blend_at_level = engine
-            got = kantorovich._inner_values.__wrapped__(cfg, n, f)
-            kantorovich._blend_at_level = row_major_blend
-            ref = kantorovich._inner_values.__wrapped__(cfg, n, f)
-            if not np.array_equal(got, ref):
-                differ.append(f"{key} a={a} budget={budget}")
-print(json.dumps(differ))
-"""
-
-
-def test_axis_major_blocks_keep_the_row_major_bits():
-    assert json.loads(_run_script(_ROW_MAJOR_SCRIPT, "", "1")) == []
+def test_axis_major_blocks_keep_the_row_major_bits(monkeypatch):
+    cases = {}
+    for name, dom, n in (("I", I, 33), ("Q2", Q2, 12), ("Q3", Q3, 4), ("K2", K2, 24),
+                         ("K3", K3, 6)):
+        grad = tuple(0.37 * (-1.5) ** j for j in range(dom.dim))
+        cases[f"affine-{name}"] = (dom, n, AffineForm(-0.2, grad))
+        cases[f"exp_sum-{name}"] = (dom, n, lookup("exp_sum", (), dom))
+    for name, dom, n in (("Q2", Q2, 12), ("Q3", Q3, 4)):
+        cases[f"abs_dist-{name}"] = (dom, n, lookup("abs_dist", (0.3,) * dom.dim, dom))
+    engine = kantorovich._blend_at_level
+    differ = []
+    for key, (dom, n, f) in cases.items():
+        for a in (1.0, 2.0):
+            cfg = kantorovich.OperatorConfig(dom, a, constant_lebesgue(), 8)
+            for budget in (1 << 16, 1):
+                monkeypatch.setattr(kantorovich, "_BLOCK_POINTS", budget)
+                monkeypatch.setattr(kantorovich, "_blend_at_level", engine)
+                got = kantorovich._inner_values.__wrapped__(cfg, n, f)
+                monkeypatch.setattr(kantorovich, "_blend_at_level", _row_major_blend)
+                ref = kantorovich._inner_values.__wrapped__(cfg, n, f)
+                if not np.array_equal(got, ref):
+                    differ.append(f"{key} a={a} budget={budget}")
+    assert differ == []
 
 
 class _LayoutRecorder:
