@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bernstein import eval_Bn
-from .errors import ConfigError
+from .errors import ConfigError, check_p
 from .geometry import (SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid,
                        uniform_product_grid, values)
 from .kantorovich import (
@@ -46,13 +46,10 @@ TOL_SANDWICH = 1e-11
 TOL_LIPSCHITZ = 1e-6
 _OMEGA_INFLATE = 1.02
 
-BOUND_IDS = (
-    "omega_total",
-    "omega_pointwise",
-    "omega_uniform",
-    "lambda_p_bound",
-    "lp_equibounded",
-)
+# the bounds on the sup norm, checked on a grid of resolution m; the
+# others bound an L^p norm and integrate on lp_grid
+SUP_BOUNDS = ("omega_total", "omega_pointwise", "omega_uniform")
+BOUND_IDS = SUP_BOUNDS + ("lambda_p_bound", "lp_equibounded")
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +118,7 @@ def _grid_norm(grid: ProductGrid, values, p: float) -> float:
 def lp_norm(domain: Domain, g, p: float, level: int = 8) -> float:
     """(integral of |g|^p over the domain, plain Lebesgue)^(1/p) on
     the grid :func:`lp_grid`."""
-    if p < 1.0:
-        raise ConfigError("p must be >= 1")
+    check_p(p)
     grid = lp_grid(domain, level)
     return _grid_norm(grid, values(g, grid.points), p)
 
@@ -167,8 +163,7 @@ def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.n
 
 def lp_error(cfg: OperatorConfig, n: int, f, p: float, level: int = 8) -> float:
     """L^p distance between C_n(f) and f (cell form where available)."""
-    if p < 1.0:
-        raise ConfigError("p must be >= 1")
+    check_p(p)
     grid = lp_grid(cfg.domain, level)
     cn = _cn_evaluator(cfg, n, f)(grid)
     return _grid_norm(grid, cn - values(f, grid.points), p)
@@ -197,26 +192,23 @@ def _phi_diffs(cfg: OperatorConfig, n: int) -> list:
     return diffs
 
 
-def _is_sup(p) -> bool:
-    return (isinstance(p, str) and p in ("inf", "sup")) or (
-        isinstance(p, float) and math.isinf(p)
-    )
-
-
 def lambda_n(cfg: OperatorConfig, n: int, p, m_or_level: int = 8) -> float:
     """max_i ||C_n(phi_i) - phi_i|| over the Korovkin test family.
 
-    ``p`` is a real >= 1 or the sup-norm marker ("inf"/math.inf); the
-    last argument is the grid resolution (sup norm) or the quadrature
+    ``p`` is a real >= 1 or ``math.inf`` for the sup norm; the last
+    argument is the grid resolution (sup norm) or the :func:`lp_grid`
     level (L^p norm).
     """
+    sup = p == math.inf
+    if not sup:
+        check_p(p)
     best = 0.0
     for diff in _phi_diffs(cfg, n):
-        if _is_sup(p):
+        if sup:
             xs = uniform_grid(cfg.domain, m_or_level)
             val = float(np.max(np.abs(diff(xs))))
         else:
-            val = lp_norm(cfg.domain, diff, float(p), m_or_level)
+            val = lp_norm(cfg.domain, diff, p, m_or_level)
         best = max(best, val)
     return best
 
@@ -329,8 +321,7 @@ def _require_lebesgue(cfg: OperatorConfig, bound_id: str) -> None:
 
 def _check_lambda_p(cfg, n_list, level, p):
     _require_lebesgue(cfg, "lambda_p_bound")
-    if _is_sup(p):
-        raise ConfigError("lambda_p_bound needs finite p")
+    check_p(p)
     rows = []
     for n in n_list:
         measured = lambda_n(cfg, n, p, level)
@@ -341,8 +332,6 @@ def _check_lambda_p(cfg, n_list, level, p):
 
 def _check_lp_equibounded(cfg, f, n_list, level, p):
     _require_lebesgue(cfg, "lp_equibounded")
-    if _is_sup(p):
-        raise ConfigError("lp_equibounded needs finite p")
     if cfg.a <= 0.0:
         raise ConfigError("lp_equibounded needs a > 0")
     fnorm = lp_norm(cfg.domain, f, float(p), level)
@@ -365,17 +354,17 @@ def check_bound(
 ) -> BoundReport:
     """Measure an error quantity against one of the named closed-form bounds.
 
-    ``m_or_level`` is a grid resolution for the sup-norm (omega_*)
-    bounds and a quadrature level for the L^p ones.
+    ``m_or_level`` is a grid resolution for the :data:`SUP_BOUNDS` and
+    an :func:`lp_grid` level for the L^p ones.
     """
     if bound_id not in BOUND_IDS:
         raise ConfigError(f"unknown bound_id {bound_id!r}; know {BOUND_IDS}")
     n_list = sorted(int(n) for n in n_list)
-    if bound_id in _SUP_DELTAS:
-        rows, exact = _check_omega_sup(cfg, f, n_list, m_or_level, _SUP_DELTAS[bound_id])
-        tol = TOL_CLOSED if exact else TOL_GRID
-    elif bound_id == "omega_pointwise":
-        rows, exact = _check_omega_pointwise(cfg, f, n_list, m_or_level)
+    if bound_id in SUP_BOUNDS:
+        if bound_id == "omega_pointwise":
+            rows, exact = _check_omega_pointwise(cfg, f, n_list, m_or_level)
+        else:
+            rows, exact = _check_omega_sup(cfg, f, n_list, m_or_level, _SUP_DELTAS[bound_id])
         tol = TOL_CLOSED if exact else TOL_GRID
     elif bound_id == "lambda_p_bound":
         rows, tol = _check_lambda_p(cfg, n_list, m_or_level, p), TOL_CLOSED
@@ -509,13 +498,12 @@ def convergence_table(
     n_list: Sequence[int],
     m: int,
     p: Optional[float] = None,
-    level: int = 8,
 ) -> list[ErrorRow]:
     """sup / L^p error rows for a list of n (sorted).  ``lp_error`` reuses
     the inner integrals that ``sup_error`` computed."""
     rows = []
     for n in sorted(int(n) for n in n_list):
         sup = sup_error(cfg, n, f, m)
-        lp = lp_error(cfg, n, f, float(p), level) if p is not None else None
+        lp = lp_error(cfg, n, f, p) if p is not None else None
         rows.append(ErrorRow(n, sup, lp))
     return rows

@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     BOUND_IDS,
+    SUP_BOUNDS,
     check_bound,
     convergence_table,
     convexity_preservation,
@@ -43,7 +44,7 @@ from .analysis import (
     sandwich_check,
 )
 from .catalog import catalog_names, lookup
-from .errors import ConfigError, KantorovError, NumericError
+from .errors import ConfigError, KantorovError, NumericError, check_p
 from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, contains
 from .kantorovich import (
     OperatorConfig,
@@ -53,6 +54,7 @@ from .kantorovich import (
     ladder_record,
 )
 from .measures import (
+    BASE_LEVEL,
     EXPLICIT_LIST,
     MeasureSeqSpec,
     check_rule_budget,
@@ -268,8 +270,7 @@ def _parse_p(value, path: str):
     if value == "inf":
         raise ConfigError(f"{path}: use the sup_error column instead of p = inf")
     p = _num(value, path)
-    if p < 1.0:
-        raise ConfigError(f"{path}: p must be >= 1")
+    _at(path, check_p, p)
     return p
 
 
@@ -322,7 +323,7 @@ class RunPlan:
 
 
 _EXPERIMENT_FIELDS = (
-    "command", "n_list", "grid_resolution", "p", "quad_level",
+    "command", "n_list", "grid_resolution", "p",
     "bounds", "points", "delta_list", "modes", "k",
 )
 
@@ -351,8 +352,7 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
             f"experiment.command: config says {declared!r} but the "
             f"{command!r} subcommand was invoked"
         )
-    quad_level = _int(_get(exp_raw, "quad_level", "experiment", 8), "experiment.quad_level", 1)
-    cfg = _at("operator", OperatorConfig, domain, a, measures, quad_level)
+    cfg = _at("operator", OperatorConfig, domain, a, measures)
 
     bounds = exp_raw.get("bounds", [])
     if not isinstance(bounds, list):
@@ -395,7 +395,7 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
                 f"one per n, but experiment.n_list reaches n = {plan.n_list[-1]}")
         for n in plan.n_list:
             _at(f"operator.measures: n = {n}",
-                lambda: check_rule_budget(resolve(measures, n, domain), domain, quad_level))
+                lambda: check_rule_budget(resolve(measures, n, domain), domain, BASE_LEVEL))
 
     if command == "eval":
         pts_raw = _get(exp_raw, "points", "experiment")
@@ -443,6 +443,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config {path!r} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ConfigError(f"config {path!r} nests too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +529,7 @@ def _run_eval(plan: RunPlan):
 
 
 def _run_converge(plan: RunPlan):
-    table = convergence_table(
-        plan.cfg, plan.f, plan.n_list, plan.grid_resolution, plan.p, plan.cfg.quad_level
-    )
+    table = convergence_table(plan.cfg, plan.f, plan.n_list, plan.grid_resolution, plan.p)
     rows = [
         {"n": r.n, "sup_error": r.sup_error, "lp_error": r.lp_error}
         for r in table
@@ -551,16 +551,13 @@ def _run_converge(plan: RunPlan):
     return CSV_HEADER, rows, summary, ok
 
 
-def _square_of_coordinate(i: int):
-    return lambda pts: np.asarray(pts)[:, i] ** 2
-
-
 def _moment_rows(plan: RunPlan):
     """Closed-form moment oracle: random affine forms and the
     coordinate squares, compared with the direct evaluation."""
     cfg = plan.cfg
     rng = np.random.default_rng(plan.seed)
     forms = random_affine_forms(cfg.domain, 10, rng)
+    squares = [lookup("monomial", (i + 1, 2), cfg.domain) for i in range(cfg.domain.dim)]
     rows = []
     worst = {"moment_affine": 0.0, "moment_quadratic": 0.0}
     for n in plan.n_list:
@@ -570,11 +567,8 @@ def _moment_rows(plan: RunPlan):
             gap = np.abs(eval_Cn(cfg, n, h, xs) - cn_affine_moment(cfg, n, h, xs))
             aff = max(aff, float(np.max(gap)))
         quad = 0.0
-        for i in range(cfg.domain.dim):
-            gap = np.abs(
-                eval_Cn(cfg, n, _square_of_coordinate(i), xs)
-                - cn_quadratic_moment(cfg, n, i, xs)
-            )
+        for i, square in enumerate(squares):
+            gap = np.abs(eval_Cn(cfg, n, square, xs) - cn_quadratic_moment(cfg, n, i, xs))
             quad = max(quad, float(np.max(gap)))
         for bound_id, err, tol in (
             ("moment_affine", aff, _AFFINE_TOL),
@@ -592,19 +586,17 @@ def _moment_rows(plan: RunPlan):
     return rows, worst
 
 
-_SUP_BOUNDS = ("omega_total", "omega_pointwise", "omega_uniform")
-
-
 def _bound_rows(plan: RunPlan):
-    """Rows and one summary group per requested bound id."""
+    """Rows and one summary group per requested bound id.  The sup-norm
+    bounds scan the run's grid; the L^p ones keep ``check_bound``'s
+    default ``lp_grid``."""
     rows, groups = [], []
     for bound_id in plan.bounds:
-        m_or_level = plan.grid_resolution if bound_id in _SUP_BOUNDS else plan.cfg.quad_level
-        report = check_bound(
-            plan.cfg, plan.f, plan.n_list, bound_id, m_or_level,
-            plan.p if plan.p is not None else 2.0,
-        )
-        error_key = "sup_error" if bound_id in _SUP_BOUNDS else "lp_error"
+        sup = bound_id in SUP_BOUNDS
+        grid = (plan.grid_resolution,) if sup else ()
+        report = check_bound(plan.cfg, plan.f, plan.n_list, bound_id, *grid,
+                             p=plan.p if plan.p is not None else 2.0)
+        error_key = "sup_error" if sup else "lp_error"
         for r in report.rows:
             rows.append({
                 "n": r.n,

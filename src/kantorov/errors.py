@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the operator index
-check that raises one."""
+"""Exception types shared across the package, and the argument checks
+for the operator index and the norm exponent that raise one."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -30,3 +31,10 @@ def check_n(n) -> None:
     integer >= 1 (``True`` is not an index)."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ConfigError(f"operator index n must be an integer >= 1, got {n!r}")
+
+
+def check_p(p) -> None:
+    """Raise :class:`ConfigError` unless the norm exponent ``p`` is a
+    finite real number >= 1 (``True`` is not a number)."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 1.0 <= p < math.inf:
+        raise ConfigError(f"p must be >= 1 and finite, got {p!r}")

@@ -14,7 +14,6 @@ provided as analytic oracles for the quadrature paths.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +25,7 @@ from .errors import ConfigError, check_n
 from .geometry import SIMPLEX, Domain, admit, values
 from .markov import markov_values
 from .measures import (
+    BASE_LEVEL,
     DIRAC_SHIFT,
     MAX_RULE_NODES,
     MeasureSeqSpec,
@@ -112,7 +112,6 @@ class OperatorConfig:
     domain: Domain
     a: float
     measures: MeasureSeqSpec
-    quad_level: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
@@ -120,11 +119,6 @@ class OperatorConfig:
             raise ConfigError("blend parameter a must be finite and >= 0")
         if self.measures.kind == DIRAC_SHIFT and self.a == 0.0:
             raise ConfigError("dirac_shift measure sequences require a > 0")
-        if isinstance(self.quad_level, bool) or not isinstance(self.quad_level, numbers.Integral):
-            raise ConfigError(f"quad_level must be an integer, got {self.quad_level!r}")
-        object.__setattr__(self, "quad_level", int(self.quad_level))
-        if not 1 <= self.quad_level <= _MAX_LEVEL:
-            raise ConfigError(f"quad_level must be in [1, {_MAX_LEVEL}], the Gauss ladder's cap")
 
 
 def _resolved(cfg: OperatorConfig, n: int) -> MeasureSpec:
@@ -196,11 +190,12 @@ def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
     return vals
 
 
-def _ladder(at_level, level: int, fits=lambda level: True) -> np.ndarray:
-    """Values of ``at_level``, doubling the level until two successive
-    values agree within ``_LADDER_TOL`` (capped at ``_MAX_LEVEL``, and
-    only to levels for which ``fits`` holds); the outcome goes to every
-    open :func:`ladder_record`."""
+def _ladder(at_level, fits=lambda level: True) -> np.ndarray:
+    """Values of ``at_level`` from ``BASE_LEVEL`` on, doubling the level
+    until two successive values agree within ``_LADDER_TOL`` (capped at
+    ``_MAX_LEVEL``, and only to levels for which ``fits`` holds); the
+    outcome goes to every open :func:`ladder_record`."""
+    level = BASE_LEVEL
     vals = at_level(level)
     residual, outcome = None, "unconverged_at_cap"
     while level < _MAX_LEVEL:
@@ -264,11 +259,10 @@ def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.nda
         return values(f, base)
     mu = _resolved(cfg, n)
     if is_discrete(mu):
-        return _blend_at_level(cfg, mu, n, f, base, cfg.quad_level)
+        return _blend_at_level(cfg, mu, n, f, base, BASE_LEVEL)
     cuts = _row_cuts(cfg, mu, n, f, base)
     return _ladder(
         lambda level: _blend_at_level(cfg, mu, n, f, base, level, cuts),
-        cfg.quad_level,
         lambda level: rule_node_count(mu, cfg.domain, level) <= MAX_RULE_NODES,
     )
 
@@ -316,23 +310,29 @@ def measure_moments(cfg: OperatorConfig, n: int) -> tuple[np.ndarray, np.ndarray
     """First and second coordinate moments of mu_n, shape ``(d,)`` each."""
     mu = _resolved(cfg, n)
     d = cfg.domain.dim
-    m1 = np.array(
-        [integrate_measure(mu, cfg.domain, lambda p, i=i: p[:, i], cfg.quad_level) for i in range(d)]
-    )
+    m1 = np.array([integrate_measure(mu, cfg.domain, lambda p, i=i: p[:, i]) for i in range(d)])
     m2 = np.array(
-        [integrate_measure(mu, cfg.domain, lambda p, i=i: p[:, i] ** 2, cfg.quad_level) for i in range(d)]
+        [integrate_measure(mu, cfg.domain, lambda p, i=i: p[:, i] ** 2) for i in range(d)]
     )
     return m1, m2
+
+
+def _check_forms(domain: Domain, *forms: AffineForm) -> None:
+    for h in forms:
+        if h.dim != domain.dim:
+            raise ConfigError(f"affine form of dimension {h.dim} on the "
+                              f"{domain.dim}-d {domain.kind}")
 
 
 def cn_affine_moment(cfg: OperatorConfig, n: int, h: AffineForm, x):
     """Closed form C_n(h) = (a/(n+a)) mean_mu(h) + (n/(n+a)) h."""
     check_n(n)
+    _check_forms(cfg.domain, h)
     xs, single = admit(cfg.domain, x)
     if cfg.a == 0.0:
         mean = 0.0
     else:
-        mean = integrate_measure(_resolved(cfg, n), cfg.domain, h, cfg.quad_level)
+        mean = integrate_measure(_resolved(cfg, n), cfg.domain, h)
     out = (cfg.a / (n + cfg.a)) * mean + (n / (n + cfg.a)) * h(xs)
     return float(out[0]) if single else out
 
@@ -367,6 +367,7 @@ def cn_quadratic_moment(cfg: OperatorConfig, n: int, i: int, x):
 def cn_bilinear_moment(cfg: OperatorConfig, n: int, h: AffineForm, k: AffineForm, x):
     """Closed form for C_n(h k) with affine h, k."""
     check_n(n)
+    _check_forms(cfg.domain, h, k)
     xs, single = admit(cfg.domain, x)
     a = cfg.a
     denom = (n + a) ** 2
@@ -379,9 +380,9 @@ def cn_bilinear_moment(cfg: OperatorConfig, n: int, h: AffineForm, k: AffineForm
         out = n**2 / denom * bn_hk
     else:
         mu = _resolved(cfg, n)
-        mean_hk = integrate_measure(mu, cfg.domain, hk, cfg.quad_level)
-        mean_h = integrate_measure(mu, cfg.domain, h, cfg.quad_level)
-        mean_k = integrate_measure(mu, cfg.domain, k, cfg.quad_level)
+        mean_hk = integrate_measure(mu, cfg.domain, hk)
+        mean_h = integrate_measure(mu, cfg.domain, h)
+        mean_k = integrate_measure(mu, cfg.domain, k)
         out = (
             a**2 / denom * mean_hk
             + n * a / denom * (mean_h * k(xs) + mean_k * h(xs))

@@ -31,6 +31,9 @@ DISCRETE = "discrete"
 
 # Node budget for a single materialized measure rule.
 MAX_RULE_NODES = 4_000_000
+# The Gauss level every quadrature ladder starts at, and the level of the
+# fixed rules of the closed-form moments.
+BASE_LEVEL = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,6 +341,7 @@ def apply_rule(nodes: np.ndarray, weights: np.ndarray, f) -> float:
     return math.fsum((weights * values(f, nodes, "measure node")).tolist())
 
 
-def integrate_measure(mu: MeasureSpec, domain: Domain, f, level: int = 8) -> float:
-    """Integral of ``f`` against ``mu`` (probability-normalized)."""
-    return apply_rule(*measure_nodes(mu, domain, level), f)
+def integrate_measure(mu: MeasureSpec, domain: Domain, f) -> float:
+    """Integral of ``f`` against ``mu`` (probability-normalized) by its
+    rule at ``BASE_LEVEL``."""
+    return apply_rule(*measure_nodes(mu, domain, BASE_LEVEL), f)

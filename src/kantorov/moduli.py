@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_p
 from .geometry import (SIMPLEX, Domain, trapezoid_weights, uniform_grid, uniform_product_grid,
                        values)
 
@@ -198,8 +198,7 @@ def tau_p(f, domain: Domain, delta, p: float, m: int):
     """Averaged modulus: L^p norm of the local oscillation over
     Euclidean balls of radius delta/2 (see :func:`check_tau_deltas`)."""
     deltas, like = _deltas(delta)
-    if not p >= 1.0:
-        raise ConfigError("p must be >= 1")
+    check_p(p)
     check_tau_deltas(deltas, m)
     fv = values(f, uniform_grid(domain, m))
     w = _grid_quad_weights(domain, m)
@@ -238,8 +237,7 @@ def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int):
     negative give the same norm, so only half the offsets are walked."""
     deltas, like = _deltas(delta)
     coeffs = difference_coeffs(k)
-    if not p >= 1.0:
-        raise ConfigError("p must be >= 1")
+    check_p(p)
     fv = values(f, uniform_grid(domain, m))
     pos = _positions(domain, m)
     w = _grid_quad_weights(domain, m) if domain.kind == SIMPLEX else None

@@ -53,10 +53,8 @@ K1 = Domain.simplex(1)
 K2 = Domain.simplex(2)
 
 
-def operator(domain, a, measures=None, level=8):
-    return OperatorConfig(
-        domain, a, measures or constant_lebesgue(), level
-    )
+def operator(domain, a, measures=None):
+    return OperatorConfig(domain, a, measures or constant_lebesgue())
 
 
 def _line(num, ok, detail):

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantorov import geometry, kantorovich
-from kantorov.analysis import (convexity_report, lipschitz_preservation, lp_error, lp_grid,
-                               lp_norm, sandwich_check)
+from kantorov.analysis import (convexity_report, lambda_n, lipschitz_preservation, lp_error,
+                               lp_grid, lp_norm, sandwich_check)
 from kantorov.bernstein import apply_lattice_values, basis, basis_weights, eval_Bn, lattice_points
 from kantorov.catalog import lookup
 from kantorov.cli import main, parse_config
@@ -285,6 +285,14 @@ BAD_ARGUMENTS = {
     "quadrature_rule level": lambda: quadrature_rule(I, 0),
     "lp_norm p": lambda: lp_norm(I, _FIRST, 0.5),
     "lp_error p": lambda: lp_error(cfg_for(I), 2, _FIRST, 0.5),
+    # p = inf is no L^p exponent; lambda_n alone takes math.inf, as the sup norm
+    "lp_norm p inf": lambda: lp_norm(I, _FIRST, math.inf),
+    "lp_error p inf": lambda: lp_error(cfg_for(I), 2, _FIRST, math.inf),
+    "tau_p p inf": lambda: tau_p(_FIRST, Q2, 0.25, math.inf, 8),
+    "omega_kp p inf": lambda: omega_kp(_FIRST, Q2, 1, 0.2, math.inf, 8),
+    "lp_norm p nan": lambda: lp_norm(I, _FIRST, math.nan),
+    "lambda_n p nan": lambda: lambda_n(cfg_for(I), 2, math.nan),
+    "lambda_n p string": lambda: lambda_n(cfg_for(I), 2, "inf"),
     "convexity_report mode": lambda: convexity_report(_FIRST, I, "concave", 4),
     "convexity_report axially_convex": lambda: convexity_report(_FIRST, Q2, "axially_convex", 4),
     "lipschitz_preservation constant": lambda: lipschitz_preservation(cfg_for(I), 2, _FIRST, 4),
@@ -295,6 +303,10 @@ BAD_ARGUMENTS = {
     "AffineForm finite": lambda: AffineForm(math.inf, (1.0,)),
     "coordinate_form index": lambda: coordinate_form(Q2, 2),
     "cn_quadratic_moment index": lambda: cn_quadratic_moment(cfg_for(Q2), 2, 2, [0.5, 0.5]),
+    "cn_affine_moment form dim": lambda: cn_affine_moment(
+        cfg_for(Q2), 2, AffineForm(0.1, (1.0, 2.0, 3.0)), [0.5, 0.5]),
+    "cn_bilinear_moment form dim": lambda: cn_bilinear_moment(
+        cfg_for(Q2), 2, coordinate_form(Q2, 0), AffineForm(0.1, (1.0,)), [0.5, 0.5]),
     "measure_nodes cut": lambda: measure_nodes(lebesgue_measure(), K2, 4,
                                                cuts=[np.array([0.5])] * 2),
     "discrete_measure numbers": lambda: discrete_measure([[0.1], "x"], [0.5, 0.5]),

@@ -277,6 +277,9 @@ def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
         ({"domain": {"kind": "triangle"}}, "domain.kind"),
         ({"function": {"name": "nope"}}, "function"),
         ({"experiment": {"n_list": [4], "stride": 2}}, "experiment"),
+        # the Gauss ladder's levels are fixed; no config sets them
+        ({"experiment": {"n_list": [4], "quad_level": 8}},
+         "experiment: unknown field(s) quad_level"),
         ({"experiment": {"n_list": [0]}}, "n_list"),
         ({"experiment": {"n_list": [4], "p": "inf"}}, "experiment.p"),
     ]
@@ -284,6 +287,23 @@ def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
         cfgp = write_config(tmp_path, "x.json", **overrides)
         assert main(["converge", "--config", str(cfgp)]) == 2, overrides
         assert needle in capsys.readouterr().err
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # JSON nests deeper than Python's recursion limit: json.load's
+    # RecursionError escaped main() as a traceback with exit 1
+    cfgp = write_config(
+        tmp_path, "deep.json",
+        operator={"a": 1.0, "measures": {"kind": "explicit_list", "measures": [
+            {"kind": "discrete", "atoms": "DEEP", "weights": [1.0]}]}},
+        experiment={"n_list": [1], "points": [[0.5]]},
+    )
+    depth = 10_000
+    cfgp.write_text(cfgp.read_text().replace('"DEEP"', "[" * depth + "0.5" + "]" * depth))
+    assert main(["eval", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert "nests too deeply" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("function, needle", [
@@ -462,9 +482,6 @@ def test_short_explicit_list_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("command,experiment,needle", [
     # a traceback (OverflowError of C(2000, l) as a float) escaped main()
     ("moduli", {"k": 2000}, "experiment.k: difference order k = 2000 is too large"),
-    # level 33 ran once and was reported unconverged; larger levels ask
-    # Gauss-Legendre for a level x level matrix
-    ("converge", {"n_list": [4], "quad_level": 33}, "quad_level must be in [1, 32]"),
 ])
 def test_work_bounds_exit_2_before_any_work(tmp_path, capsys, command, experiment, needle):
     csv = tmp_path / "out.csv"
@@ -622,7 +639,7 @@ _FUZZ_BASES = {
             {"kind": "power", "base": {"kind": "lebesgue"}, "exponent": 2},
         ]}},
         "function": {"name": "exp_sum", "params": []},
-        "experiment": {"n_list": [1, 2], "points": [[0.25, 0.5]], "quad_level": 4},
+        "experiment": {"n_list": [1, 2], "points": [[0.25, 0.5]]},
         "seed": 3,
     },
     "converge": {
@@ -631,7 +648,7 @@ _FUZZ_BASES = {
             "kind": "power_of_base", "base": {"kind": "lebesgue"}, "exponent": 2}},
         "function": {"name": "abs_dist", "params": [0.5]},
         "experiment": {"n_list": [2, 4], "grid_resolution": 20, "p": 2.0,
-                       "bounds": ["omega_total", "omega_pointwise"], "quad_level": 4},
+                       "bounds": ["omega_total", "omega_pointwise"]},
     },
     "moduli": {
         "domain": {"kind": "hypercube", "dim": 2},
@@ -643,14 +660,14 @@ _FUZZ_BASES = {
         "domain": {"kind": "interval", "dim": 1},
         "operator": {"a": 2.0},
         "function": {"name": "runge", "params": []},
-        "experiment": {"n_list": [2], "grid_resolution": 10, "p": 2, "quad_level": 4,
+        "experiment": {"n_list": [2], "grid_resolution": 10, "p": 2,
                        "bounds": ["omega_uniform", "lambda_p_bound", "lp_equibounded"]},
     },
     "preserve": {
         "domain": {"kind": "simplex", "dim": 2},
         "operator": {"a": 1.0},
         "function": {"name": "exp_sum", "params": []},
-        "experiment": {"n_list": [2], "grid_resolution": 4, "quad_level": 4},
+        "experiment": {"n_list": [2], "grid_resolution": 4},
     },
 }
 # [[0.5], [0.5]]: a nested list of the length of the two-atom weights

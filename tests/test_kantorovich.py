@@ -52,10 +52,8 @@ ID = lambda p: p[:, 0]
 SQ = lambda p: p[:, 0] ** 2
 
 
-def cfg_for(domain, a, measures=None, level=8):
-    return OperatorConfig(
-        domain, a, measures or constant_lebesgue(), level
-    )
+def cfg_for(domain, a, measures=None):
+    return OperatorConfig(domain, a, measures or constant_lebesgue())
 
 
 KANT1 = cfg_for(I, 1.0)  # classical Kantorovich operators
@@ -68,22 +66,6 @@ def test_config_validation():
         cfg_for(I, math.inf)
     with pytest.raises(ConfigError):
         cfg_for(I, 0.0, dirac_shift([0.5]))  # blend point needs a > 0
-    with pytest.raises(ConfigError):
-        cfg_for(I, 1.0, level=0)
-
-
-@pytest.mark.parametrize("level", [2.5, 8.0, "8", True])
-def test_quad_level_must_be_an_integer(level):
-    with pytest.raises(ConfigError, match="quad_level"):
-        cfg_for(I, 1.0, level=level)
-
-
-def test_quad_level_above_the_ladder_cap_is_rejected():
-    # a level above _MAX_LEVEL ran once at that size (level 100000 asked
-    # for a 100000 x 100000 Gauss matrix) and was then reported unconverged
-    assert cfg_for(I, 1.0, level=32).quad_level == 32
-    with pytest.raises(ConfigError, match="quad_level must be in \\[1, 32\\]"):
-        cfg_for(I, 1.0, level=33)
 
 
 def test_affine_form():
@@ -508,8 +490,8 @@ def _moment_cases(draw):
     dom = draw(st.sampled_from([I, Q2, Q3, K2, K3]))
     a = draw(st.floats(0.0, 3.0, exclude_min=True))
     kind = draw(st.sampled_from(["lebesgue", "discrete", "dirac"]))
-    # Lebesgue to the third power on K3 takes (L+1)^9 rule nodes: 2M at
-    # the ladder's second level
+    # Lebesgue to the third power on K3 takes (L+1)^9 rule nodes: over
+    # the node budget at the ladder's first level
     k = draw(st.integers(1, 2 if (kind, dom) == ("lebesgue", K3) else 3))
     d = dom.dim
     if kind == "lebesgue":
@@ -531,7 +513,7 @@ def _moment_cases(draw):
         point = _inside(draw, dom)
         seq = dirac_shift(point)
         m1, m2 = point, point**2
-    cfg = cfg_for(dom, a, seq, level=2)
+    cfg = cfg_for(dom, a, seq)
     xs = np.array([_inside(draw, dom) for _ in range(draw(st.integers(1, 3)))])
     return cfg, draw(st.integers(1, 4)), m1, m2, xs
 
@@ -569,8 +551,8 @@ def test_invalid_n():
     assert eval_Cn(KANT1, np.int64(3), ID, 0.5) == pytest.approx(eval_Cn(KANT1, 3, ID, 0.5))
 
 
-def _ladder_outcome(at_level, level, fits=lambda level: True):
-    return _ladder_outcome_of(lambda: kantorovich._ladder(at_level, level, fits))
+def _ladder_outcome(at_level, fits=lambda level: True):
+    return _ladder_outcome_of(lambda: kantorovich._ladder(at_level, fits))
 
 
 def test_ladder_outcomes_are_counted():
@@ -580,16 +562,16 @@ def test_ladder_outcomes_are_counted():
         levels.append(level)
         return np.array([1.0 / level])
 
-    vals, outcome = _ladder_outcome(stalls, 8)
+    vals, outcome = _ladder_outcome(stalls)
     assert levels == [8, 16, 32] and vals[0] == 1.0 / 32
     assert outcome == {"ladders": 1, "unconverged_at_cap": 1, "stopped_by_node_budget": 0}
 
     levels.clear()
-    vals, outcome = _ladder_outcome(stalls, 8, fits=lambda level: level <= 8)
+    vals, outcome = _ladder_outcome(stalls, fits=lambda level: level <= 8)
     assert levels == [8] and vals[0] == 1.0 / 8
     assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 1}
 
-    vals, outcome = _ladder_outcome(lambda level: np.array([2.0]), 8)
+    vals, outcome = _ladder_outcome(lambda level: np.array([2.0]))
     assert vals[0] == 2.0
     assert outcome == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 0}
 
@@ -598,25 +580,25 @@ def test_ladder_record_keeps_the_final_level_and_largest_residual():
     with ladder_record() as outer:
         with ladder_record() as inner:
             # stops at 8 by the budget before comparing two levels
-            kantorovich._ladder(lambda level: np.array([1.0 / level]), 8,
-                                fits=lambda level: False)
+            kantorovich._ladder(lambda level: np.array([1.0 / level]), fits=lambda level: False)
         assert inner["max_level"] == 8 and inner["max_residual"] is None
         # 1/8 -> 1/16 -> 1/32: stalls at the cap, last step 1/32
-        kantorovich._ladder(lambda level: np.array([1.0 / level]), 8)
+        kantorovich._ladder(lambda level: np.array([1.0 / level]))
         # agrees at 16: last step 1e-12
-        kantorovich._ladder(lambda level: np.array([1.0 + 1e-12 * (level == 8)]), 8)
+        kantorovich._ladder(lambda level: np.array([1.0 + 1e-12 * (level == 8)]))
     assert inner == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 1,
                      "max_level": 8, "max_residual": None}
     assert outer == {"ladders": 3, "unconverged_at_cap": 1, "stopped_by_node_budget": 1,
                      "max_level": 32, "max_residual": 1.0 / 32}
 
 
-# Prints, per block budget, the bytes of the inner values of one case.
-# Every row reduces its own values in a fixed order, so neither the block
-# split nor the BLAS threads can move a bit.
+# Prints, per block budget, the bytes of the inner values of one case at
+# each of its ladder levels.  Every row reduces its own values in a fixed
+# order, so neither the block split nor the BLAS threads can move a bit.
 _BLOCK_SCRIPT = """
 import json, sys
 from kantorov import kantorovich
+from kantorov.bernstein import lattice
 from kantorov.catalog import lookup
 from kantorov.geometry import Domain
 from kantorov.measures import constant_lebesgue, lebesgue_measure, power_of_base
@@ -624,20 +606,24 @@ from kantorov.measures import constant_lebesgue, lebesgue_measure, power_of_base
 I, Q3 = Domain.interval(), Domain.hypercube(3)
 cases = [
     # the rule cut at the kink of |x - c| on Q3, at level 32: 125 lattice rows
-    (Q3, constant_lebesgue(), 32, 4, lookup("abs_dist", (0.5, 0.5, 0.5), Q3)),
+    (Q3, constant_lebesgue(), (32,), 4, lookup("abs_dist", (0.5, 0.5, 0.5), Q3)),
     # Lebesgue squared on I cut at 0.45, 16 -> 32 nodes: 4097 rows, one
     # more than the 4096- and 2048-row blocks of the 2^16 budget
-    (I, power_of_base(lebesgue_measure(), 2), 8, 4096, lookup("abs_dist", (0.45,), I)),
+    (I, power_of_base(lebesgue_measure(), 2), (8, 16), 4096, lookup("abs_dist", (0.45,), I)),
     # the diagonal kink of |x_1 - x_2| declares no breakpoints, so the rule
     # is the shared one at level 32: 125 rows again
-    (Q3, constant_lebesgue(), 32, 4, lookup("abs_diff12", (), Q3)),
+    (Q3, constant_lebesgue(), (32,), 4, lookup("abs_diff12", (), Q3)),
 ]
-dom, measures, level, n, f = cases[int(sys.argv[1])]
-cfg = kantorovich.OperatorConfig(dom, 1.0, measures, level)
+dom, measures, levels, n, f = cases[int(sys.argv[1])]
+cfg = kantorovich.OperatorConfig(dom, 1.0, measures)
+mu = kantorovich._resolved(cfg, n)
+base = lattice(dom, n) / (n + cfg.a)
+cuts = kantorovich._row_cuts(cfg, mu, n, f, base)
 values = []
 for budget in (1 << 21, 1 << 16, 1):
     kantorovich._BLOCK_POINTS = budget
-    values.append(kantorovich._inner_values.__wrapped__(cfg, n, f).tobytes().hex())
+    values.append("".join(kantorovich._blend_at_level(cfg, mu, n, f, base, level, cuts)
+                          .tobytes().hex() for level in levels))
 print(json.dumps(values))
 """
 
@@ -729,7 +715,7 @@ def test_axis_major_blocks_keep_the_row_major_bits(monkeypatch):
     differ = []
     for key, (dom, n, f) in cases.items():
         for a in (1.0, 2.0):
-            cfg = kantorovich.OperatorConfig(dom, a, constant_lebesgue(), 8)
+            cfg = kantorovich.OperatorConfig(dom, a, constant_lebesgue())
             for budget in (1 << 16, 1):
                 monkeypatch.setattr(kantorovich, "_BLOCK_POINTS", budget)
                 monkeypatch.setattr(kantorovich, "_blend_at_level", engine)
