@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bernstein import eval_Bn
-from .errors import ConfigError, check_p
+from .errors import ConfigError, check_count, check_p
 from .geometry import (SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid,
                        uniform_product_grid, values)
 from .kantorovich import (
@@ -100,9 +100,10 @@ class BoundReport(_Verdict):
 def lp_grid(domain: Domain, level: int = 8) -> ProductGrid:
     """The composite Gauss grid of :func:`lp_norm`: ``level`` panels per
     axis (rounded up to even so that midpoint kinks sit on panel
-    boundaries), 6 nodes per panel (7 on the simplex, collapsed)."""
-    panels = max(2, int(level))
-    panels += panels % 2
+    boundaries), 6 nodes per panel (7 on the simplex, collapsed).
+    :class:`ConfigError` unless ``level`` is an integer >= 1."""
+    check_count(level, "lp_grid level")
+    panels = level + level % 2
     gx, gw = gauss01(7 if domain.kind == SIMPLEX else 6)
     nodes1 = ((np.arange(panels)[:, None] + gx[None, :]) / panels).reshape(-1)
     return ProductGrid(domain, nodes1, np.tile(gw / panels, panels))

@@ -11,7 +11,9 @@ parameter list raises :class:`ConfigError`.
 
 On the interval and the hypercube a function may declare ``breakpoints``:
 per axis, the one coordinate where it has a kink across that axis (or
-``None``).  The inner integrals cut their rules there.
+``None``).  The inner integrals cut their rules there.  A polynomial may
+declare its total ``degree``; the inner integrals then stop at the first
+rule exact for it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ class FunctionMeta:
     lipschitz_l1: Optional[float] = None
     exact_omega: Optional[Callable[[float], float]] = None
     breakpoints: Optional[tuple] = None
+    degree: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +80,7 @@ def _constant(domain: Domain, params) -> CatalogFunction:
         axially_convex=True,
         lipschitz_l1=0.0,
         exact_omega=lambda delta: 0.0,
+        degree=0,
     )
     return CatalogFunction("constant", tuple(params), domain, lambda p: np.full(p.shape[0], float(c)), meta)
 
@@ -93,6 +97,7 @@ def _affine(domain: Domain, params) -> CatalogFunction:
         axially_convex=True,
         lipschitz_l1=float(np.max(np.abs(g))) if g.size else 0.0,
         exact_omega=exact,
+        degree=1,
     )
     return CatalogFunction("affine", tuple(params), domain, form, meta)
 
@@ -113,6 +118,7 @@ def _monomial(domain: Domain, params) -> CatalogFunction:
         axially_convex=True,
         lipschitz_l1=float(kk),
         exact_omega=exact,
+        degree=kk,
     )
     return CatalogFunction("monomial", tuple(params), domain, lambda p: p[:, ax] ** kk, meta)
 

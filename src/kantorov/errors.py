@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the argument checks
-for the operator index and the norm exponent that raise one."""
+for the operator index, the norm exponent and other counts that raise
+one."""
 
 from __future__ import annotations
 
@@ -26,11 +27,16 @@ class NumericError(KantorovError):
         self.point = point
 
 
+def check_count(value, what: str) -> None:
+    """Raise :class:`ConfigError` naming ``what`` unless ``value`` is an
+    integer >= 1 (``True`` is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+
+
 def check_n(n) -> None:
-    """Raise :class:`ConfigError` unless the operator index ``n`` is an
-    integer >= 1 (``True`` is not an index)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ConfigError(f"operator index n must be an integer >= 1, got {n!r}")
+    """:func:`check_count` of the operator index ``n``."""
+    check_count(n, "operator index n")
 
 
 def check_p(p) -> None:

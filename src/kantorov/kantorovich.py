@@ -31,6 +31,7 @@ from .measures import (
     MeasureSeqSpec,
     MeasureSpec,
     all_lebesgue,
+    exact_degree,
     integrate_measure,
     is_discrete,
     measure_nodes,
@@ -53,15 +54,17 @@ _RECORDS = []
 def ladder_record():
     """Outcomes of the Gauss ladders run inside the ``with`` block.
 
-    The dict counts "ladders"; "unconverged_at_cap", those that reached
-    _MAX_LEVEL without two successive levels agreeing to _LADDER_TOL; and
+    The dict counts "ladders"; "exact", those that stopped at their first
+    level because its rule is exact for the integrand (every discrete
+    measure's is); "unconverged_at_cap", those that reached _MAX_LEVEL
+    without two successive levels agreeing to _LADDER_TOL; and
     "stopped_by_node_budget", those that MAX_RULE_NODES stopped before two
     levels agreed.  "max_level" is the highest level a ladder ended at,
     and "max_residual" the largest difference between the last two levels
     a ladder compared (None while no ladder has compared two).
     """
-    record = {"ladders": 0, "unconverged_at_cap": 0, "stopped_by_node_budget": 0,
-              "max_level": 0, "max_residual": None}
+    record = {"ladders": 0, "exact": 0, "unconverged_at_cap": 0,
+              "stopped_by_node_budget": 0, "max_level": 0, "max_residual": None}
     _RECORDS.append(record)
     try:
         yield record
@@ -190,15 +193,16 @@ def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
     return vals
 
 
-def _ladder(at_level, fits=lambda level: True) -> np.ndarray:
-    """Values of ``at_level`` from ``BASE_LEVEL`` on, doubling the level
+def _ladder(at_level, fits=lambda level: True, exact=False) -> np.ndarray:
+    """Values of ``at_level`` from ``BASE_LEVEL`` on: that level alone when
+    its rule is ``exact`` for the integrand, else doubling the level
     until two successive values agree within ``_LADDER_TOL`` (capped at
     ``_MAX_LEVEL``, and only to levels for which ``fits`` holds); the
     outcome goes to every open :func:`ladder_record`."""
     level = BASE_LEVEL
     vals = at_level(level)
-    residual, outcome = None, "unconverged_at_cap"
-    while level < _MAX_LEVEL:
+    residual, outcome = None, "exact" if exact else "unconverged_at_cap"
+    while not exact and level < _MAX_LEVEL:
         nxt = min(2 * level, _MAX_LEVEL)
         if not fits(nxt):
             outcome = "stopped_by_node_budget"
@@ -228,10 +232,11 @@ def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray)
     each row's index into them (a lattice has at most n+1 per axis).  An
     axis is not cut when f declares no kink across it, or when no row's
     kink falls inside a knot interval of mu's rule.  None when no axis is
-    cut, and on the simplex.
+    cut, on the simplex, and for a discrete mu, whose rule has no knots.
     """
     marks = getattr(getattr(f, "meta", None), "breakpoints", None)
-    if marks is None or len(marks) != cfg.domain.dim or cfg.domain.kind == SIMPLEX:
+    if (marks is None or len(marks) != cfg.domain.dim or cfg.domain.kind == SIMPLEX
+            or is_discrete(mu)):
         return None
     c = cfg.a / (n + cfg.a)
     cuts = []
@@ -248,22 +253,30 @@ def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray)
     return None if all(cut is None for cut in cuts) else cuts
 
 
-def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.ndarray:
-    """Adaptive version of :func:`_blend_at_level`.
+def _degree(f) -> float:
+    """The total degree of the polynomial f declares itself to be: 1 for
+    an :class:`AffineForm`, else its ``meta.degree``; ``math.inf`` when f
+    declares none."""
+    if isinstance(f, AffineForm):
+        return 1
+    degree = getattr(getattr(f, "meta", None), "degree", None)
+    return math.inf if degree is None else degree
 
-    Exact measures (:func:`is_discrete`) are applied once; the
-    quadrature-backed ones climb the :func:`_ladder`, bounded by the rule
-    node budget, with their rules cut at the kinks f declares.
+
+def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.ndarray:
+    """Adaptive version of :func:`_blend_at_level`: the :func:`_ladder`,
+    bounded by the rule node budget, with mu's rules cut at the kinks f
+    declares, and stopped at its first level when that rule is exact for
+    the degree f declares (a discrete mu's rule is exact for any f).
     """
     if cfg.a == 0.0:
         return values(f, base)
     mu = _resolved(cfg, n)
-    if is_discrete(mu):
-        return _blend_at_level(cfg, mu, n, f, base, BASE_LEVEL)
     cuts = _row_cuts(cfg, mu, n, f, base)
     return _ladder(
         lambda level: _blend_at_level(cfg, mu, n, f, base, level, cuts),
         lambda level: rule_node_count(mu, cfg.domain, level) <= MAX_RULE_NODES,
+        _degree(f) <= exact_degree(mu, cfg.domain, BASE_LEVEL, cuts is not None),
     )
 
 

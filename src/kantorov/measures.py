@@ -264,6 +264,46 @@ def is_discrete(mu: MeasureSpec) -> bool:
     return mu.kind == DISCRETE
 
 
+def exact_degree(mu: MeasureSpec, domain: Domain, level: int, cut: bool) -> float:
+    """A total degree up to which the rule ``measure_nodes(mu, domain,
+    level)`` integrates every polynomial exactly (``cut``: the rule cut at
+    a kink on some axis); ``math.inf`` when it integrates everything.
+
+    - A discrete base to the power ``k``: the rule is the law itself (the
+      means of the k-fold combinations of the atoms, with multinomial
+      weights), exact at every degree.
+    - Lebesgue to the power ``k`` on the interval and the hypercube, per
+      axis Gauss with L nodes on each knot interval ``[j/k, (j+1)/k]``,
+      weighted by the density M_k, a polynomial of degree ``k - 1`` there.
+      Gauss with L nodes is exact to degree ``2L - 1``, so a coordinate
+      power of degree p is exact when ``p + k - 1 <= 2L - 1``.  The
+      product rule takes each monomial axis by axis, and its total degree
+      bounds every per-axis degree: ``2L - k`` (Gauss, ``2L - 1``, at
+      ``k = 1``).
+    - Cut: the knot interval that holds the cut is split, with
+      ``ceil(L/2)`` Gauss nodes on one side and ``floor(L/2)`` on the
+      other, each weighted by the same density, so the smaller half
+      gives ``2 floor(L/2) - k``.
+    - Lebesgue on K_d: L + 1 Gauss nodes per axis of the cube, mapped by
+      ``x_1 = u_1``, ``x_j = u_j prod_{i<j} (1 - u_i)`` with Jacobian
+      ``prod_{j<d} (1 - u_j)^(d-j)``.  A monomial of total degree p
+      becomes a polynomial of degree at most ``p + d - 1`` in ``u_1`` and
+      less in the others, exact when ``p + d - 1 <= 2L + 1``: ``p <= 2L +
+      2 - d``, at least ``2L - 1`` for every ``d <= 3`` (Stroud,
+      *Approximate Calculation of Multiple Integrals*, 1971).
+    - Its power ``k``: ``f`` at the mean of k draws has degree at most p
+      in each draw, and the k-fold tensor integrates draw by draw, each
+      exactly: ``2L - 1`` for every k.
+    """
+    if is_discrete(mu):
+        return math.inf
+    if domain.kind == SIMPLEX:
+        return 2 * level - 1
+    if cut:
+        level //= 2
+    return 2 * level - mu.exponent
+
+
 def rule_node_count(mu: MeasureSpec, domain: Domain, level: int) -> int:
     """Number of nodes ``measure_nodes`` would materialize."""
     if is_discrete(mu):

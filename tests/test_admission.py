@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantorov import geometry, kantorovich
-from kantorov.analysis import (convexity_report, lambda_n, lipschitz_preservation, lp_error,
-                               lp_grid, lp_norm, sandwich_check)
+from kantorov.analysis import (check_bound, convexity_report, lambda_n, lipschitz_preservation,
+                               lp_error, lp_grid, lp_norm, sandwich_check)
 from kantorov.bernstein import apply_lattice_values, basis, basis_weights, eval_Bn, lattice_points
 from kantorov.catalog import lookup
 from kantorov.cli import main, parse_config
@@ -293,6 +293,16 @@ BAD_ARGUMENTS = {
     "lp_norm p nan": lambda: lp_norm(I, _FIRST, math.nan),
     "lambda_n p nan": lambda: lambda_n(cfg_for(I), 2, math.nan),
     "lambda_n p string": lambda: lambda_n(cfg_for(I), 2, "inf"),
+    # lp_grid's panel level: an integer >= 1, not a bool, through every caller
+    "lp_grid level 0": lambda: lp_grid(I, 0),
+    "lp_grid level -3": lambda: lp_grid(Q2, -3),
+    "lp_grid level True": lambda: lp_grid(I, True),
+    "lp_grid level 2.5": lambda: lp_grid(I, 2.5),
+    "lp_norm level nan": lambda: lp_norm(I, _FIRST, 2.0, math.nan),
+    "lp_error level inf": lambda: lp_error(cfg_for(I), 2, _FIRST, 2.0, math.inf),
+    "lambda_n level 0": lambda: lambda_n(cfg_for(I), 2, 2.0, 0),
+    "check_bound level nan": lambda: check_bound(cfg_for(I), _FIRST, [2], "lp_equibounded",
+                                                 math.nan),
     "convexity_report mode": lambda: convexity_report(_FIRST, I, "concave", 4),
     "convexity_report axially_convex": lambda: convexity_report(_FIRST, Q2, "axially_convex", 4),
     "lipschitz_preservation constant": lambda: lipschitz_preservation(cfg_for(I), 2, _FIRST, 4),

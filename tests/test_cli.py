@@ -428,8 +428,8 @@ def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("warning: 2 of 2 quadrature ladder(s)")
     quad = json.loads(js.read_text())["meta"]["quadrature"]
     assert quad.pop("max_residual") > 1e-11
-    assert quad == {"ladders": 2, "unconverged_at_cap": 2, "stopped_by_node_budget": 0,
-                    "max_level": 32}
+    assert quad == {"ladders": 2, "exact": 0, "unconverged_at_cap": 2,
+                    "stopped_by_node_budget": 0, "max_level": 32}
 
 
 def test_declared_kinks_converge_with_a_rounding_residual(tmp_path, capsys):
@@ -444,8 +444,8 @@ def test_declared_kinks_converge_with_a_rounding_residual(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     quad = json.loads(js.read_text())["meta"]["quadrature"]
     assert quad.pop("max_residual") <= 1e-15
-    assert quad == {"ladders": 2, "unconverged_at_cap": 0, "stopped_by_node_budget": 0,
-                    "max_level": 16}
+    assert quad == {"ladders": 2, "exact": 0, "unconverged_at_cap": 0,
+                    "stopped_by_node_budget": 0, "max_level": 16}
 
 
 def test_converged_ladders_do_not_warn(tmp_path, capsys):
@@ -460,8 +460,8 @@ def test_converged_ladders_do_not_warn(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     quad = json.loads(js.read_text())["meta"]["quadrature"]
     assert quad.pop("max_residual") <= 1e-11
-    assert quad == {"ladders": 2, "unconverged_at_cap": 0, "stopped_by_node_budget": 0,
-                    "max_level": 16}
+    assert quad == {"ladders": 2, "exact": 0, "unconverged_at_cap": 0,
+                    "stopped_by_node_budget": 0, "max_level": 16}
 
 
 def test_short_explicit_list_is_a_config_error(tmp_path, capsys):

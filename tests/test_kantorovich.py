@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantorov.bernstein import eval_Bn, lattice
-from kantorov.catalog import lookup
+from kantorov.catalog import CatalogFunction, FunctionMeta, lookup
 from kantorov.cli import _AFFINE_TOL, _QUADRATIC_TOL
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, uniform_grid, values
@@ -30,14 +30,17 @@ from kantorov.kantorovich import (
     measure_moments,
 )
 from kantorov.measures import (
+    BASE_LEVEL,
     constant_lebesgue,
     dirac_shift,
     discrete_measure,
     discrete_spec,
+    exact_degree,
     explicit_list,
     integrate_measure,
     lebesgue_measure,
     measure_nodes,
+    power_measure,
     power_of_base,
     resolve,
 )
@@ -586,10 +589,115 @@ def test_ladder_record_keeps_the_final_level_and_largest_residual():
         kantorovich._ladder(lambda level: np.array([1.0 / level]))
         # agrees at 16: last step 1e-12
         kantorovich._ladder(lambda level: np.array([1.0 + 1e-12 * (level == 8)]))
-    assert inner == {"ladders": 1, "unconverged_at_cap": 0, "stopped_by_node_budget": 1,
-                     "max_level": 8, "max_residual": None}
-    assert outer == {"ladders": 3, "unconverged_at_cap": 1, "stopped_by_node_budget": 1,
-                     "max_level": 32, "max_residual": 1.0 / 32}
+    assert inner == {"ladders": 1, "exact": 0, "unconverged_at_cap": 0,
+                     "stopped_by_node_budget": 1, "max_level": 8, "max_residual": None}
+    assert outer == {"ladders": 3, "exact": 0, "unconverged_at_cap": 1,
+                     "stopped_by_node_budget": 1, "max_level": 32, "max_residual": 1.0 / 32}
+
+
+def _ladders_of(cfg, n, f):
+    """The inner integrals of C_n f, computed afresh, and the record of
+    their ladders."""
+    base = lattice(cfg.domain, n) / (n + cfg.a)
+    with ladder_record() as record:
+        vals = kantorovich._blend_integrals(cfg, n, f, base)
+    return vals, base, dict(record)
+
+
+def _polynomial(domain, degree, breakpoints=None):
+    """A catalog-style polynomial of total degree ``degree`` with values
+    in [0, 1] that declares that degree (and ``breakpoints``)."""
+    scale = 1.0 if domain.kind == "simplex" else 1.0 / domain.dim
+    meta = FunctionMeta(degree=degree, breakpoints=breakpoints)
+    return CatalogFunction("polynomial", (degree,), domain,
+                           lambda p: (scale * p.sum(axis=1)) ** degree, meta)
+
+
+# one rule family each: (domain, measure sequence, n, declared breakpoints)
+_RULE_FAMILIES = {
+    "I": (I, constant_lebesgue(), 4, None),
+    "Q2": (Q2, constant_lebesgue(), 4, None),
+    "K2": (K2, constant_lebesgue(), 4, None),
+    "I-power2": (I, power_of_base(lebesgue_measure(), 2), 4, None),
+    "K2-power2": (K2, power_of_base(lebesgue_measure(), 2), 2, None),
+    # n = 4, a = 1 puts the kink of row h at s = 1.5 - h: row 1 is cut
+    "I-cut": (I, constant_lebesgue(), 4, (0.3,)),
+}
+
+
+@pytest.mark.parametrize("family", _RULE_FAMILIES)
+def test_a_polynomial_of_the_exact_degree_takes_one_level(family):
+    dom, measures, n, breakpoints = _RULE_FAMILIES[family]
+    cfg = cfg_for(dom, 1.0, measures)
+    mu = kantorovich._resolved(cfg, n)
+    degree = exact_degree(mu, dom, BASE_LEVEL, breakpoints is not None)
+    f = _polynomial(dom, degree, breakpoints)
+    vals, base, record = _ladders_of(cfg, n, f)
+    assert record["ladders"] == 1 and record["exact"] == 1
+    assert record["max_level"] == BASE_LEVEL and record["max_residual"] is None
+    cuts = kantorovich._row_cuts(cfg, mu, n, f, base)
+    assert (cuts is None) == (breakpoints is None)
+    top = kantorovich._blend_at_level(cfg, mu, n, f, base, kantorovich._MAX_LEVEL, cuts)
+    np.testing.assert_allclose(vals, top, rtol=0.0, atol=1e-14)
+    # one degree more than the first rule is exact for climbs the ladder
+    _, _, record = _ladders_of(cfg, n, _polynomial(dom, degree + 1, breakpoints))
+    assert record["ladders"] == 1 and record["exact"] == 0
+    assert record["max_level"] > BASE_LEVEL
+
+
+@pytest.mark.parametrize("family", [k for k, v in _RULE_FAMILIES.items() if v[3] is None])
+def test_undeclared_integrands_climb_as_before(family):
+    # a bare callable and exp_sum declare no degree: their values are the
+    # level-16 rule's, where the ladder converges, to the bit
+    dom, measures, n, _ = _RULE_FAMILIES[family]
+    cfg = cfg_for(dom, 1.0, measures)
+    mu = kantorovich._resolved(cfg, n)
+    for f in (lambda p: np.exp(p.sum(axis=1)), lookup("exp_sum", (), dom)):
+        vals, base, record = _ladders_of(cfg, n, f)
+        assert record["ladders"] == 1 and record["exact"] == 0
+        assert record["unconverged_at_cap"] == 0 and record["max_level"] == 16
+        assert vals.tobytes() == kantorovich._blend_at_level(cfg, mu, n, f, base, 16).tobytes()
+
+
+@pytest.mark.parametrize("dom", [I, Q2, K2, K3], ids=lambda d: f"{d.kind}{d.dim}")
+def test_moment_integrands_take_one_level(dom):
+    # verify's affine forms and coordinate squares: level 8 is exact
+    cfg = cfg_for(dom, 1.0)
+    xs = uniform_grid(dom, 4)
+    h = AffineForm(0.3, tuple(np.linspace(-1.0, 1.0, dom.dim)))
+    with ladder_record() as record:
+        for n in (4, 16):
+            gap = eval_Cn(cfg, n, h, xs) - cn_affine_moment(cfg, n, h, xs)
+            assert np.abs(gap).max() <= 1e-14
+            for i in range(dom.dim):
+                square = lookup("monomial", (i + 1, 2), dom)
+                gap = eval_Cn(cfg, n, square, xs) - cn_quadratic_moment(cfg, n, i, xs)
+                assert np.abs(gap).max() <= 1e-14
+    assert record["ladders"] == record["exact"] == 2 * (1 + dom.dim)
+    assert record["max_level"] == BASE_LEVEL
+
+
+_COIN2 = discrete_spec(discrete_measure([[0.1, 0.2], [0.6, 0.3]], [0.25, 0.75], Q2))
+
+
+@pytest.mark.parametrize("dom,measures,n", [
+    (I, dirac_shift([0.25]), 5),
+    (Q2, explicit_list([_COIN2, power_measure(_COIN2, 2), power_measure(_COIN2, 3)]), 3),
+], ids=["dirac_shift", "explicit_list"])
+def test_discrete_measures_take_the_one_level_path(dom, measures, n):
+    # exact at every degree: one level, the same bits as the rule at
+    # BASE_LEVEL, and a declared kink leaves the rule uncut
+    cfg = cfg_for(dom, 1.0, measures)
+    mu = kantorovich._resolved(cfg, n)
+    base = lattice(dom, n) / (n + cfg.a)
+    for f in (lambda p: np.exp(p.sum(axis=1)), lookup("abs_dist", (0.45,) * dom.dim, dom)):
+        with ladder_record() as record:
+            got = kantorovich._inner_values(cfg, n, f)
+        want = kantorovich._blend_at_level(cfg, mu, n, f, base, BASE_LEVEL)
+        assert got.tobytes() == want.tobytes()
+        assert record == {"ladders": 1, "exact": 1, "unconverged_at_cap": 0,
+                          "stopped_by_node_budget": 0, "max_level": BASE_LEVEL,
+                          "max_residual": None}
 
 
 # Prints, per block budget, the bytes of the inner values of one case at

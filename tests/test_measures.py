@@ -7,6 +7,7 @@ import pytest
 from kantorov.errors import ConfigError
 from kantorov.geometry import Domain, quadrature_rule
 from kantorov.measures import (
+    BASE_LEVEL,
     MAX_RULE_NODES,
     MeasureSeqSpec,
     MeasureSpec,
@@ -16,6 +17,7 @@ from kantorov.measures import (
     dirac_shift,
     discrete_measure,
     discrete_spec,
+    exact_degree,
     explicit_list,
     integrate_measure,
     is_discrete,
@@ -119,6 +121,32 @@ def test_discrete_rule_is_its_atoms_bitwise():
     for mu, dom in ((COIN, I), (discrete_measure(atoms, w / w.sum(), K2), K2)):
         nodes, weights = measure_nodes(discrete_spec(mu), dom, 5)
         assert _same_bits(nodes, mu.atoms) and _same_bits(weights, mu.weights)
+
+
+_LEB2 = power_measure(lebesgue_measure(), 2)
+
+
+@pytest.mark.parametrize("dom,mu,cut,degree", [
+    # Gauss with 8 nodes per axis: 2L - 1
+    (I, lebesgue_measure(), False, 15),
+    (Q3, lebesgue_measure(), False, 15),
+    # B-spline power rule: 2L - k
+    (I, _LEB2, False, 14),
+    (Q2, power_measure(lebesgue_measure(), 3), False, 13),
+    # a cut rule: its floor(L/2) half
+    (I, lebesgue_measure(), True, 7),
+    (Q2, _LEB2, True, 6),
+    # collapsed simplex rule and its tensor powers: 2L - 1 for every k
+    (K2, lebesgue_measure(), False, 15),
+    (K3, lebesgue_measure(), False, 15),
+    (K2, _LEB2, False, 15),
+    # a discrete rule is exact at every degree
+    (I, discrete_spec(COIN), False, math.inf),
+    (I, power_measure(discrete_spec(COIN), 3), False, math.inf),
+])
+def test_exact_degree_of_each_rule_at_the_base_level(dom, mu, cut, degree):
+    assert BASE_LEVEL == 8
+    assert exact_degree(mu, dom, BASE_LEVEL, cut) == degree
 
 
 def test_sequence_resolution():
