@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bernstein import eval_Bn
-from .errors import ConfigError, check_count, check_p
+from .errors import ConfigError, check_count, check_n, check_p
 from .geometry import (SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid,
                        uniform_product_grid, values)
 from .kantorovich import (
@@ -150,10 +150,9 @@ def _grid(domain: Domain, m: int):
     return uniform_grid(domain, m) if domain.kind == SIMPLEX else uniform_product_grid(domain, m)
 
 
-def sup_error(cfg: OperatorConfig, n: int, f, m: int) -> float:
-    """max over the uniform grid of |C_n(f) - f|."""
-    xs = uniform_grid(cfg.domain, m)
-    return float(np.max(np.abs(eval_Cn(cfg, n, f, _grid(cfg.domain, m)) - values(f, xs))))
+def _sup_gap(cfg: OperatorConfig, n: int, f, grid, fv: np.ndarray) -> float:
+    """max over ``grid`` (:func:`_grid`) of |C_n(f) - f|, given f's values there."""
+    return float(np.max(np.abs(eval_Cn(cfg, n, f, grid) - fv)))
 
 
 def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.ndarray]:
@@ -162,12 +161,26 @@ def _cn_evaluator(cfg: OperatorConfig, n: int, f) -> Callable[[np.ndarray], np.n
     return lambda pts: eval_Cn(cfg, n, f, pts)
 
 
+def _lp_gap(cfg: OperatorConfig, n: int, f, grid: ProductGrid, fv: np.ndarray,
+            p: float) -> float:
+    """L^p distance between C_n(f) and f on ``grid`` (:func:`lp_grid`),
+    given f's values there."""
+    return _grid_norm(grid, _cn_evaluator(cfg, n, f)(grid) - fv, p)
+
+
+def sup_error(cfg: OperatorConfig, n: int, f, m: int) -> float:
+    """max over the uniform grid of |C_n(f) - f|."""
+    check_n(n)
+    fv = values(f, uniform_grid(cfg.domain, m))
+    return _sup_gap(cfg, n, f, _grid(cfg.domain, m), fv)
+
+
 def lp_error(cfg: OperatorConfig, n: int, f, p: float, level: int = 8) -> float:
     """L^p distance between C_n(f) and f (cell form where available)."""
+    check_n(n)
     check_p(p)
     grid = lp_grid(cfg.domain, level)
-    cn = _cn_evaluator(cfg, n, f)(grid)
-    return _grid_norm(grid, cn - values(f, grid.points), p)
+    return _lp_gap(cfg, n, f, grid, values(f, grid.points), p)
 
 
 def _phi_diffs(cfg: OperatorConfig, n: int) -> list:
@@ -200,16 +213,26 @@ def lambda_n(cfg: OperatorConfig, n: int, p, m_or_level: int = 8) -> float:
     argument is the grid resolution (sup norm) or the :func:`lp_grid`
     level (L^p norm).
     """
-    sup = p == math.inf
-    if not sup:
-        check_p(p)
+    return _lambda_gap(cfg, n, p, _lambda_grid(cfg.domain, p, m_or_level))
+
+
+def _lambda_grid(domain: Domain, p, m_or_level: int):
+    """The grid :func:`lambda_n` measures on: ``uniform_grid`` for the sup
+    norm, :func:`lp_grid` for an L^p norm."""
+    if p == math.inf:
+        return uniform_grid(domain, m_or_level)
+    check_p(p)
+    return lp_grid(domain, m_or_level)
+
+
+def _lambda_gap(cfg: OperatorConfig, n: int, p, grid) -> float:
+    """:func:`lambda_n` on ``grid``, a :func:`_lambda_grid`."""
     best = 0.0
     for diff in _phi_diffs(cfg, n):
-        if sup:
-            xs = uniform_grid(cfg.domain, m_or_level)
-            val = float(np.max(np.abs(diff(xs))))
+        if p == math.inf:
+            val = float(np.max(np.abs(diff(grid))))
         else:
-            val = lp_norm(cfg.domain, diff, p, m_or_level)
+            val = _grid_norm(grid, values(diff, grid.points), p)
         best = max(best, val)
     return best
 
@@ -263,12 +286,21 @@ def _omega_uniform_delta(cfg, n):
 _SUP_DELTAS = {"omega_total": _omega_total_delta, "omega_uniform": _omega_uniform_delta}
 
 
+def _sorted_n(n_list) -> list[int]:
+    """``n_list`` sorted, each entry checked by :func:`~kantorov.errors.check_n`."""
+    n_list = list(n_list)
+    for n in n_list:
+        check_n(n)
+    return sorted(int(n) for n in n_list)
+
+
 def _check_omega_sup(cfg, f, n_list, m, delta):
     omegas, exact = _omegas(f, cfg.domain, m, [delta(cfg, n) for n in n_list])
+    grid, fv = _grid(cfg.domain, m), values(f, uniform_grid(cfg.domain, m))
     rows = []
     for n, omega in zip(n_list, omegas):
         bound = 2.0 * float(omega)
-        measured = sup_error(cfg, n, f, m)
+        measured = _sup_gap(cfg, n, f, grid, fv)
         rows.append(BoundRow(n, measured, bound, _ratio(measured, bound)))
     return rows, exact
 
@@ -322,10 +354,10 @@ def _require_lebesgue(cfg: OperatorConfig, bound_id: str) -> None:
 
 def _check_lambda_p(cfg, n_list, level, p):
     _require_lebesgue(cfg, "lambda_p_bound")
-    check_p(p)
+    grid = lp_grid(cfg.domain, level)
     rows = []
     for n in n_list:
-        measured = lambda_n(cfg, n, p, level)
+        measured = _lambda_gap(cfg, n, p, grid)
         bound = lambda_p_bound_value(cfg.domain, cfg.a, n, float(p))
         rows.append(BoundRow(n, measured, bound, _ratio(measured, bound)))
     return rows
@@ -335,9 +367,9 @@ def _check_lp_equibounded(cfg, f, n_list, level, p):
     _require_lebesgue(cfg, "lp_equibounded")
     if cfg.a <= 0.0:
         raise ConfigError("lp_equibounded needs a > 0")
-    fnorm = lp_norm(cfg.domain, f, float(p), level)
-    bound = equibounded_constant(cfg.domain, cfg.a) ** (1.0 / float(p)) * fnorm
     grid = lp_grid(cfg.domain, level)
+    fnorm = _grid_norm(grid, values(f, grid.points), float(p))
+    bound = equibounded_constant(cfg.domain, cfg.a) ** (1.0 / float(p)) * fnorm
     rows = []
     for n in n_list:
         measured = _grid_norm(grid, _cn_evaluator(cfg, n, f)(grid), float(p))
@@ -360,7 +392,9 @@ def check_bound(
     """
     if bound_id not in BOUND_IDS:
         raise ConfigError(f"unknown bound_id {bound_id!r}; know {BOUND_IDS}")
-    n_list = sorted(int(n) for n in n_list)
+    if bound_id not in SUP_BOUNDS:
+        check_p(p)
+    n_list = _sorted_n(n_list)
     if bound_id in SUP_BOUNDS:
         if bound_id == "omega_pointwise":
             rows, exact = _check_omega_pointwise(cfg, f, n_list, m_or_level)
@@ -500,11 +534,20 @@ def convergence_table(
     m: int,
     p: Optional[float] = None,
 ) -> list[ErrorRow]:
-    """sup / L^p error rows for a list of n (sorted).  ``lp_error`` reuses
-    the inner integrals that ``sup_error`` computed."""
+    """sup / L^p error rows for a list of n (sorted), as :func:`sup_error`
+    and :func:`lp_error` give them.  The grids and f's values on them are
+    built once; the L^p error reuses the inner integrals that the sup
+    error computed."""
+    if p is not None:
+        check_p(p)
+    n_list = _sorted_n(n_list)
+    grid, fv = _grid(cfg.domain, m), values(f, uniform_grid(cfg.domain, m))
+    if p is not None:
+        lgrid = lp_grid(cfg.domain)
+        lfv = values(f, lgrid.points)
     rows = []
-    for n in sorted(int(n) for n in n_list):
-        sup = sup_error(cfg, n, f, m)
-        lp = lp_error(cfg, n, f, p) if p is not None else None
+    for n in n_list:
+        sup = _sup_gap(cfg, n, f, grid, fv)
+        lp = _lp_gap(cfg, n, f, lgrid, lfv, p) if p is not None else None
         rows.append(ErrorRow(n, sup, lp))
     return rows

@@ -711,8 +711,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first main() call, then reused: argparse keeps no state between parses
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         raw = load_config(args.config)

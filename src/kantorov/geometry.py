@@ -218,13 +218,17 @@ def gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tensor(nodes_1d: np.ndarray, weights_1d: np.ndarray, d: int):
-    grids = np.meshgrid(*([nodes_1d] * d), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights_1d] * d), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for wg in wgrids:
-        weights = weights * wg.reshape(-1)
-    return nodes, weights
+    """The ``(q^d, d)`` points and ``(q^d,)`` weights of the product of a
+    ``q``-node rule with itself, in C order.  Each axis is broadcast into
+    a preallocated array; the weights are multiplied in axis order."""
+    q = nodes_1d.size
+    nodes = np.empty((q,) * d + (d,))
+    weights = np.ones((q,) * d)
+    for i in range(d):
+        along = (1,) * i + (q,) + (1,) * (d - 1 - i)
+        nodes[..., i] = nodes_1d.reshape(along)
+        weights *= weights_1d.reshape(along)
+    return nodes.reshape(-1, d), weights.reshape(-1)
 
 
 def simplex_from_cube(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

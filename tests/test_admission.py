@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantorov import geometry, kantorovich
-from kantorov.analysis import (check_bound, convexity_report, lambda_n, lipschitz_preservation,
-                               lp_error, lp_grid, lp_norm, sandwich_check)
+from kantorov.analysis import (check_bound, convergence_table, convexity_report, lambda_n,
+                               lipschitz_preservation, lp_error, lp_grid, lp_norm, sandwich_check)
 from kantorov.bernstein import apply_lattice_values, basis, basis_weights, eval_Bn, lattice_points
 from kantorov.catalog import lookup
 from kantorov.cli import main, parse_config
@@ -272,6 +272,15 @@ def test_nan_function_values_raise_numeric_error(name):
 
 # Every argument check of the library, called through a public function.
 _FIRST = lambda p: p[:, 0]
+# points of each call of _COUNTED; the table cases raise before calling it
+_COUNTED_CALLS = []
+
+
+def _COUNTED(pts):
+    _COUNTED_CALLS.append(pts)
+    return pts[:, 0]
+
+
 BAD_ARGUMENTS = {
     "Domain kind": lambda: Domain("cube", 1),
     "Domain interval dim": lambda: Domain("interval", 2),
@@ -303,6 +312,18 @@ BAD_ARGUMENTS = {
     "lambda_n level 0": lambda: lambda_n(cfg_for(I), 2, 2.0, 0),
     "check_bound level nan": lambda: check_bound(cfg_for(I), _FIRST, [2], "lp_equibounded",
                                                  math.nan),
+    # every n of a table is an operator index, and p a norm exponent, before any work
+    "convergence_table n 2.7": lambda: convergence_table(cfg_for(I), _COUNTED, [4, 2.7], 8),
+    "convergence_table n True": lambda: convergence_table(cfg_for(I), _COUNTED, [True], 8),
+    "convergence_table n string": lambda: convergence_table(cfg_for(I), _COUNTED, ["3"], 8),
+    "convergence_table n nan": lambda: convergence_table(cfg_for(I), _COUNTED, [math.nan], 8),
+    "convergence_table p 0.5": lambda: convergence_table(cfg_for(I), _COUNTED, [2], 8, 0.5),
+    "check_bound n 2.7": lambda: check_bound(cfg_for(I), _COUNTED, [2.7], "omega_total", 8),
+    "check_bound n True": lambda: check_bound(cfg_for(I), _COUNTED, [True], "omega_total", 8),
+    "check_bound n string": lambda: check_bound(cfg_for(I), _COUNTED, ["3"], "omega_total", 8),
+    "check_bound n nan": lambda: check_bound(cfg_for(I), _COUNTED, [math.nan], "omega_total", 8),
+    "check_bound p True": lambda: check_bound(cfg_for(I), _COUNTED, [2], "lp_equibounded",
+                                              p=True),
     "convexity_report mode": lambda: convexity_report(_FIRST, I, "concave", 4),
     "convexity_report axially_convex": lambda: convexity_report(_FIRST, Q2, "axially_convex", 4),
     "lipschitz_preservation constant": lambda: lipschitz_preservation(cfg_for(I), 2, _FIRST, 4),
@@ -326,9 +347,11 @@ BAD_ARGUMENTS = {
 
 @pytest.mark.parametrize("name", BAD_ARGUMENTS)
 def test_bad_arguments_raise_config_error_which_is_a_value_error(name):
+    _COUNTED_CALLS.clear()
     with pytest.raises(ConfigError) as err:
         BAD_ARGUMENTS[name]()
     assert isinstance(err.value, ValueError)
+    assert _COUNTED_CALLS == []
 
 
 def test_the_package_raises_no_bare_value_error():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -402,3 +403,72 @@ def test_uniform_grid_checks_on_the_interval_equal_the_scattered_path(monkeypatc
     monkeypatch.setattr(analysis, "_grid", uniform_grid)
     for name, check in _uniform_grid_checks(cfg, 12, f, 50).items():
         assert check() == on_grid[name], name
+
+
+_TABLE_CONFIGS = {
+    "lebesgue": lambda dom: cfg_for(dom, 1.0),
+    "dirac": lambda dom: cfg_for(dom, 2.0, dirac_shift([0.25] * dom.dim)),
+    "a=0": lambda dom: cfg_for(dom, 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", _TABLE_CONFIGS)
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+def test_tables_equal_the_per_n_calls_bit_for_bit(dom, kind):
+    cfg, m = _TABLE_CONFIGS[kind](dom), 12
+    for f in (lookup("exp_sum", (), dom), lookup("abs_dist", [0.5] * dom.dim, dom)):
+        rows = convergence_table(cfg, f, [7, 2, 4], m, p=2.0)
+        assert rows == [analysis.ErrorRow(n, sup_error(cfg, n, f, m), lp_error(cfg, n, f, 2.0))
+                        for n in (2, 4, 7)]
+        report = check_bound(cfg, f, [7, 2, 4], "omega_total", m)
+        assert [(r.n, r.measured) for r in report.rows] == [(r.n, r.sup_error) for r in rows]
+
+
+def _counting(f, calls):
+    """``f`` with the same meta, recording the points of each call."""
+    def counted(pts):
+        calls.append(np.array(pts))
+        return f.eval(pts)
+
+    return dataclasses.replace(f, eval=counted)
+
+
+def _calls_on(calls, pts):
+    return sum(1 for c in calls if c.shape == pts.shape and np.array_equal(c, pts))
+
+
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+def test_tables_evaluate_f_once_per_grid(dom):
+    # whatever the number of n: once on the uniform grid and once on the
+    # lp_grid per table; the omega_total check adds omega1's own pass over
+    # the uniform grid
+    cfg, m = cfg_for(dom, 1.0), 10
+    xs, lgrid = uniform_grid(dom, m), lp_grid(dom)
+    for n_list in ([4], [2, 4, 8, 16]):
+        calls = []
+        f = _counting(lookup("runge", (), dom), calls)
+        convergence_table(cfg, f, n_list, m, p=2.0)
+        assert (_calls_on(calls, xs), _calls_on(calls, lgrid.points)) == (1, 1), n_list
+        calls.clear()
+        check_bound(cfg, f, n_list, "omega_total", m)
+        assert _calls_on(calls, xs) == 2, n_list
+
+
+def test_lambda_checks_build_one_grid(monkeypatch):
+    built = []
+
+    def counting(build):
+        def wrapper(*args):
+            built.append(build.__name__)
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "lp_grid", counting(lp_grid))
+    monkeypatch.setattr(analysis, "uniform_grid", counting(uniform_grid))
+    cfg = cfg_for(Q2, 1.0)
+    assert check_bound(cfg, lookup("exp_sum", (), Q2), [2, 4, 8], "lambda_p_bound", 4).passed
+    assert built == ["lp_grid"]
+    built.clear()
+    lambda_n(cfg, 4, 2.0, 4)
+    lambda_n(cfg, 4, math.inf, 10)
+    assert built == ["lp_grid", "uniform_grid"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kantorov
+from kantorov import cli
 from kantorov.cli import main
 
 BASE = {
@@ -713,3 +714,18 @@ def test_random_cli_configs_never_crash(tmp_path_factory, field, value):
         code = main([command, "--config", str(cfgp)])
     # no field takes a string or a boolean in place of what it holds
     assert code == 2 if isinstance(value, (str, bool)) else code in (0, 1, 2)
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cfgp = write_config(tmp_path, "e.json", experiment={"n_list": [3], "points": [0.2]})
+    assert main(["eval", "--config", str(cfgp)]) == 0
+    assert main(["eval", "--config", str(tmp_path / "missing.json")]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(["converge"])
+    assert exit_.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert len(built) == 1

@@ -196,3 +196,28 @@ def test_product_grid_points_and_weights():
         ProductGrid(I, np.array([0.5, 1.5]), weights)
     with pytest.raises(ConfigError):
         ProductGrid(I, nodes, np.ones(3))
+
+
+def _meshgrid_tensor(nodes_1d, weights_1d, d):
+    """The product rule built with meshgrid and stack, axis by axis."""
+    grids = np.meshgrid(*([nodes_1d] * d), indexing="ij")
+    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
+    weights = np.ones(nodes.shape[0])
+    for wg in np.meshgrid(*([weights_1d] * d), indexing="ij"):
+        weights = weights * wg.reshape(-1)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("dom", (I, Q2, Q3, Domain.simplex(1), K2, K3),
+                         ids=lambda d: f"{d.kind}{d.dim}")
+def test_product_grid_bytes_equal_the_meshgrid_construction(dom):
+    rng = np.random.default_rng(dom.dim)
+    nodes, weights = np.sort(rng.uniform(0.0, 1.0, 9)), rng.uniform(0.1, 1.0, 9)
+    grid = ProductGrid(dom, nodes, weights)
+    ref_nodes, ref_weights = _meshgrid_tensor(nodes, weights, dom.dim)
+    if dom.kind == "simplex":
+        ref_nodes, jac = simplex_from_cube(ref_nodes)
+        ref_weights = ref_weights * jac
+    assert grid.points.flags.c_contiguous and grid.points.shape == ref_nodes.shape
+    assert grid.points.tobytes() == ref_nodes.tobytes()
+    assert grid.weights.tobytes() == ref_weights.tobytes()
