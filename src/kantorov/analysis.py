@@ -36,7 +36,8 @@ from .kantorovich import (
 )
 from .markov import markov_values
 from .measures import all_lebesgue
-from .moduli import _half_offsets, _pair_blocks, lipschitz_estimate, omega1
+from .moduli import (_extrema, _half_offsets, _pair_views, _scan_grid, _tensor,
+                     lipschitz_estimate, omega1)
 
 TOL_CLOSED = 1e-6
 TOL_GRID = 0.02
@@ -446,22 +447,26 @@ def convexity_report(g, domain: Domain, mode: str, m: int) -> ConvexityReport:
     one axis; ``axially_convex`` (simplex) pairs along axes or vertex
     differences e_i - e_j.  ``g`` is a callable (evaluated on the
     doubled grid) or a precomputed value array on ``uniform_grid(2m)``.
+    The witness is a pair of the 2m grid whose midpoint violation is
+    ``worst_violation``: of the pairs that attain it, the first offset
+    ``k`` in lexicographic order, then the first row ``i`` in C order.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown convexity mode {mode!r}")
     if mode == "axially_convex" and domain.kind != SIMPLEX:
         raise ConfigError("axially_convex applies to the simplex")
-    pts2 = uniform_grid(domain, 2 * m)
-    g2 = values(g if callable(g) else lambda _: g, pts2)
+    g2, pts2 = _scan_grid(g, domain, m, 2)
     ks = _half_offsets(domain.dim, m)
-    worst = -math.inf
-    witness = None
-    for a, b, mid in _pair_blocks(domain, m, ks[_MODES[mode](ks)], midpoints=True):
-        viol = g2[mid] - 0.5 * (g2[a] + g2[b])
-        j = int(np.argmax(viol))
-        if viol[j] > worst:
-            worst = float(viol[j])
-            witness = (pts2[a[j]].copy(), pts2[b[j]].copy())
+    ks = ks[_MODES[mode](ks)]
+    violation = lambda a, b, mid: mid - 0.5 * (a + b)
+    ext = _extrema(violation, g2, ks, midpoints=True)
+    # the witness: the first offset k attaining the worst, then its first row i
+    worst = float(np.fmax.reduce(ext))
+    k = ks[np.flatnonzero(ext == worst)[0]]
+    vals = violation(*_pair_views(g2, k.tolist(), True))
+    i = np.maximum(-k, 0) + np.unravel_index(np.flatnonzero(vals == worst)[0], vals.shape)
+    x2 = _tensor(pts2, domain, 2 * m)
+    witness = (x2[tuple(2 * i)].copy(), x2[tuple(2 * i + 2 * k)].copy())
     return ConvexityReport(mode, worst <= TOL_CONVEX, worst, witness, TOL_CONVEX)
 
 

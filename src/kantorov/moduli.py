@@ -11,6 +11,11 @@ need a safe upper bound must either inflate these values or use the
 catalog's exact formulas.  Functions are anything callable on ``(G, d)``
 batches, in particular :class:`~kantorov.catalog.CatalogFunction`.
 
+Every scan reads ``f`` as one ``(m+1,)*d`` tensor of its (finite) grid
+values, NaN outside K_d (:func:`_scan_grid`), and reduces with ``fmax``
+and ``fmin``, which skip the NaN.  A pair is the rows ``i`` and ``i + k``
+for an offset ``k`` whose first non-zero entry is positive.
+
 The moduli take ``delta`` as a float or a 1-D array and return a float
 or an array in the input order; one walk of the grid serves all deltas.
 Grid points lie at least ``1/m`` apart, so ``omega1`` and ``omega_kp``
@@ -24,29 +29,38 @@ import math
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, check_p
-from .geometry import (SIMPLEX, Domain, trapezoid_weights, uniform_grid, uniform_product_grid,
-                       values)
+from .geometry import SIMPLEX, Domain, trapezoid_weights, uniform_grid, uniform_product_grid, values
 
-# Flat row pairs per block of _pair_blocks.
-_PAIRS_PER_BLOCK = 1 << 15
+# Elements of each temporary a pair scan computes on.
+_BUDGET = 1 << 14
 # delta * m is rounded in floats (0.29 * 100 is 28.999999999999996); a
 # relative slack far below one grid step keeps the offsets that lie at
 # exactly distance delta.
 _RADIUS_SLACK = 1.0 + 1e-12
 
 
-def _positions(domain: Domain, m: int) -> np.ndarray:
-    """Row of each index tuple in ``uniform_grid(domain, m)``, as an
-    ``(m+1,)*d`` tensor; -1 outside the simplex."""
-    shape = (m + 1,) * domain.dim
+def _tensor(rows: np.ndarray, domain: Domain, n: int) -> np.ndarray:
+    """``rows`` on ``uniform_grid(domain, n)`` (trailing axes kept) as an
+    ``(n+1,)*d`` tensor in index order, NaN outside the simplex."""
+    shape = (n + 1,) * domain.dim
     if domain.kind != SIMPLEX:
-        return np.arange(np.prod(shape)).reshape(shape)
-    inside = np.indices(shape).sum(axis=0) <= m
-    pos = np.full(shape, -1)
-    pos[inside] = np.arange(int(inside.sum()))
-    return pos
+        return rows.reshape(shape + rows.shape[1:])
+    t = np.full(shape + rows.shape[1:], np.nan)
+    t[np.indices(shape).sum(axis=0) <= n] = rows
+    return t
+
+
+def _scan_grid(f, domain: Domain, m: int, scale: int = 1):
+    """``(t, pts)``: ``f`` (a callable, or its values) on ``pts =
+    uniform_grid(domain, scale * m)``, as the tensor of :func:`_tensor`.
+    Every grid scan starts here; ``ConfigError`` unless ``m >= 2``."""
+    if m < 2:
+        raise ConfigError("resolution m must be >= 2")
+    pts = uniform_grid(domain, scale * m)
+    return _tensor(values(f if callable(f) else lambda _: f, pts), domain, scale * m), pts
 
 
 def _half_offsets(d: int, m: int) -> np.ndarray:
@@ -57,72 +71,89 @@ def _half_offsets(d: int, m: int) -> np.ndarray:
 
 
 def _shells(d: int, m: int, radii: np.ndarray):
-    """``(inverse, shells)``: ``shells`` yields, in increasing ``|k|²``,
-    the offsets that each distinct radius (in grid steps) admits and the
-    smaller ones do not; ``inverse`` maps each radius to its shell.  A
-    running extremum over the shells gives every radius, from one visit
-    of each pair."""
+    """``(ks, order, ends)``: the half offsets within the largest of
+    ``radii`` (grid steps), in lexicographic order; ``ks[order]`` sorted
+    stably by ``|k|²``, whose first ``ends[r]`` have ``|k|² <= radii[r]²``
+    (up to ``_RADIUS_SLACK``)."""
     ks = _half_offsets(d, m)
     k2 = (ks**2).sum(axis=1)
     order = np.argsort(k2, kind="stable")
     ends = np.searchsorted(k2[order], radii * radii * _RADIUS_SLACK, side="right")
-    ends, inverse = np.unique(ends, return_inverse=True)
-    starts = np.concatenate([[0], ends[:-1]])
-    # each shell back in lexicographic order, as _pair_blocks needs
-    return inverse.reshape(-1), (ks[np.sort(order[a:b])] for a, b in zip(starts, ends))
+    keep = np.sort(order[:ends.max()])
+    return ks[keep], np.searchsorted(keep, order[:ends.max()]), ends
 
 
-def _pair_blocks(domain: Domain, m: int, ks: np.ndarray, midpoints=False):
-    """Every unordered pair of distinct ``uniform_grid(domain, m)`` rows
-    whose index offset is in ``ks``, once, in blocks of about
-    ``_PAIRS_PER_BLOCK`` flat row pairs.
+def _radius_max(ext: np.ndarray, order: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The largest of ``ext`` (per offset of :func:`_shells`) within each radius, or 0."""
+    return np.fmax.accumulate(np.concatenate([[0.0], ext[order]]))[ends]
 
-    ``ks`` is a lexicographically ordered subset of ``_half_offsets``.
-    A pair is a row ``a`` at index ``i`` and a row ``b`` at index
-    ``i + k``.  Yields ``(a, b)``, or with ``midpoints`` ``(a, b, mid)``:
-    the rows of ``2i``, ``2i + 2k`` and ``2i + k`` in
-    ``uniform_grid(domain, 2m)``.
-    """
-    if not len(ks):
-        return
-    pos2 = _positions(domain, 2 * m) if midpoints else None
-    pos = pos2[(slice(None, None, 2),) * domain.dim] if midpoints else _positions(domain, m)
-    # A run of offsets that share all but the last entry, and fall in one
-    # window of _PAIRS_PER_BLOCK pairs (counted on the cube), takes one
-    # slicing of the leading axes.
-    window = np.cumsum(np.prod(m + 1 - np.abs(ks), axis=1)) // _PAIRS_PER_BLOCK
-    new = np.any(ks[1:, :-1] != ks[:-1, :-1], axis=1) | (window[1:] != window[:-1])
-    parts, count = [], 0
-    for run in np.split(ks, np.flatnonzero(new) + 1):
-        lead, last = run[0, :-1].tolist(), run[:, -1]
-        # last-axis index of the first row of each pair, and its step
-        length = m + 1 - np.abs(last)
-        step = np.repeat(last, length)
-        first = np.arange(length.sum()) + np.repeat(
-            np.maximum(-last, 0) - np.cumsum(length) + length, length
-        )
-        part = [
-            pos[tuple(slice(max(-c, 0), m + 1 - max(c, 0)) for c in lead)]
-            .reshape(-1, m + 1)[:, first],
-            pos[tuple(slice(max(c, 0), m + 1 - max(-c, 0)) for c in lead)]
-            .reshape(-1, m + 1)[:, first + step],
-        ]
-        if midpoints:
-            part.append(
-                pos2[tuple(slice(abs(c), 2 * m + 1 - abs(c), 2) for c in lead)]
-                .reshape(-1, 2 * m + 1)[:, 2 * first + step]
-            )
-        part = [rows.ravel() for rows in part]
-        if domain.kind == SIMPLEX:
-            inside = (part[0] >= 0) & (part[1] >= 0)
-            part = [rows[inside] for rows in part]
-        parts.append(part)
-        count += part[0].size
-        if count >= _PAIRS_PER_BLOCK:
-            yield tuple(np.concatenate(rows) for rows in zip(*parts))
-            parts, count = [], 0
-    if count:
-        yield tuple(np.concatenate(rows) for rows in zip(*parts))
+
+def _boxes(k, m: int):
+    """The boxes of rows ``i`` and ``i + k`` of an ``(m+1,)*d`` tensor on
+    which both lie on the grid; a short ``k`` leaves the last axes whole."""
+    return (tuple(slice(max(-c, 0), m + 1 - max(c, 0)) for c in k),
+            tuple(slice(max(c, 0), m + 1 - max(-c, 0)) for c in k))
+
+
+def _pair_views(t: np.ndarray, k, midpoints: bool) -> list:
+    """Views of rows ``i`` and ``i + k``, and with ``midpoints`` of ``2i +
+    k``: ``t`` is then the 2m grid's tensor, its even coset the m grid and
+    its coset of parity ``k mod 2`` on each axis the midpoints."""
+    m = (t.shape[0] - 1) // (1 + midpoints)
+    mid = [t[tuple(slice(abs(c), 2 * m + 1 - abs(c), 2) for c in k)]] if midpoints else []
+    return [t[(slice(None, None, 1 + midpoints),) * t.ndim][box] for box in _boxes(k, m)] + mid
+
+
+def _slices(a: np.ndarray, width: int) -> list:
+    """Slices of ``a``'s first axis (none if 1-D) of at most ``_BUDGET / width`` elements."""
+    step = max(1, _BUDGET // (math.prod(a.shape[1:]) * width))
+    return [()] if a.ndim == 1 else [slice(s, s + step) for s in range(0, len(a), step)]
+
+
+def _run(op, t: np.ndarray, lead, l0: int, l1: int, midpoints: bool) -> np.ndarray:
+    """:func:`_extrema` of the offsets ``lead + (l,)``, ``l0 <= l <= l1``:
+    each partner slab, padded with NaN, is read as a sliding window whose
+    column ``l`` holds row ``i``'s partner ``i + l`` (``2i + l`` for the
+    midpoints), in groups of at most ``_BUDGET`` elements (or one row)."""
+    m = (t.shape[0] - 1) // (1 + midpoints)
+    a, *slabs = _pair_views(t, lead, midpoints)
+    count, pad = l1 - l0 + 1, (max(-l0, 0), max(l1, 0))
+    out = np.full(count, np.nan)
+    for part in _slices(a, 4):
+        views = [a[part][..., None]]
+        for stride, slab in enumerate(slabs, 1):
+            slab = slab[part]
+            padded = np.full(slab.shape[:-1] + (slab.shape[-1] + sum(pad),), np.nan)
+            padded[..., pad[0]:pad[0] + slab.shape[-1]] = slab
+            windows = sliding_window_view(padded, count, axis=-1)
+            views.append(windows[..., pad[0] + l0::stride, :][..., :m + 1, :])
+        width = max(1, min(count, _BUDGET // views[0].size))
+        for lo in range(0, count, width):
+            hi = min(lo + width, count)
+            # the rows i that have a partner i + l on the grid for some l here
+            rows = slice(max(0, -(l0 + hi - 1)), m + 1 - max(0, l0 + lo))
+            vals = op(views[0][..., rows, :], *(v[..., rows, lo:hi] for v in views[1:]))
+            out[lo:hi] = np.fmax(out[lo:hi], np.fmax.reduce(vals.reshape(-1, hi - lo), axis=0))
+    return out
+
+
+def _extrema(op, t: np.ndarray, ks: np.ndarray, midpoints: bool = False) -> np.ndarray:
+    """The largest elementwise ``op(a, b)`` (``op(a, b, mid)``) over the
+    pairs of each offset in ``ks`` (sorted half offsets), NaN for none.
+    Offsets that share all but a consecutive last entry go to :func:`_run`
+    together; any other is read as one box of each operand, in slices."""
+    cut = np.any(ks[1:, :-1] != ks[:-1, :-1], axis=1) | (np.diff(ks[:, -1]) != 1)
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(ks)] if len(ks) else [0]
+    out = [np.full(0, np.nan)]
+    for start, stop in zip(bounds, bounds[1:]):
+        k = ks[start].tolist()
+        if stop - start > 1:
+            out.append(_run(op, t, k[:-1], k[-1], int(ks[stop - 1, -1]), midpoints))
+            continue
+        views = _pair_views(t, k, midpoints)
+        out.append(np.fmax.reduce([np.fmax.reduce(op(*(v[part] for v in views)), axis=None)
+                                   for part in _slices(views[0], 1)], keepdims=True))
+    return np.concatenate(out)
 
 
 def _deltas(delta):
@@ -134,53 +165,21 @@ def _deltas(delta):
     return deltas.reshape(-1), (lambda out: out) if deltas.ndim else (lambda out: float(out[0]))
 
 
-def _shell_max(domain: Domain, m: int, radii: np.ndarray, largest):
-    """Running maximum of ``largest(ks)`` over the offset shells within
-    each of ``radii`` grid steps, from one walk of the shells;
-    ``largest`` maps a shell's offsets to the largest value they give
-    (0 for none)."""
-    if m < 2:
-        raise ConfigError("resolution m must be >= 2")
-    inverse, shells = _shells(domain.dim, m, radii)
-    best, out = 0.0, []
-    for ks in shells:
-        best = max(best, largest(ks))
-        out.append(best)
-    return np.array(out)[inverse]
-
-
-def _pair_max(domain: Domain, m: int, diff, midpoints=False):
-    """``largest`` for :func:`_shell_max`: the largest ``diff`` over a shell's pairs."""
-    blocks = lambda ks: _pair_blocks(domain, m, ks, midpoints)
-    return lambda ks: max((float(np.max(diff(*b))) for b in blocks(ks)), default=0.0)
-
-
 def omega1(f, domain: Domain, delta, m: int):
     """First modulus: sup |f(x)-f(y)| over grid pairs with dist <= delta."""
     deltas, like = _deltas(delta)
-    fv = values(f, uniform_grid(domain, m))
-    diff = lambda a, b: np.abs(fv[a] - fv[b])
-    return like(_shell_max(domain, m, deltas * m, _pair_max(domain, m, diff)))
+    t, _ = _scan_grid(f, domain, m)
+    ks, order, ends = _shells(domain.dim, m, deltas * m)
+    return like(_radius_max(_extrema(lambda a, b: np.abs(a - b), t, ks), order, ends))
 
 
 def omega2(f, domain: Domain, delta, m: int):
     """Second modulus: sup |f(x) - 2f((x+y)/2) + f(y)|, dist(x,y) <= 2*delta."""
     deltas, like = _deltas(delta)
-    fv2 = values(f, uniform_grid(domain, 2 * m))
-    diff = lambda a, b, mid: np.abs(fv2[a] + fv2[b] - 2.0 * fv2[mid])
-    return like(_shell_max(domain, m, 2.0 * deltas * m, _pair_max(domain, m, diff, True)))
-
-
-def _grid_quad_weights(domain: Domain, m: int) -> np.ndarray:
-    """L^p quadrature weights on the uniform grid (total = volume).
-
-    Tensor trapezoid on the interval/hypercube; uniform weights on the
-    simplex (a documented low-order approximation).
-    """
-    if domain.kind == SIMPLEX:
-        count = uniform_grid(domain, m).shape[0]
-        return np.full(count, domain.volume / count)
-    return uniform_product_grid(domain, m).weights
+    t2, _ = _scan_grid(f, domain, m, 2)
+    ks, order, ends = _shells(domain.dim, m, 2.0 * deltas * m)
+    ext = _extrema(lambda a, b, mid: np.abs(a + b - 2.0 * mid), t2, ks, midpoints=True)
+    return like(_radius_max(ext, order, ends))
 
 
 def check_tau_deltas(delta, m: int) -> None:
@@ -200,19 +199,23 @@ def tau_p(f, domain: Domain, delta, p: float, m: int):
     deltas, like = _deltas(delta)
     check_p(p)
     check_tau_deltas(deltas, m)
-    fv = values(f, uniform_grid(domain, m))
-    w = _grid_quad_weights(domain, m)
-    lo, hi = fv.copy(), fv.copy()
-    inverse, shells = _shells(domain.dim, m, deltas * m / 2.0)
-    out = []
-    for ks in shells:
-        for a, b in _pair_blocks(domain, m, ks):
-            np.maximum.at(hi, a, fv[b])
-            np.maximum.at(hi, b, fv[a])
-            np.minimum.at(lo, a, fv[b])
-            np.minimum.at(lo, b, fv[a])
-        out.append(float(((hi - lo) ** p * w).sum() ** (1.0 / p)))
-    return like(np.array(out)[inverse])
+    t, pts = _scan_grid(f, domain, m)
+    # the product trapezoid rule on I and Q_d, equal weights on K_d
+    w = (uniform_product_grid(domain, m).weights if domain.kind != SIMPLEX
+         else domain.volume / len(pts))
+    inside = ~np.isnan(t)
+    hi, lo = t.copy(), t.copy()
+    ks, order, ends = _shells(domain.dim, m, deltas * m / 2.0)
+    norms, done = {}, 0
+    for end in np.unique(ends).tolist():
+        for k in ks[order[done:end]].tolist():
+            a, b = _boxes(k, m)
+            np.fmax(hi[a], t[b], out=hi[a])
+            np.fmax(hi[b], t[a], out=hi[b])
+            np.fmin(lo[a], t[b], out=lo[a])
+            np.fmin(lo[b], t[a], out=lo[b])
+        norms[end], done = float(((hi[inside] - lo[inside]) ** p * w).sum() ** (1.0 / p)), end
+    return like(np.array([norms[end] for end in ends.tolist()]))
 
 
 def difference_coeffs(k: int) -> np.ndarray:
@@ -238,9 +241,8 @@ def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int):
     deltas, like = _deltas(delta)
     coeffs = difference_coeffs(k)
     check_p(p)
-    fv = values(f, uniform_grid(domain, m))
-    pos = _positions(domain, m)
-    w = _grid_quad_weights(domain, m) if domain.kind == SIMPLEX else None
+    t, pts = _scan_grid(f, domain, m)
+    weight = domain.volume / len(pts) if domain.kind == SIMPLEX else None
 
     def norm(j):
         # grid steps the box of rows i spans on each axis
@@ -248,25 +250,21 @@ def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int):
         if min(steps) < 0:
             return 0.0
         lo = [max(-k * c, 0) for c in j]
-        rows = [
-            pos[tuple(slice(a + l * c, a + l * c + s + 1) for a, c, s in zip(lo, j, steps))]
-            .ravel()
-            for l in range(k + 1)
-        ]
-        if w is None:
-            weights = reduce(np.multiply.outer, [trapezoid_weights(s, m) for s in steps]).ravel()
+        terms = [t[tuple(slice(a + l * c, a + l * c + s + 1) for a, c, s in zip(lo, j, steps))]
+                 for l in range(k + 1)]
+        acc = coeffs[0] * terms[0]
+        for c, term in zip(coeffs[1:], terms[1:]):
+            acc += c * term
+        if weight is None:
+            weights = reduce(np.multiply.outer, [trapezoid_weights(s, m) for s in steps])
         else:
             # a row inside the simplex whose last point is inside has every point inside
-            valid = (rows[0] >= 0) & (rows[-1] >= 0)
-            rows = [r[valid] for r in rows]
-            weights = w[rows[0]]
-        acc = coeffs[0] * fv[rows[0]]
-        for c, r in zip(coeffs[1:], rows[1:]):
-            acc += c * fv[r]
-        return float((np.abs(acc) ** p * weights).sum() ** (1.0 / p))
+            acc = acc[~(np.isnan(terms[0]) | np.isnan(terms[-1]))]
+            weights = np.full(acc.size, weight)
+        return float((np.abs(acc) ** p * weights).ravel().sum() ** (1.0 / p))
 
-    largest = lambda ks: max(map(norm, ks.tolist()), default=0.0)
-    return like(_shell_max(domain, m, deltas * m, largest))
+    ks, order, ends = _shells(domain.dim, m, deltas * m)
+    return like(_radius_max(np.array([norm(j) for j in ks.tolist()]), order, ends))
 
 
 def lipschitz_estimate(f, domain: Domain, m: int) -> float:
@@ -282,11 +280,12 @@ def lipschitz_estimate(f, domain: Domain, m: int) -> float:
     float coordinate differences summed in axis order, so a quotient is
     the secant of the points actually evaluated.
     """
-    pts = uniform_grid(domain, m)
-    fv = values(f if callable(f) else lambda _: f, pts)
+    t, pts = _scan_grid(f, domain, m)
+    x = _tensor(pts, domain, m)
     best = 0.0
-    # the unit offsets, in the lexicographic order _pair_blocks takes
-    for a, b in _pair_blocks(domain, m, np.eye(domain.dim, dtype=int)[::-1]):
-        dist = sum(np.abs(x[a] - x[b]) for x in pts.T)
-        best = max(best, float(np.max(np.abs(fv[a] - fv[b]) / dist)))
+    # the unit offsets, in lexicographic order
+    for k in np.eye(domain.dim, dtype=int)[::-1].tolist():
+        a, b = _boxes(k, m)
+        dist = sum(np.abs(x[a][..., axis] - x[b][..., axis]) for axis in range(domain.dim))
+        best = max(best, float(np.fmax.reduce(np.abs(t[a] - t[b]) / dist, axis=None)))
     return best

@@ -324,6 +324,14 @@ BAD_ARGUMENTS = {
     "check_bound n nan": lambda: check_bound(cfg_for(I), _COUNTED, [math.nan], "omega_total", 8),
     "check_bound p True": lambda: check_bound(cfg_for(I), _COUNTED, [2], "lp_equibounded",
                                               p=True),
+    # every grid scan needs m >= 2, checked before f is evaluated
+    "omega1 m 1": lambda: omega1(_COUNTED, I, 0.5, 1),
+    "omega2 m 1": lambda: omega2(_COUNTED, I, 0.5, 1),
+    "tau_p m 1": lambda: tau_p(_COUNTED, I, 2.0, 2.0, 1),
+    "omega_kp m 1": lambda: omega_kp(_COUNTED, I, 1, 0.5, 1.0, 1),
+    "lipschitz_estimate m 1": lambda: lipschitz_estimate(_COUNTED, I, 1),
+    "lipschitz_estimate array m 1": lambda: lipschitz_estimate(np.zeros(2), I, 1),
+    "convexity_report m 1": lambda: convexity_report(_COUNTED, I, "convex", 1),
     "convexity_report mode": lambda: convexity_report(_FIRST, I, "concave", 4),
     "convexity_report axially_convex": lambda: convexity_report(_FIRST, Q2, "axially_convex", 4),
     "lipschitz_preservation constant": lambda: lipschitz_preservation(cfg_for(I), 2, _FIRST, 4),

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from kantorov import moduli
 from kantorov.errors import ConfigError
-from kantorov.analysis import _MODES
-from kantorov.geometry import Domain, uniform_grid
+from kantorov.analysis import _MODES, convexity_report
+from kantorov.geometry import Domain, uniform_grid, uniform_product_grid
 from kantorov.moduli import (
+    _extrema,
     _half_offsets,
-    _pair_blocks,
+    _scan_grid,
     lipschitz_estimate,
     omega1,
     omega2,
@@ -251,7 +252,7 @@ def _all_pairs_l1_max(fv, pts):
 @given(data=st.data())
 def test_lipschitz_estimate_is_the_all_pairs_maximum(data):
     dom = data.draw(st.sampled_from([I, Q2, Q3, K2, K3]))
-    m = data.draw(st.integers(1, {1: 12, 2: 6, 3: 4}[dom.dim]))
+    m = data.draw(st.integers(2, {1: 12, 2: 6, 3: 4}[dom.dim]))
     pts = uniform_grid(dom, m)
     coords = st.floats(-5.0, 5.0)
     kind = data.draw(st.sampled_from(["grid values", "affine", "abs_dist"]))
@@ -273,16 +274,17 @@ def test_lipschitz_estimate_is_the_all_pairs_maximum(data):
 def test_lipschitz_estimate_walks_the_pair_kernel_on_unit_offsets(monkeypatch):
     walked = []
 
-    def record(domain, m, ks, midpoints=False):
-        walked.append(ks.tolist())
-        return _pair_blocks(domain, m, ks, midpoints)
+    def record(k, m):
+        walked.append(list(k))
+        return boxes(k, m)
 
-    monkeypatch.setattr(moduli, "_pair_blocks", record)
+    boxes = moduli._boxes
+    monkeypatch.setattr(moduli, "_boxes", record)
     for dom in (I, Q2, Q3, K2, K3):
         walked.clear()
         assert lipschitz_estimate(lambda p: p.sum(axis=1), dom, 5) == pytest.approx(1.0)
-        # one walk, of the d unit offsets in lexicographic order
-        assert walked == [np.eye(dom.dim, dtype=int)[::-1].tolist()]
+        # one box pair for each of the d unit offsets, in lexicographic order
+        assert walked == np.eye(dom.dim, dtype=int)[::-1].tolist()
 
 
 def test_scaled_metric_on_hypercube():
@@ -293,42 +295,268 @@ def test_scaled_metric_on_hypercube():
     assert w == pytest.approx(2.0, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the pair kernel and its consumers against loops over every pair
+
+
+def _index_rows(dom, n):
+    """The index tuple of each row of ``uniform_grid(dom, n)``, and the
+    row of each index tuple."""
+    idx = [tuple(t) for t in np.rint(uniform_grid(dom, n) * n).astype(int).tolist()]
+    return idx, {t: r for r, t in enumerate(idx)}
+
+
+def _pairs(dom, m):
+    """Every pair of rows ``p < q`` of ``uniform_grid(dom, m)``, as
+    ``(p, q, k, i, rows2)``: ``k`` is the index offset ``i_q - i_p`` (its
+    first non-zero entry is positive), ``i`` is ``i_p``, and ``rows2`` are
+    the rows of ``2 i_p``, ``2 i_q`` and ``2 i_p + k`` in
+    ``uniform_grid(dom, 2m)``."""
+    idx, _ = _index_rows(dom, m)
+    _, row2 = _index_rows(dom, 2 * m)
+    for p in range(len(idx)):
+        for q in range(p + 1, len(idx)):
+            k = tuple(b - a for a, b in zip(idx[p], idx[q]))
+            mids = tuple(2 * a + c for a, c in zip(idx[p], k))
+            rows2 = (row2[tuple(2 * a for a in idx[p])], row2[tuple(2 * b for b in idx[q])],
+                     row2[mids])
+            yield p, q, k, idx[p], rows2
+
+
+def _within(k, radius):
+    return sum(c * c for c in k) <= radius * radius * moduli._RADIUS_SLACK
+
+
 _FILTERS = {
     "all": _MODES["convex"],
     "ball": lambda ks: (ks**2).sum(axis=1) <= 4,
     "coordinate": _MODES["coordinate_convex"],
     "axial": _MODES["axially_convex"],
 }
+# asymmetric ops, so that a swapped operand shows
+_PLAIN_OPS = (lambda a, b: np.abs(a - b), lambda a, b: a - 2.0 * b)
+_MID_OPS = (lambda a, b, mid: mid - 0.5 * (a + b), lambda a, b, mid: a - 3.0 * b + 0.5 * mid)
 
 
-# one block at these grid sizes, and blocks of 7 pairs
+def _loop_extrema(dom, m, ks, op, v, midpoints):
+    """The largest ``op`` over each offset's pairs, NaN for none, by a
+    loop over every pair; ``v`` holds the values on the scanned grid."""
+    best = {tuple(k): math.nan for k in ks.tolist()}
+    for p, q, k, _, rows2 in _pairs(dom, m):
+        if k in best:
+            val = float(op(*(v[r] for r in rows2)) if midpoints else op(v[p], v[q]))
+            best[k] = val if math.isnan(best[k]) else max(best[k], val)
+    return np.array(list(best.values()))
+
+
+def _visits(dom, m, ks, midpoints):
+    """The rows ``(a, b)``, or ``(a, b, mid)``, of every pair whose values
+    the kernel hands its op, one entry per visit."""
+    n = 2 * m if midpoints else m
+    codes = np.arange(len(uniform_grid(dom, n)), dtype=float)
+    seen = []
+
+    def op(*views):
+        views = np.broadcast_arrays(*views)
+        keep = ~(np.isnan(views[0]) | np.isnan(views[1]))
+        seen.extend(zip(*(v[keep].astype(int).tolist() for v in views)))
+        return views[0] - views[1]
+
+    _extrema(op, _scan_grid(codes, dom, m, n // m)[0], ks, midpoints)
+    return seen
+
+
+# one piece at these grid sizes, and pieces of 7 elements
 @pytest.mark.parametrize("block", [1 << 16, 7])
 @pytest.mark.parametrize("name", sorted(_FILTERS))
 @pytest.mark.parametrize("dom,m", [(I, 6), (Q2, 4), (Q3, 3), (K2, 5), (K3, 3)])
 def test_pair_blocks_yield_each_admitted_pair_once(dom, m, name, block, monkeypatch):
-    monkeypatch.setattr(moduli, "_PAIRS_PER_BLOCK", block)
-    keep = _FILTERS[name]
-    idx = np.rint(uniform_grid(dom, m) * m).astype(int)
-    idx2 = np.rint(uniform_grid(dom, 2 * m) * 2 * m).astype(int)
-    # the m grid's index tuples, as rows of the 2m grid (index 2i)
-    row2 = {tuple(t): r for r, t in enumerate(idx2.tolist())}
-    even = [row2[tuple(2 * c for c in t)] for t in idx.tolist()]
-    expect = set()
-    for p in range(len(idx)):
-        for q in range(p + 1, len(idx)):
-            if keep((idx[q] - idx[p])[None, :])[0]:
-                expect.add((p, q))
+    # the kernel's per-offset extrema, plain and with midpoints, are those
+    # of a loop over all pairs, bit for bit, and it visits each admitted
+    # pair once; at the default element budget and at `block`
     ks = _half_offsets(dom.dim, m)
-    pairs, pairs2 = [], []
-    for a, b in _pair_blocks(dom, m, ks[keep(ks)]):
-        pairs += zip(a.tolist(), b.tolist())
-    for a, b, mid in _pair_blocks(dom, m, ks[keep(ks)], midpoints=True):
-        assert a.shape == b.shape == mid.shape
-        # a, b and mid are 2m rows: 2i, 2i + 2k and their midpoint 2i + k
-        np.testing.assert_array_equal(2 * idx2[mid], idx2[a] + idx2[b])
-        pairs2 += zip(a.tolist(), b.tolist())
-    got = [(min(p, q), max(p, q)) for p, q in pairs]
-    assert len(got) == len(set(got))
-    assert set(got) == expect
-    # the same pairs in the same order, each row as its 2m row
-    assert pairs2 == [(even[p], even[q]) for p, q in pairs]
+    ks = ks[_FILTERS[name](ks)]
+    rng = np.random.default_rng(m + 10 * dom.dim)
+    v = rng.normal(size=len(uniform_grid(dom, m)))
+    v2 = rng.normal(size=len(uniform_grid(dom, 2 * m)))
+    expect = [_loop_extrema(dom, m, ks, op, v, False) for op in _PLAIN_OPS]
+    expect2 = [_loop_extrema(dom, m, ks, op, v2, True) for op in _MID_OPS]
+    admitted = {tuple(k) for k in ks.tolist()}
+    pairs = sorted((p, q) for p, q, k, _, _ in _pairs(dom, m) if k in admitted)
+    triples = sorted(rows2 for _, _, k, _, rows2 in _pairs(dom, m) if k in admitted)
+    for budget in (moduli._BUDGET, block):
+        monkeypatch.setattr(moduli, "_BUDGET", budget)
+        t, t2 = _scan_grid(v, dom, m)[0], _scan_grid(v2, dom, m, 2)[0]
+        for op, ext in zip(_PLAIN_OPS, expect):
+            np.testing.assert_array_equal(_extrema(op, t, ks), ext)
+        for op, ext in zip(_MID_OPS, expect2):
+            np.testing.assert_array_equal(_extrema(op, t2, ks, midpoints=True), ext)
+        assert sorted(_visits(dom, m, ks, False)) == pairs
+        assert sorted(_visits(dom, m, ks, True)) == triples
+
+
+def test_the_kernel_keeps_its_temporaries_within_the_budget(monkeypatch):
+    # I's run of 40 offsets one offset at a time, and Q3's runs and single
+    # offsets in slices of the first axis, none above 64 elements
+    monkeypatch.setattr(moduli, "_BUDGET", 64)
+    rng = np.random.default_rng(7)
+    for dom, m in ((I, 40), (Q3, 5)):
+        sizes = []
+
+        def op(a, b):
+            sizes.append(np.broadcast(a, b).size)
+            return a - 2.0 * b
+
+        v = rng.normal(size=len(uniform_grid(dom, m)))
+        ks = _half_offsets(dom.dim, m)
+        ks = ks[_FILTERS["coordinate"](ks)]
+        got = _extrema(op, _scan_grid(v, dom, m)[0], ks)
+        np.testing.assert_array_equal(got, _loop_extrema(dom, m, ks, _PLAIN_OPS[1], v, False))
+        assert len(sizes) >= len(ks) and max(sizes) <= 64
+
+
+# small grids, rich in rounding and in ties
+_F = {
+    "wave": lambda p: np.sin(7.0 * p[:, 0] + 3.0 * p.sum(axis=1) ** 2),
+    "steps": lambda p: np.floor(3.0 * p.sum(axis=1)) - p[:, 0],
+}
+_SMALL = [(I, 9), (Q2, 5), (K2, 6)]
+_DELTAS = np.array([0.2, 0.35, 0.5, 1.0, 1.5])
+
+
+def _omega_refs(f, dom, m):
+    """omega1 and omega2 at _DELTAS by loops over all pairs."""
+    fv, fv2 = f(uniform_grid(dom, m)), f(uniform_grid(dom, 2 * m))
+    w1, w2 = np.zeros(len(_DELTAS)), np.zeros(len(_DELTAS))
+    for p, q, k, _, (a, b, mid) in _pairs(dom, m):
+        for r, delta in enumerate(_DELTAS.tolist()):
+            if _within(k, delta * m):
+                w1[r] = max(w1[r], abs(fv[p] - fv[q]))
+            if _within(k, 2.0 * delta * m):
+                w2[r] = max(w2[r], abs(fv2[a] + fv2[b] - 2.0 * fv2[mid]))
+    return w1, w2
+
+
+@pytest.mark.parametrize("fname", sorted(_F))
+@pytest.mark.parametrize("dom,m", _SMALL)
+def test_omega1_and_omega2_are_the_all_pairs_maxima_bit_for_bit(dom, m, fname):
+    w1, w2 = _omega_refs(_F[fname], dom, m)
+    assert omega1(_F[fname], dom, _DELTAS, m).tolist() == w1.tolist()
+    assert omega2(_F[fname], dom, _DELTAS, m).tolist() == w2.tolist()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+@pytest.mark.parametrize("fname", sorted(_F))
+@pytest.mark.parametrize("dom,m", _SMALL)
+def test_tau_p_is_the_ball_oscillation_norm_bit_for_bit(dom, m, fname, p):
+    pts = uniform_grid(dom, m)
+    fv = _F[fname](pts)
+    idx, _ = _index_rows(dom, m)
+    w = (np.full(len(pts), dom.volume / len(pts)) if dom.kind == "simplex"
+         else uniform_product_grid(dom, m).weights)
+    deltas = _DELTAS[_DELTAS * m >= 2.0]
+    expect = []
+    for delta in deltas.tolist():
+        near = [[s for s in range(len(idx))
+                 if _within([b - a for a, b in zip(idx[r], idx[s])], delta * m / 2.0)]
+                for r in range(len(idx))]
+        hi = np.array([max(fv[s] for s in ball) for ball in near])
+        lo = np.array([min(fv[s] for s in ball) for ball in near])
+        expect.append(float(((hi - lo) ** p * w).sum() ** (1.0 / p)))
+    assert tau_p(_F[fname], dom, deltas, p, m).tolist() == expect
+
+
+def _omega_kp_exact_reference(f, dom, k, deltas, p, m):
+    """omega_kp by a loop over the half offsets and the rows ``i`` with
+    ``i + k j`` on the grid, in C order: each term summed left to right
+    over l, each weight the product of the axes' trapezoid weights in
+    axis order (the simplex grid's equal weight on K_d), and the weighted
+    terms of one offset summed as one array."""
+    idx, row = _index_rows(dom, m)
+    fv = f(uniform_grid(dom, m))
+    coeffs = moduli.difference_coeffs(k)
+    norms = {}
+    for j in _half_offsets(dom.dim, m).tolist():
+        accs, weights = [], []
+        for i in idx:
+            if tuple(a + k * c for a, c in zip(i, j)) not in row:
+                continue
+            acc = coeffs[0] * fv[row[i]]
+            for l, c in enumerate(coeffs[1:], 1):
+                acc = acc + c * fv[row[tuple(a + l * b for a, b in zip(i, j))]]
+            if dom.kind == "simplex":
+                weight = dom.volume / len(idx)
+            else:
+                weight = 1.0
+                for a, c in zip(i, j):
+                    lo, steps = max(-k * c, 0), m - k * abs(c)
+                    weight = weight * (0.0 if steps == 0 else
+                                       0.5 / m if a in (lo, lo + steps) else 1.0 / m)
+            accs.append(acc)
+            weights.append(weight)
+        norms[tuple(j)] = float((np.abs(np.array(accs)) ** p * np.array(weights)).sum()
+                                ** (1.0 / p))
+    return [max([0.0] + [v for j, v in norms.items() if _within(j, delta * m)])
+            for delta in deltas.tolist()]
+
+
+@pytest.mark.parametrize("k,p", [(1, 1.0), (2, 1.5), (3, 2.0)])
+@pytest.mark.parametrize("fname", sorted(_F))
+@pytest.mark.parametrize("dom,m", _SMALL)
+def test_omega_kp_is_the_lattice_step_maximum_bit_for_bit(dom, m, fname, k, p):
+    expect = _omega_kp_exact_reference(_F[fname], dom, k, _DELTAS, p, m)
+    assert omega_kp(_F[fname], dom, k, _DELTAS, p, m).tolist() == expect
+
+
+@pytest.mark.parametrize("fname", sorted(_F))
+@pytest.mark.parametrize("dom,m", _SMALL + [(Q3, 3), (K3, 4)])
+def test_lipschitz_estimate_is_the_axis_step_maximum_bit_for_bit(dom, m, fname):
+    pts = uniform_grid(dom, m)
+    fv = _F[fname](pts)
+    best = 0.0
+    for p, q, k, _, _ in _pairs(dom, m):
+        if sorted(k) == [0] * (dom.dim - 1) + [1]:
+            dist = sum(abs(x - y) for x, y in zip(pts[p].tolist(), pts[q].tolist()))
+            best = max(best, abs(fv[p] - fv[q]) / dist)
+    assert lipschitz_estimate(_F[fname], dom, m) == best
+
+
+def _convexity_reference(g, dom, mode, m):
+    """The worst midpoint violation over the mode's pairs, and the first
+    pair attaining it: first offset in lexicographic order, then first
+    row in C order."""
+    pts2 = uniform_grid(dom, 2 * m)
+    g2 = g(pts2)
+    keep = _MODES[mode]
+    scan = sorted((k, i, g2[mid] - 0.5 * (g2[a] + g2[b]), a, b)
+                  for _, _, k, i, (a, b, mid) in _pairs(dom, m) if keep(np.array([k]))[0])
+    worst = max(s[2] for s in scan)
+    _, _, _, a, b = next(s for s in scan if s[2] == worst)
+    return worst, (pts2[a], pts2[b])
+
+
+_CONVEXITY = {
+    "wave": _F["wave"],
+    "steps": _F["steps"],
+    "constant": lambda p: np.full(len(p), 0.25),
+    # violations depend on the first coordinate's step alone: many ties
+    "first axis": lambda p: -((p[:, 0] - 0.5) ** 2),
+}
+
+
+@pytest.mark.parametrize("gname", sorted(_CONVEXITY))
+@pytest.mark.parametrize("dom,m,mode", [(I, 9, "convex"), (Q2, 5, "convex"),
+                                        (Q2, 5, "coordinate_convex"), (K2, 6, "convex"),
+                                        (K2, 6, "axially_convex")])
+def test_convexity_report_is_the_all_pairs_scan_bit_for_bit(dom, m, mode, gname):
+    g = _CONVEXITY[gname]
+    worst, (x, y) = _convexity_reference(g, dom, mode, m)
+    rep = convexity_report(g, dom, mode, m)
+    assert rep.worst_violation == worst
+    # the witness is the reference's first pair, and it attains the worst violation
+    assert rep.witness[0].tolist() == x.tolist() and rep.witness[1].tolist() == y.tolist()
+    idx, row2 = _index_rows(dom, 2 * m)
+    g2 = g(uniform_grid(dom, 2 * m))
+    a, b = (row2[tuple(np.rint(z * 2 * m).astype(int).tolist())] for z in rep.witness)
+    mid = row2[tuple((np.array(idx[a]) + np.array(idx[b])) // 2)]
+    assert g2[mid] - 0.5 * (g2[a] + g2[b]) == rep.worst_violation
