@@ -17,6 +17,7 @@ from .measures import (
     discrete_spec,
     explicit_list,
     lebesgue_measure,
+    mean_and_covariance,
     power_measure,
     power_of_base,
 )
@@ -25,14 +26,11 @@ from .bernstein import basis, basis_weights, eval_Bn, lattice_points
 from .kantorovich import (
     AffineForm,
     OperatorConfig,
-    cn_affine_moment,
-    cn_bilinear_moment,
-    cn_quadratic_moment,
+    cn_product,
     coordinate_form,
     eval_Cn,
     eval_Cn_cells,
     eval_In,
-    measure_moments,
 )
 from .catalog import CatalogFunction, FunctionMeta, catalog_names, lookup
 from .moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p
@@ -64,12 +62,12 @@ __all__ = [
     "Domain", "contains", "quadrature_rule", "uniform_grid",
     "DiscreteMeasure", "MeasureSpec", "MeasureSeqSpec",
     "lebesgue_measure", "discrete_measure", "discrete_spec", "dirac", "power_measure",
+    "mean_and_covariance",
     "constant_lebesgue", "dirac_shift", "power_of_base", "explicit_list",
     "markov_values", "selection",
     "basis", "basis_weights", "lattice_points", "eval_Bn",
     "AffineForm", "OperatorConfig", "coordinate_form",
-    "eval_In", "eval_Cn", "eval_Cn_cells", "measure_moments",
-    "cn_affine_moment", "cn_quadratic_moment", "cn_bilinear_moment",
+    "eval_In", "eval_Cn", "eval_Cn_cells", "cn_product",
     "CatalogFunction", "FunctionMeta", "catalog_names", "lookup",
     "omega1", "omega2", "tau_p", "omega_kp", "lipschitz_estimate",
     "BOUND_IDS", "BoundReport", "ErrorRow", "ConvexityReport", "SandwichReport",

@@ -27,15 +27,13 @@ from .geometry import (SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid,
 from .kantorovich import (
     AffineForm,
     OperatorConfig,
-    cn_affine_moment,
-    cn_quadratic_moment,
+    cn_product,
     coordinate_form,
     eval_Cn,
     eval_Cn_cells,
-    measure_moments,
 )
 from .markov import markov_values
-from .measures import all_lebesgue
+from .measures import all_lebesgue, mean_and_covariance, resolve
 from .moduli import (_extrema, _half_offsets, _pair_views, _scan_grid, _tensor,
                      lipschitz_estimate, omega1)
 
@@ -186,21 +184,19 @@ def lp_error(cfg: OperatorConfig, n: int, f, p: float, level: int = 8) -> float:
 
 def _phi_diffs(cfg: OperatorConfig, n: int) -> list:
     """Callables x -> (C_n(phi_i) - phi_i)(x) for the Korovkin family
-    1, pr_1..pr_d, sum pr_i^2, via the closed-form moments."""
-    d = cfg.domain.dim
+    1, pr_1..pr_d, sum pr_i^2, via the closed form :func:`cn_product`."""
+    forms = [coordinate_form(cfg.domain, i) for i in range(cfg.domain.dim)]
     diffs = [lambda pts: np.zeros(np.atleast_2d(pts).shape[0])]
-    for i in range(d):
-        form = coordinate_form(cfg.domain, i)
+    for form in forms:
         diffs.append(
-            lambda pts, form=form: cn_affine_moment(cfg, n, form, np.atleast_2d(pts))
-            - form(pts)
+            lambda pts, form=form: cn_product(cfg, n, form, np.atleast_2d(pts)) - form(pts)
         )
 
     def quad_diff(pts):
         pts = np.atleast_2d(pts)
         total = np.zeros(pts.shape[0])
-        for i in range(d):
-            total += cn_quadratic_moment(cfg, n, i, pts) - pts[:, i] ** 2
+        for i, form in enumerate(forms):
+            total += cn_product(cfg, n, form, pts, form) - pts[:, i] ** 2
         return total
 
     diffs.append(quad_diff)
@@ -313,8 +309,8 @@ def _check_omega_pointwise(cfg, f, n_list, m):
     deltas = []
     for n in n_list:
         if cfg.a > 0.0:
-            m1, m2 = measure_moments(cfg, n)
-            i2 = float(m2.sum()) - 2.0 * (xs * m1).sum(axis=1) + (xs**2).sum(axis=1)
+            m1, cov = mean_and_covariance(resolve(cfg.measures, n, cfg.domain), cfg.domain)
+            i2 = np.trace(cov) + ((m1 - xs) ** 2).sum(axis=1)
         else:
             i2 = np.zeros(xs.shape[0])
         cn_dx2 = (cfg.a**2 * i2 + n * gap_x) / (n + cfg.a) ** 2

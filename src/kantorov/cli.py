@@ -48,8 +48,8 @@ from .errors import ConfigError, KantorovError, NumericError, check_p
 from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, contains
 from .kantorovich import (
     OperatorConfig,
-    cn_affine_moment,
-    cn_quadratic_moment,
+    cn_product,
+    coordinate_form,
     eval_Cn,
     ladder_record,
 )
@@ -552,23 +552,24 @@ def _run_converge(plan: RunPlan):
 
 
 def _moment_rows(plan: RunPlan):
-    """Closed-form moment oracle: random affine forms and the
-    coordinate squares, compared with the direct evaluation."""
+    """Moment oracle: ``eval_Cn`` of random affine forms and of the
+    coordinate squares against the exact closed form ``cn_product``."""
     cfg = plan.cfg
     rng = np.random.default_rng(plan.seed)
     forms = random_affine_forms(cfg.domain, 10, rng)
     squares = [lookup("monomial", (i + 1, 2), cfg.domain) for i in range(cfg.domain.dim)]
+    coordinates = [coordinate_form(cfg.domain, i) for i in range(cfg.domain.dim)]
     rows = []
     worst = {"moment_affine": 0.0, "moment_quadratic": 0.0}
     for n in plan.n_list:
         xs = random_points(cfg.domain, 10, rng)
         aff = 0.0
         for h in forms:
-            gap = np.abs(eval_Cn(cfg, n, h, xs) - cn_affine_moment(cfg, n, h, xs))
+            gap = np.abs(eval_Cn(cfg, n, h, xs) - cn_product(cfg, n, h, xs))
             aff = max(aff, float(np.max(gap)))
         quad = 0.0
-        for i, square in enumerate(squares):
-            gap = np.abs(eval_Cn(cfg, n, square, xs) - cn_quadratic_moment(cfg, n, i, xs))
+        for square, pr in zip(squares, coordinates):
+            gap = np.abs(eval_Cn(cfg, n, square, xs) - cn_product(cfg, n, pr, xs, pr))
             quad = max(quad, float(np.max(gap)))
         for bound_id, err, tol in (
             ("moment_affine", aff, _AFFINE_TOL),

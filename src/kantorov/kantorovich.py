@@ -7,8 +7,10 @@ The parameter a >= 0 and the measure sequence (mu_n) select the family:
 a = 0 gives back B_n, a = 1 with Lebesgue measures gives the classical
 cell-averaging operators.
 
-Closed-form first and second moments (affine, bilinear, quadratic) are
-provided as analytic oracles for the quadrature paths.
+:func:`cn_product` gives C_n of a product of two affine forms (one
+form, or a coordinate square) in closed form from the first two moments
+of mu_n, which :func:`~kantorov.measures.mean_and_covariance` gives
+without a rule: an oracle independent of the inner-integral quadrature.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .measures import (
     MeasureSpec,
     all_lebesgue,
     exact_degree,
-    integrate_measure,
     is_discrete,
+    mean_and_covariance,
     measure_nodes,
     resolve,
     rule_node_count,
@@ -319,86 +321,41 @@ def eval_Cn_cells(cfg: OperatorConfig, n: int, f, x):
     return eval_Cn(cfg, n, f, x)
 
 
-def measure_moments(cfg: OperatorConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second coordinate moments of mu_n, shape ``(d,)`` each."""
-    mu = _resolved(cfg, n)
-    d = cfg.domain.dim
-    m1 = np.array([integrate_measure(mu, cfg.domain, lambda p, i=i: p[:, i]) for i in range(d)])
-    m2 = np.array(
-        [integrate_measure(mu, cfg.domain, lambda p, i=i: p[:, i] ** 2) for i in range(d)]
-    )
-    return m1, m2
+def cn_product(cfg: OperatorConfig, n: int, h: AffineForm, x, k: AffineForm | None = None):
+    """C_n(h k) in closed form, for affine h and k (k = 1 when omitted),
+    at a point or a batch.
 
+    C_n(f)(x) is the mean of f(y), y = (H + a S)/(n+a), with H the sum of
+    n independent draws from T's vertex measure at x (mean n x,
+    covariance n sigma(x)) and S ~ mu_n independent of H (mean m_1,
+    covariance Sigma_mu, :func:`~kantorov.measures.mean_and_covariance`).
+    So y has mean ybar = (n x + a m_1)/(n+a) and covariance
+    (n sigma(x) + a^2 Sigma_mu)/(n+a)^2, and since grad h . sigma(x)
+    grad k = (T(hk) - hk)(x),
 
-def _check_forms(domain: Domain, *forms: AffineForm) -> None:
-    for h in forms:
-        if h.dim != domain.dim:
-            raise ConfigError(f"affine form of dimension {h.dim} on the "
-                              f"{domain.dim}-d {domain.kind}")
+        C_n(hk)(x) = h(ybar) k(ybar)
+                     + [n (T(hk) - hk)(x) + a^2 grad h . Sigma_mu grad k] / (n+a)^2.
 
-
-def cn_affine_moment(cfg: OperatorConfig, n: int, h: AffineForm, x):
-    """Closed form C_n(h) = (a/(n+a)) mean_mu(h) + (n/(n+a)) h."""
-    check_n(n)
-    _check_forms(cfg.domain, h)
-    xs, single = admit(cfg.domain, x)
-    if cfg.a == 0.0:
-        mean = 0.0
-    else:
-        mean = integrate_measure(_resolved(cfg, n), cfg.domain, h)
-    out = (cfg.a / (n + cfg.a)) * mean + (n / (n + cfg.a)) * h(xs)
-    return float(out[0]) if single else out
-
-
-def cn_quadratic_moment(cfg: OperatorConfig, n: int, i: int, x):
-    """Closed form C_n(pr_i^2) (0-based coordinate i).
-
-    Combines the second-moment identity with B_n(pr_i^2) =
-    (1/n) pr_i + ((n-1)/n) pr_i^2, which holds for all three canonical
-    vertex selections.
+    h(ybar) k(ybar) is expanded about x, so that the O(1/n) change from
+    hk(x) is computed without cancellation.  At a = 0, mu_n is not
+    resolved.
     """
     check_n(n)
-    if not 0 <= i < cfg.domain.dim:
-        raise ConfigError(f"coordinate index {i} out of range")
-    xs, single = admit(cfg.domain, x)
-    xi = xs[:, i]
-    a = cfg.a
-    denom = (n + a) ** 2
-    if a == 0.0:
-        out = xi / n + (n - 1) / n * xi**2
-    else:
-        m1, m2 = measure_moments(cfg, n)
-        out = (
-            a**2 * m2[i] / denom
-            + 2 * n * a * m1[i] / denom * xi
-            + n / denom * xi
-            + n * (n - 1) / denom * xi**2
-        )
-    return float(out[0]) if single else out
-
-
-def cn_bilinear_moment(cfg: OperatorConfig, n: int, h: AffineForm, k: AffineForm, x):
-    """Closed form for C_n(h k) with affine h, k."""
-    check_n(n)
-    _check_forms(cfg.domain, h, k)
+    if k is None:
+        k = AffineForm(1.0, (0.0,) * cfg.domain.dim)
+    for form in (h, k):
+        if form.dim != cfg.domain.dim:
+            raise ConfigError(f"affine form of dimension {form.dim} on the "
+                              f"{cfg.domain.dim}-d {cfg.domain.kind}")
     xs, single = admit(cfg.domain, x)
     a = cfg.a
-    denom = (n + a) ** 2
-
-    def hk(pts):
-        return h(pts) * k(pts)
-
-    bn_hk = markov_values(cfg.domain, hk, xs) / n + (n - 1) / n * h(xs) * k(xs)
-    if a == 0.0:
-        out = n**2 / denom * bn_hk
-    else:
-        mu = _resolved(cfg, n)
-        mean_hk = integrate_measure(mu, cfg.domain, hk)
-        mean_h = integrate_measure(mu, cfg.domain, h)
-        mean_k = integrate_measure(mu, cfg.domain, k)
-        out = (
-            a**2 / denom * mean_hk
-            + n * a / denom * (mean_h * k(xs) + mean_k * h(xs))
-            + n**2 / denom * bn_hk
-        )
+    hx, kx = h(xs), k(xs)
+    gap = markov_values(cfg.domain, lambda pts: h(pts) * k(pts), xs) - hx * kx
+    dh = dk = spread = 0.0
+    if a > 0.0:
+        m1, cov = mean_and_covariance(_resolved(cfg, n), cfg.domain)
+        shift = a * (m1 - xs) / (n + a)  # ybar - x
+        dh, dk = (shift * h.gradient).sum(axis=1), (shift * k.gradient).sum(axis=1)
+        spread = a**2 * float((np.multiply.outer(h.gradient, k.gradient) * cov).sum())
+    out = hx * kx + (hx * dk + kx * dh + dh * dk + (n * gap + spread) / (n + a) ** 2)
     return float(out[0]) if single else out

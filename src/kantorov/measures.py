@@ -24,15 +24,14 @@ import numpy as np
 
 from .errors import ConfigError, check_n
 from .geometry import (BOUNDARY_TOL, SIMPLEX, Domain, ProductGrid, contains, gauss01,
-                       quadrature_rule, values)
+                       quadrature_rule)
 
 LEBESGUE = "lebesgue"
 DISCRETE = "discrete"
 
 # Node budget for a single materialized measure rule.
 MAX_RULE_NODES = 4_000_000
-# The Gauss level every quadrature ladder starts at, and the level of the
-# fixed rules of the closed-form moments.
+# The Gauss level every quadrature ladder starts at.
 BASE_LEVEL = 8
 
 
@@ -377,11 +376,28 @@ def measure_nodes(
     return nodes / k, weights
 
 
-def apply_rule(nodes: np.ndarray, weights: np.ndarray, f) -> float:
-    return math.fsum((weights * values(f, nodes, "measure node")).tolist())
+def mean_and_covariance(mu: MeasureSpec, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """The mean ``(d,)`` and covariance ``(d, d)`` of ``mu``, in closed
+    form; no rule is built.
 
+    - Lebesgue on the interval and Q_d: independent uniform coordinates,
+      mean 1/2 and covariance I/12.
+    - Lebesgue on K_d (Dirichlet(1, ..., 1)): mean 1/(d+1) and covariance
+      ``((d+1) delta_ij - 1) / ((d+1)^2 (d+2))``.
+    - Discrete: the weighted mean and covariance of the atoms.
+    - The averaging power ``k`` of a base: the mean of ``k`` i.i.d. draws
+      has the base's mean and its covariance divided by ``k``.
+    """
+    d = domain.dim
+    if is_discrete(mu):
+        w, atoms = mu.discrete.weights, mu.discrete.atoms
+        mean = (w[:, None] * atoms).sum(axis=0)
+        dev = atoms - mean
+        cov = (w[:, None, None] * dev[:, :, None] * dev[:, None, :]).sum(axis=0)
+    elif domain.kind == SIMPLEX:
+        mean = np.full(d, 1.0 / (d + 1))
+        cov = ((d + 1) * np.eye(d) - 1.0) / ((d + 1) ** 2 * (d + 2))
+    else:
+        mean, cov = np.full(d, 0.5), np.eye(d) / 12.0
+    return mean, cov / mu.exponent
 
-def integrate_measure(mu: MeasureSpec, domain: Domain, f) -> float:
-    """Integral of ``f`` against ``mu`` (probability-normalized) by its
-    rule at ``BASE_LEVEL``."""
-    return apply_rule(*measure_nodes(mu, domain, BASE_LEVEL), f)

@@ -33,8 +33,8 @@ from kantorov.cli import main
 from kantorov.geometry import Domain, uniform_grid
 from kantorov.kantorovich import (
     OperatorConfig,
-    cn_affine_moment,
-    cn_quadratic_moment,
+    cn_product,
+    coordinate_form,
     eval_Cn,
     eval_Cn_cells,
     eval_In,
@@ -73,15 +73,12 @@ def test_criterion_01_moment_oracles():
             cfg = operator(domain, a)
             for n in (1, 5, 25):
                 for h in forms:
-                    gap = np.abs(
-                        eval_Cn(cfg, n, h, points) - cn_affine_moment(cfg, n, h, points)
-                    )
+                    gap = np.abs(eval_Cn(cfg, n, h, points) - cn_product(cfg, n, h, points))
                     worst_affine = max(worst_affine, float(gap.max()))
                 for i in range(domain.dim):
                     sq = lambda pts, i=i: pts[:, i] ** 2
-                    gap = np.abs(
-                        eval_Cn(cfg, n, sq, points) - cn_quadratic_moment(cfg, n, i, points)
-                    )
+                    pr = coordinate_form(domain, i)
+                    gap = np.abs(eval_Cn(cfg, n, sq, points) - cn_product(cfg, n, pr, points, pr))
                     worst_quadratic = max(worst_quadratic, float(gap.max()))
     elapsed = time.perf_counter() - t0
     ok = worst_affine <= 1e-10 and worst_quadratic <= 1e-9 and elapsed < 60.0

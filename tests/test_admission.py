@@ -27,9 +27,7 @@ from kantorov.geometry import (Domain, ProductGrid, admit, contains, quadrature_
 from kantorov.kantorovich import (
     AffineForm,
     OperatorConfig,
-    cn_affine_moment,
-    cn_bilinear_moment,
-    cn_quadratic_moment,
+    cn_product,
     coordinate_form,
     eval_Cn,
     eval_Cn_cells,
@@ -41,6 +39,7 @@ from kantorov.moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
+Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
 
@@ -66,6 +65,7 @@ def entry_points(domain):
     cfg = cfg_for(domain)
     f = lookup("exp_sum", (), domain)
     h = coordinate_form(domain, 0)
+    k = AffineForm(0.5, (1.0,) * domain.dim)
     ones = np.ones(lattice_points(domain, N).shape[0])
     return {
         "eval_Cn": lambda x: eval_Cn(cfg, N, f, x),
@@ -77,9 +77,9 @@ def entry_points(domain):
         "basis": lambda x: basis(domain, N, (0,) * domain.dim, x),
         "basis_weights": lambda x: basis_weights(domain, N, [x]),
         "apply_lattice_values": lambda x: apply_lattice_values(domain, N, ones, [x]),
-        "cn_affine_moment": lambda x: cn_affine_moment(cfg, N, h, x),
-        "cn_quadratic_moment": lambda x: cn_quadratic_moment(cfg, N, 0, x),
-        "cn_bilinear_moment": lambda x: cn_bilinear_moment(cfg, N, h, h, x),
+        "cn_product affine": lambda x: cn_product(cfg, N, h, x),
+        "cn_product square": lambda x: cn_product(cfg, N, h, x, h),
+        "cn_product bilinear": lambda x: cn_product(cfg, N, h, x, k),
         "selection": lambda x: selection(cfg.domain, x),
         "parse_config": lambda x: parse_config(eval_config(domain, x), "eval"),
     }
@@ -341,11 +341,14 @@ BAD_ARGUMENTS = {
     "basis one point": lambda: basis(I, 2, [1], [[0.2], [0.3]]),
     "AffineForm finite": lambda: AffineForm(math.inf, (1.0,)),
     "coordinate_form index": lambda: coordinate_form(Q2, 2),
-    "cn_quadratic_moment index": lambda: cn_quadratic_moment(cfg_for(Q2), 2, 2, [0.5, 0.5]),
-    "cn_affine_moment form dim": lambda: cn_affine_moment(
-        cfg_for(Q2), 2, AffineForm(0.1, (1.0, 2.0, 3.0)), [0.5, 0.5]),
-    "cn_bilinear_moment form dim": lambda: cn_bilinear_moment(
-        cfg_for(Q2), 2, coordinate_form(Q2, 0), AffineForm(0.1, (1.0,)), [0.5, 0.5]),
+    # cn_product refuses a form of the wrong dimension: the square of
+    # Q3's third coordinate on Q2, a 3-d form as h, a 1-d form as k
+    "cn_product pr_3": lambda: cn_product(cfg_for(Q2), 2, coordinate_form(Q3, 2), [0.5, 0.5],
+                                          coordinate_form(Q3, 2)),
+    "cn_product h": lambda: cn_product(cfg_for(Q2), 2, AffineForm(0.1, (1.0, 2.0, 3.0)),
+                                       [0.5, 0.5]),
+    "cn_product k": lambda: cn_product(cfg_for(Q2), 2, coordinate_form(Q2, 0), [0.5, 0.5],
+                                       AffineForm(0.1, (1.0,))),
     "measure_nodes cut": lambda: measure_nodes(lebesgue_measure(), K2, 4,
                                                cuts=[np.array([0.5])] * 2),
     "discrete_measure numbers": lambda: discrete_measure([[0.1], "x"], [0.5, 0.5]),

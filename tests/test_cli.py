@@ -142,6 +142,40 @@ def test_verify_seed_changes_sampled_points(tmp_path):
     assert csv.read_text() != first  # errors move with the sample
 
 
+@pytest.mark.parametrize("domain", [{"kind": "interval"}, {"kind": "hypercube", "dim": 2},
+                                    {"kind": "simplex", "dim": 2}], ids=["I", "Q2", "K2"])
+def test_verify_fails_a_wrong_quadrature_rule(tmp_path, monkeypatch, capsys, domain):
+    # every uncut Lebesgue rule with its nodes scaled by 0.9: the inner
+    # integrals go wrong, and the moment suite, whose reference builds no
+    # rule, must say so
+    from kantorov import kantorovich, measures
+
+    exact = measures.measure_nodes
+
+    def scaled(mu, dom, level, cuts=None):
+        nodes, weights = exact(mu, dom, level, cuts)
+        if cuts is None and not measures.is_discrete(mu):
+            nodes = 0.9 * nodes
+        return nodes, weights
+
+    monkeypatch.setattr(kantorovich, "measure_nodes", scaled)
+    monkeypatch.setattr(measures, "measure_nodes", scaled)
+    csv = tmp_path / "v.csv"
+    cfgp = write_config(
+        tmp_path, "v.json", domain=domain,
+        function={"name": "exp_sum", "params": []},
+        experiment={"n_list": [4, 16]},
+        output={"csv_path": str(csv)},
+    )
+    try:
+        assert main(["verify", "--config", str(cfgp)]) == 1
+    finally:
+        kantorovich._inner_values.cache_clear()
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert any(r[3] == "moment_affine" and r[6] == "false" for r in rows)
+    assert "[FAIL]" in capsys.readouterr().out
+
+
 def test_preserve_passes_for_convex_function(tmp_path):
     csv = tmp_path / "p.csv"
     cfgp = write_config(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kantorov.errors import ConfigError, NumericError
-from kantorov.measures import apply_rule
 from kantorov.geometry import (
     Domain,
     ProductGrid,
@@ -15,6 +14,7 @@ from kantorov.geometry import (
     trapezoid_weights,
     uniform_grid,
     uniform_product_grid,
+    values,
 )
 
 I = Domain.interval()
@@ -167,7 +167,7 @@ def test_integrate_rejects_nonfinite():
     rule = quadrature_rule(I, 4)
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError) as err:
-            apply_rule(rule.points, rule.weights, lambda p: 1.0 / (p[:, 0] - rule.points[0, 0]))
+            rule.weights @ values(lambda p: 1.0 / (p[:, 0] - rule.points[0, 0]), rule.points)
     assert err.value.point is not None
 
 

@@ -19,15 +19,12 @@ from kantorov import kantorovich
 from kantorov.kantorovich import (
     AffineForm,
     OperatorConfig,
-    cn_affine_moment,
-    cn_bilinear_moment,
-    cn_quadratic_moment,
+    cn_product,
     coordinate_form,
     eval_Cn,
     eval_Cn_cells,
     eval_In,
     ladder_record,
-    measure_moments,
 )
 from kantorov.measures import (
     BASE_LEVEL,
@@ -37,8 +34,8 @@ from kantorov.measures import (
     discrete_spec,
     exact_degree,
     explicit_list,
-    integrate_measure,
     lebesgue_measure,
+    mean_and_covariance,
     measure_nodes,
     power_measure,
     power_of_base,
@@ -306,9 +303,9 @@ def test_single_points_and_batches_are_admitted_alike():
             lambda y: eval_Cn_cells(cfg, 4, f, y),
             lambda y: eval_In(cfg, 4, f, y),
             lambda y: eval_Bn(dom, 4, f, y),
-            lambda y: cn_affine_moment(cfg, 4, h, y),
-            lambda y: cn_quadratic_moment(cfg, 4, 0, y),
-            lambda y: cn_bilinear_moment(cfg, 4, h, h, y),
+            lambda y: cn_product(cfg, 4, h, y),
+            lambda y: cn_product(cfg, 4, h, y, h),
+            lambda y: cn_product(cfg, 4, h, y, AffineForm(0.5, (1.0,) * dom.dim)),
         )
         x = np.array(inside)
         for evaluate in evaluators:
@@ -323,19 +320,20 @@ def test_single_points_and_batches_are_admitted_alike():
 
 
 def test_measure_moments():
-    m1, m2 = measure_moments(KANT1, 5)
+    # E[U] = 1/2 and E[U^2] = 1/3; the mean of two draws keeps the mean
+    # and halves the variance
+    m1, cov = mean_and_covariance(lebesgue_measure(), I)
     np.testing.assert_allclose(m1, [0.5])
-    np.testing.assert_allclose(m2, [1.0 / 3.0])
-    cfg = cfg_for(I, 2.0, power_of_base(lebesgue_measure(), 2))
-    m1, m2 = measure_moments(cfg, 5)
+    np.testing.assert_allclose(m1**2 + np.diag(cov), [1.0 / 3.0])
+    m1, cov = mean_and_covariance(power_measure(lebesgue_measure(), 2), I)
     np.testing.assert_allclose(m1, [0.5], atol=1e-14)
-    np.testing.assert_allclose(m2, [0.25 + 1.0 / 24.0], atol=1e-14)
+    np.testing.assert_allclose(m1**2 + np.diag(cov), [0.25 + 1.0 / 24.0], atol=1e-14)
 
 
 def test_affine_moment_spec_value():
     # n = 4, a = 1, Lebesgue: C_4(id)(0) = (1/5) (1/2) = 0.1
     h = coordinate_form(I, 0)
-    assert cn_affine_moment(KANT1, 4, h, [0.0]) == pytest.approx(0.1, abs=1e-16)
+    assert cn_product(KANT1, 4, h, [0.0]) == pytest.approx(0.1, abs=1e-16)
     assert eval_Cn(KANT1, 4, h, [0.0]) == pytest.approx(0.1, abs=1e-12)
 
 
@@ -349,7 +347,7 @@ def test_affine_moments_match_operator(dom, a):
         h = AffineForm(rng.uniform(-1, 1), tuple(rng.uniform(-1, 1, dom.dim)))
         for n in (1, 4):
             np.testing.assert_allclose(
-                eval_Cn(cfg, n, h, xs), cn_affine_moment(cfg, n, h, xs), atol=1e-12
+                eval_Cn(cfg, n, h, xs), cn_product(cfg, n, h, xs), atol=1e-12
             )
 
 
@@ -365,15 +363,17 @@ def test_quadratic_moments_match_operator(dom):
         xs = uniform_grid(dom, 3)
         for i in range(dom.dim):
             f = lambda p, i=i: p[:, i] ** 2
+            h = coordinate_form(dom, i)
             for n in (1, 5):
                 np.testing.assert_allclose(
-                    eval_Cn(cfg, n, f, xs), cn_quadratic_moment(cfg, n, i, xs), atol=1e-12
+                    eval_Cn(cfg, n, f, xs), cn_product(cfg, n, h, xs, h), atol=1e-12
                 )
 
 
 def test_quadratic_moment_spec_value():
     # interval, a=1: C_1(t^2)(1) = 1/12 + 2/4 ... = 7/12
-    assert cn_quadratic_moment(KANT1, 1, 0, [1.0]) == pytest.approx(7.0 / 12.0, abs=1e-15)
+    h = coordinate_form(I, 0)
+    assert cn_product(KANT1, 1, h, [1.0], h) == pytest.approx(7.0 / 12.0, abs=1e-15)
 
 
 def test_bilinear_moment_matches_operator():
@@ -386,7 +386,7 @@ def test_bilinear_moment_matches_operator():
         f = lambda p: h(p) * k(p)
         for n in (1, 3, 8):
             np.testing.assert_allclose(
-                eval_Cn(cfg, n, f, xs), cn_bilinear_moment(cfg, n, h, k, xs), atol=1e-11
+                eval_Cn(cfg, n, f, xs), cn_product(cfg, n, h, xs, k), atol=1e-11
             )
 
 
@@ -394,12 +394,48 @@ def test_simplex_spec_values():
     cfg = cfg_for(K2, 1.0)
     # normalized Lebesgue on K2: first moments 1/3 each
     mu = resolve(cfg.measures, 1, K2)
-    assert integrate_measure(mu, K2, lambda p: p[:, 0]) == pytest.approx(1.0 / 9.0 * 3, abs=1e-13)
+    nodes, weights = measure_nodes(mu, K2, BASE_LEVEL)
+    assert weights @ nodes[:, 0] == pytest.approx(1.0 / 9.0 * 3, abs=1e-13)
+    np.testing.assert_allclose(mean_and_covariance(mu, K2)[0], [1.0 / 3.0] * 2, rtol=0.0,
+                               atol=1e-16)
     # C_1(pr_1)(e_1) = (1/2)(1/3) + (1/2)(1) ... evaluate both moment forms
     h = coordinate_form(K2, 0)
-    got = cn_affine_moment(cfg, 1, h, [1.0, 0.0])
+    got = cn_product(cfg, 1, h, [1.0, 0.0])
     assert got == pytest.approx(1.0 / 6.0 + 0.5, abs=1e-14)
     np.testing.assert_allclose(eval_Cn(cfg, 1, h, [1.0, 0.0]), got, atol=1e-12)
+
+
+def test_closed_form_builds_no_rule(monkeypatch):
+    # the moments of mu_n come without any quadrature rule, so C_n of a
+    # product of affine forms still evaluates when no rule can be built
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_nodes called")
+
+    monkeypatch.setattr(kantorovich, "measure_nodes", refuse)
+    monkeypatch.setattr("kantorov.measures.measure_nodes", refuse)
+    coin = discrete_spec(discrete_measure([[0.0], [1.0]], [0.5, 0.5], I))
+    h = coordinate_form(I, 0)
+    assert cn_product(KANT1, 4, h, [0.0]) == pytest.approx(0.1, abs=1e-16)
+    assert cn_product(KANT1, 1, h, [1.0], h) == pytest.approx(7.0 / 12.0, abs=1e-15)
+    # power-2 Lebesgue at a = 2: C_1(t^2)(0) = 4 (1/4 + 1/24) / 9
+    cfg = cfg_for(I, 2.0, power_of_base(lebesgue_measure(), 2))
+    assert cn_product(cfg, 1, h, [0.0], h) == pytest.approx(4.0 * 7.0 / 24.0 / 9.0, abs=1e-16)
+    # a fair coin at a = 1: C_1(t^2)(0) = E[(S/2)^2] = 1/8
+    cfg = cfg_for(I, 1.0, explicit_list([coin]))
+    assert cn_product(cfg, 1, h, [0.0], h) == pytest.approx(0.125, abs=1e-16)
+    # at a = 0, mu_n is not resolved: a one-entry list serves n = 4, where
+    # C_4(t^2)(1/2) = B_4(t^2)(1/2) = 1/4 + (1/2)(1/2)/4
+    cfg = cfg_for(I, 0.0, explicit_list([coin]))
+    assert cn_product(cfg, 4, h, [0.5], h) == pytest.approx(0.3125, abs=1e-16)
+    for dom in (Q2, Q3, K2, K3):
+        pr = coordinate_form(dom, 0)
+        # K_d: C_1(pr_1)(0) = (1/2) mean_1; C_1(pr_1^2)(0) = (1/4)(var + mean^2)
+        mean, var = (0.5, 1.0 / 12.0) if dom.kind == "hypercube" else (
+            1.0 / (dom.dim + 1), dom.dim / ((dom.dim + 1) ** 2 * (dom.dim + 2)))
+        x = np.zeros(dom.dim)
+        assert cn_product(cfg_for(dom, 1.0), 1, pr, x) == pytest.approx(mean / 2, abs=1e-16)
+        assert cn_product(cfg_for(dom, 1.0), 1, pr, x, pr) == pytest.approx(
+            (var + mean**2) / 4, abs=1e-16)
 
 
 def test_operator_is_positive_and_normalized():
@@ -528,17 +564,18 @@ def test_moments_match_their_closed_forms(case, data):
     # of an affine form and of pr_i^2 against the moment identities, to
     # the tolerances the verify subcommand uses
     cfg, n, m1, m2, xs = case
-    got1, got2 = measure_moments(cfg, n)
+    got1, cov = mean_and_covariance(resolve(cfg.measures, n, cfg.domain), cfg.domain)
     np.testing.assert_allclose(got1, m1, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(got2, m2, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got1**2 + np.diag(cov), m2, rtol=0.0, atol=1e-14)
     d = cfg.domain.dim
     coef = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d + 1, max_size=d + 1))
     h = AffineForm(coef[0], tuple(coef[1:]))
-    gap = np.abs(eval_Cn(cfg, n, h, xs) - cn_affine_moment(cfg, n, h, xs))
+    gap = np.abs(eval_Cn(cfg, n, h, xs) - cn_product(cfg, n, h, xs))
     assert gap.max() <= _AFFINE_TOL
     for i in range(d):
         square = lambda p, i=i: p[:, i] ** 2
-        gap = np.abs(eval_Cn(cfg, n, square, xs) - cn_quadratic_moment(cfg, n, i, xs))
+        pr = coordinate_form(cfg.domain, i)
+        gap = np.abs(eval_Cn(cfg, n, square, xs) - cn_product(cfg, n, pr, xs, pr))
         assert gap.max() <= _QUADRATIC_TOL
 
 
@@ -667,11 +704,12 @@ def test_moment_integrands_take_one_level(dom):
     h = AffineForm(0.3, tuple(np.linspace(-1.0, 1.0, dom.dim)))
     with ladder_record() as record:
         for n in (4, 16):
-            gap = eval_Cn(cfg, n, h, xs) - cn_affine_moment(cfg, n, h, xs)
+            gap = eval_Cn(cfg, n, h, xs) - cn_product(cfg, n, h, xs)
             assert np.abs(gap).max() <= 1e-14
             for i in range(dom.dim):
                 square = lookup("monomial", (i + 1, 2), dom)
-                gap = eval_Cn(cfg, n, square, xs) - cn_quadratic_moment(cfg, n, i, xs)
+                pr = coordinate_form(dom, i)
+                gap = eval_Cn(cfg, n, square, xs) - cn_product(cfg, n, pr, xs, pr)
                 assert np.abs(gap).max() <= 1e-14
     assert record["ladders"] == record["exact"] == 2 * (1 + dom.dim)
     assert record["max_level"] == BASE_LEVEL

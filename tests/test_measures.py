@@ -19,9 +19,9 @@ from kantorov.measures import (
     discrete_spec,
     exact_degree,
     explicit_list,
-    integrate_measure,
     is_discrete,
     lebesgue_measure,
+    mean_and_covariance,
     measure_nodes,
     power_measure,
     power_of_base,
@@ -37,6 +37,12 @@ K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
 
 COIN = discrete_measure([[0.0], [1.0]], [0.5, 0.5], I)
+
+
+def integral(mu, dom, f):
+    """The integral of ``f`` against ``mu`` by its rule at ``BASE_LEVEL``."""
+    nodes, weights = measure_nodes(mu, dom, BASE_LEVEL)
+    return weights @ f(nodes)
 
 
 def test_discrete_measure_validation():
@@ -179,11 +185,11 @@ def test_dirac_shift_point_must_stay_inside():
     ],
 )
 def test_lebesgue_integration_is_normalized(dom, f, value):
-    assert integrate_measure(lebesgue_measure(), dom, f) == pytest.approx(value, abs=1e-13)
+    assert integral(lebesgue_measure(), dom, f) == pytest.approx(value, abs=1e-13)
 
 
 def test_discrete_integration():
-    got = integrate_measure(discrete_spec(COIN), I, lambda p: 3.0 * p[:, 0] + 1.0)
+    got = integral(discrete_spec(COIN), I, lambda p: 3.0 * p[:, 0] + 1.0)
     assert got == pytest.approx(2.5, abs=1e-15)
 
 
@@ -214,7 +220,7 @@ def test_rule_node_count_matches_the_rule():
 def test_power_of_discrete_third_moment():
     # E[((X1+X2)/2)^2] for fair coins = 0 * 1/4 + 1/4 * 1/2 + 1 * 1/4
     mu = power_measure(discrete_spec(COIN), 2)
-    got = integrate_measure(mu, I, lambda p: p[:, 0] ** 2)
+    got = integral(mu, I, lambda p: p[:, 0] ** 2)
     assert got == pytest.approx(3.0 / 8.0, abs=1e-15)
 
 
@@ -222,16 +228,52 @@ def test_power_of_lebesgue_variance():
     # mean of a uniform average stays 1/2; variance contracts by 1/a
     for a in (2, 3):
         mu = power_measure(lebesgue_measure(), a)
-        m1 = integrate_measure(mu, I, lambda p: p[:, 0])
-        m2 = integrate_measure(mu, I, lambda p: p[:, 0] ** 2)
+        m1 = integral(mu, I, lambda p: p[:, 0])
+        m2 = integral(mu, I, lambda p: p[:, 0] ** 2)
         assert m1 == pytest.approx(0.5, abs=1e-13)
         assert m2 - m1**2 == pytest.approx(1.0 / (12.0 * a), abs=1e-13)
 
 
 def test_power_average_integral_agrees():
     # E exp((U_1 + U_2 + U_3)/3) = (E exp(U/3))^3 = (3 (e^(1/3) - 1))^3
-    got = integrate_measure(power_measure(lebesgue_measure(), 3), I, lambda p: np.exp(p[:, 0]))
+    got = integral(power_measure(lebesgue_measure(), 3), I, lambda p: np.exp(p[:, 0]))
     assert got == pytest.approx((3.0 * math.expm1(1.0 / 3.0)) ** 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("dom,mean,var,cov", [
+    (I, Fraction(1, 2), Fraction(1, 12), None),
+    (Q2, Fraction(1, 2), Fraction(1, 12), Fraction(0)),
+    (Q3, Fraction(1, 2), Fraction(1, 12), Fraction(0)),
+    # Dirichlet(1, ..., 1): ((d+1) delta_ij - 1) / ((d+1)^2 (d+2))
+    (K2, Fraction(1, 3), Fraction(1, 18), Fraction(-1, 36)),
+    (K3, Fraction(1, 4), Fraction(3, 80), Fraction(-1, 80)),
+], ids=["I", "Q2", "Q3", "K2", "K3"])
+def test_lebesgue_mean_and_covariance_are_the_hand_rationals(dom, mean, var, cov):
+    d = dom.dim
+    want = np.full((d, d), float(cov or 0)) + np.eye(d) * float(var - (cov or 0))
+    for k in (1, 2, 3):
+        got_mean, got_cov = mean_and_covariance(power_measure(lebesgue_measure(), k), dom)
+        assert got_mean.shape == (d,) and got_cov.shape == (d, d)
+        np.testing.assert_allclose(got_mean, [float(mean)] * d, rtol=0.0, atol=1e-16)
+        # the mean of k draws: the same mean, the covariance divided by k
+        np.testing.assert_allclose(got_cov, want / k, rtol=0.0, atol=1e-17)
+
+
+def test_discrete_mean_and_covariance_are_the_atoms():
+    # a fair coin on {0, 1}: mean 1/2, variance 1/4, and 1/(4k) for the
+    # mean of k flips
+    for k in (1, 2, 3):
+        mean, cov = mean_and_covariance(power_measure(discrete_spec(COIN), k), I)
+        assert mean.tolist() == [0.5] and cov.tolist() == [[0.25 / k]]
+    # two atoms a, b with weights 1 - p, p: covariance p (1-p) (b-a)(b-a)^T
+    coin2 = discrete_measure([[0.1, 0.2], [0.6, 0.3]], [0.25, 0.75], Q2)
+    mean, cov = mean_and_covariance(discrete_spec(coin2), Q2)
+    np.testing.assert_allclose(mean, [0.475, 0.275], rtol=0.0, atol=1e-16)
+    np.testing.assert_allclose(cov, 0.1875 * np.outer([0.5, 0.1], [0.5, 0.1]), rtol=0.0,
+                               atol=1e-17)
+    # a Dirac measure has no spread
+    mean, cov = mean_and_covariance(resolve(dirac_shift([0.2, 0.7]), 3, K2), K2)
+    assert mean.tolist() == [0.2, 0.7] and not cov.any()
 
 
 def test_rule_node_count_matches():
