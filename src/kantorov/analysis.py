@@ -184,13 +184,14 @@ def lp_error(cfg: OperatorConfig, n: int, f, p: float, level: int = 8) -> float:
 
 def _phi_diffs(cfg: OperatorConfig, n: int) -> list:
     """Callables x -> (C_n(phi_i) - phi_i)(x) for the Korovkin family
-    1, pr_1..pr_d, sum pr_i^2, via the closed form :func:`cn_product`."""
+    pr_1..pr_d, sum pr_i^2, via the closed form :func:`cn_product`.
+    The family's constant 1 is skipped: C_n(1) - 1 is 0, which never
+    raises :func:`lambda_n`'s maximum."""
     forms = [coordinate_form(cfg.domain, i) for i in range(cfg.domain.dim)]
-    diffs = [lambda pts: np.zeros(np.atleast_2d(pts).shape[0])]
-    for form in forms:
-        diffs.append(
-            lambda pts, form=form: cn_product(cfg, n, form, np.atleast_2d(pts)) - form(pts)
-        )
+    diffs = [
+        lambda pts, form=form: cn_product(cfg, n, form, np.atleast_2d(pts)) - form(pts)
+        for form in forms
+    ]
 
     def quad_diff(pts):
         pts = np.atleast_2d(pts)

@@ -52,15 +52,18 @@ def _log_binom_row(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def lattice(domain: Domain, n: int) -> np.ndarray:
-    """Admissible multi-indices, shape ``(L, d)``, dtype int.
+    """Admissible multi-indices, shape ``(L, d)``, dtype int (cached,
+    read-only).
 
-    Hypercube/interval: ``{0..n}^d`` in lexicographic order.  Simplex:
-    ``|h| <= n`` in colexicographic order.
+    Hypercube: ``{0..n}^d`` in lexicographic order.  Simplex: ``|h| <= n``
+    in colexicographic order.
     """
     idx = np.indices((n + 1,) * domain.dim).reshape(domain.dim, -1)
+    out = idx.T
     if domain.kind == SIMPLEX:
-        return idx[::-1].T[idx.sum(axis=0) <= n]
-    return idx.T
+        out = idx[::-1].T[idx.sum(axis=0) <= n]
+    out.flags.writeable = False
+    return out
 
 
 def _pow_table(t: np.ndarray, n: int) -> np.ndarray:

@@ -9,9 +9,10 @@ Coordinate indices in ``params`` are 1-based (as they appear in run
 configs); internal evaluation converts to 0-based axes.  A bad name or
 parameter list raises :class:`ConfigError`.
 
-On the interval and the hypercube a function may declare ``breakpoints``:
-per axis, the one coordinate where it has a kink across that axis (or
-``None``).  The inner integrals cut their rules there.  A polynomial may
+A function may declare ``breakpoints``: per axis, the one coordinate
+where it has a kink across that axis (or ``None``).  The inner integrals
+cut their rules there on the hypercube; the simplex's rules are not
+products of axis rules and stay uncut.  A polynomial may
 declare its total ``degree``; the inner integrals then stop at the first
 rule exact for it.
 """
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import HYPERCUBE, SIMPLEX, Domain, contains
+from .geometry import Domain, contains
 from .kantorovich import AffineForm
 
 
@@ -60,16 +61,6 @@ def _axis(domain: Domain, i: float) -> int:
     if ax != i or not 1 <= ax <= domain.dim:
         raise ConfigError(f"coordinate index {i!r} invalid for dim {domain.dim}")
     return ax - 1
-
-
-def _axis_kinks(domain: Domain, kinks) -> Optional[tuple]:
-    """``breakpoints`` for axis kinks at ``kinks`` (one entry per axis);
-    none on the simplex, where cells are not axis boxes."""
-    return None if domain.kind == SIMPLEX else tuple(kinks)
-
-
-def _sum_max(domain: Domain) -> float:
-    return float(domain.dim) if domain.kind == HYPERCUBE else 1.0
 
 
 def _constant(domain: Domain, params) -> CatalogFunction:
@@ -149,7 +140,7 @@ def _abs_dist(domain: Domain, params) -> CatalogFunction:
         axially_convex=True,
         lipschitz_l1=1.0,
         exact_omega=exact,
-        breakpoints=_axis_kinks(domain, c.tolist()),
+        breakpoints=tuple(c.tolist()),
     )
     return CatalogFunction(
         "abs_dist", tuple(params), domain, lambda p: np.abs(p - c).sum(axis=1), meta
@@ -169,7 +160,7 @@ def _abs_dist_coord(domain: Domain, params) -> CatalogFunction:
         axially_convex=True,
         lipschitz_l1=1.0,
         exact_omega=lambda delta: min(delta, reach),
-        breakpoints=_axis_kinks(domain, [c if i == ax else None for i in range(domain.dim)]),
+        breakpoints=tuple(c if i == ax else None for i in range(domain.dim)),
     )
     return CatalogFunction(
         "abs_dist_coord", tuple(params), domain, lambda p: np.abs(p[:, ax] - c), meta
@@ -191,8 +182,9 @@ def _abs_diff12(domain: Domain, params) -> CatalogFunction:
 
 
 def _exp_sum(domain: Domain, params) -> CatalogFunction:
-    smax = _sum_max(domain)
-    top = math.exp(smax)
+    # sup |grad f|_inf = e^{x_1 + ... + x_d} is reached at the vertex of
+    # largest coordinate sum
+    top = math.exp(domain.vertices().sum(axis=1).max())
     exact = None
     if domain.dim == 1:
         exact = lambda delta: math.e * (1.0 - math.exp(-min(delta, 1.0)))

@@ -45,7 +45,7 @@ from .analysis import (
 )
 from .catalog import catalog_names, lookup
 from .errors import ConfigError, KantorovError, NumericError, check_p
-from .geometry import HYPERCUBE, INTERVAL, SIMPLEX, Domain, contains
+from .geometry import SIMPLEX, Domain, contains
 from .kantorovich import (
     OperatorConfig,
     cn_product,
@@ -88,9 +88,10 @@ _PRESERVE_MODES = (
 _AFFINE_TOL = 1e-10
 _QUADRATIC_TOL = 1e-9
 
-# the name of each domain kind's Markov operator T, which is the only
-# value operator.markov admits
-_MARKOV_NAMES = {INTERVAL: "T1", HYPERCUBE: "Sd", SIMPLEX: "Td"}
+# the name of the Markov operator T of each domain.kind a config may
+# spell, which is the only value operator.markov admits; "interval" spells
+# the 1-cube, whose S_1 is named T1 there
+_MARKOV_NAMES = {"interval": "T1", "hypercube": "Sd", "simplex": "Td"}
 
 _MISSING = object()
 
@@ -183,13 +184,17 @@ def _point(value, path: str, domain: Domain) -> np.ndarray:
     return x
 
 
-def _parse_domain(raw) -> Domain:
+def _parse_domain(raw) -> tuple[str, Domain]:
+    """The config's ``domain.kind`` and the domain it spells."""
     raw = _require_object(raw, "domain")
     _reject_unknown(raw, ("kind", "dim"), "domain")
-    kind = _str(_get(raw, "kind", "domain"), "domain.kind",
-                choices=("interval", "hypercube", "simplex"))
+    kind = _str(_get(raw, "kind", "domain"), "domain.kind", choices=tuple(_MARKOV_NAMES))
     dim = _int(_get(raw, "dim", "domain", 1), "domain.dim", 1)
-    return _at("domain", Domain, kind, dim)
+    if kind == "interval" and dim != 1:
+        raise ConfigError("domain: interval domain must have dim=1")
+    if kind == "interval":
+        return kind, Domain.interval()
+    return kind, _at("domain", Domain, kind, dim)
 
 
 def _parse_measure(raw, domain: Domain, path: str):
@@ -333,13 +338,13 @@ def parse_config(raw, command: str, seed_override: Optional[int] = None) -> RunP
     _reject_unknown(
         raw, ("domain", "operator", "function", "experiment", "output", "seed"), "config"
     )
-    domain = _parse_domain(_get(raw, "domain", "config"))
+    kind, domain = _parse_domain(_get(raw, "domain", "config"))
 
     op_raw = _require_object(_get(raw, "operator", "config"), "operator")
     _reject_unknown(op_raw, ("markov", "a", "measures"), "operator")
-    markov, own = op_raw.get("markov"), _MARKOV_NAMES[domain.kind]
+    markov, own = op_raw.get("markov"), _MARKOV_NAMES[kind]
     if markov is not None and markov != own:
-        raise ConfigError(f"operator.markov: the {domain.kind}'s Markov operator is "
+        raise ConfigError(f"operator.markov: the {kind}'s Markov operator is "
                           f"{own!r}, got {markov!r}")
     a = _num(_get(op_raw, "a", "operator"), "operator.a", 0.0)
     measures = _parse_measures(op_raw.get("measures"), domain)

@@ -1,4 +1,5 @@
-"""Domains (interval, hypercube, simplex), grids and quadrature rules.
+"""Domains (hypercube, simplex), grids and quadrature rules.  The
+interval I is the 1-cube ``Domain.hypercube(1)``.
 
 Points are float numpy arrays of shape ``(d,)``; batches of points have
 shape ``(G, d)``.  Functions handed to the integrators must accept a
@@ -17,18 +18,17 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericError
 
-INTERVAL = "interval"
 HYPERCUBE = "hypercube"
 SIMPLEX = "simplex"
 
-_KINDS = (INTERVAL, HYPERCUBE, SIMPLEX)
+_KINDS = (HYPERCUBE, SIMPLEX)
 
 MAX_DIM = 3
 
 
 @dataclass(frozen=True)
 class Domain:
-    """One of: unit interval, unit hypercube ``[0,1]^d``, unit simplex
+    """One of: unit hypercube ``[0,1]^d``, unit simplex
     ``{x >= 0, sum(x) <= 1}``."""
 
     kind: str
@@ -37,14 +37,13 @@ class Domain:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown domain kind {self.kind!r}")
-        if self.kind == INTERVAL and self.dim != 1:
-            raise ConfigError("interval domain must have dim=1")
         if not 1 <= self.dim <= MAX_DIM:
             raise ConfigError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
 
     @classmethod
     def interval(cls) -> "Domain":
-        return cls(INTERVAL, 1)
+        """The unit interval, which is the 1-cube."""
+        return cls(HYPERCUBE, 1)
 
     @classmethod
     def hypercube(cls, dim: int) -> "Domain":
@@ -63,18 +62,16 @@ class Domain:
 
     @property
     def diameter(self) -> float:
-        """Euclidean diameter."""
-        if self.kind == HYPERCUBE:
-            return math.sqrt(self.dim)
-        if self.kind == SIMPLEX:
-            return math.sqrt(2.0) if self.dim >= 2 else 1.0
-        return 1.0
+        """Euclidean diameter: the largest distance between two vertices."""
+        verts = self.vertices()
+        gaps = verts[:, None, :] - verts[None, :, :]
+        return float(np.sqrt((gaps**2).sum(axis=2)).max())
 
     @property
     def modulus_scale(self) -> float:
         """Scale factor converting a total-modulus argument into a
-        plain first-modulus argument: 1 for the interval and simplex,
-        sqrt(d) for the hypercube."""
+        plain first-modulus argument: sqrt(d) for the hypercube, 1 for
+        the simplex."""
         if self.kind == HYPERCUBE:
             return math.sqrt(self.dim)
         return 1.0
@@ -82,13 +79,10 @@ class Domain:
     def vertices(self) -> np.ndarray:
         """Extreme points, shape ``(V, d)``.
 
-        Interval: 0, 1.  Hypercube: the 2^d binary corners in
-        lexicographic order.  Simplex: the origin followed by the
-        canonical unit vectors.
+        Hypercube: the 2^d binary corners in lexicographic order.
+        Simplex: the origin followed by the canonical unit vectors.
         """
         d = self.dim
-        if self.kind == INTERVAL:
-            return np.array([[0.0], [1.0]])
         if self.kind == HYPERCUBE:
             verts = list(itertools.product((0.0, 1.0), repeat=d))
             return np.array(verts)

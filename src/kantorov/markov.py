@@ -1,13 +1,14 @@
 """The Markov operator T of the paper, which is the canonical
-vertex-supported operator of the domain: T1 on the interval, Sd on the
-hypercube and Td on the simplex.  Each fixes affine functions."""
+vertex-supported operator of the domain: Sd on the hypercube and Td on
+the simplex.  T1 on the interval is S_1 on the 1-cube.  Each fixes
+affine functions."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import INTERVAL, SIMPLEX, Domain, _batch, contains, values
+from .geometry import SIMPLEX, Domain, _batch, contains, values
 from .measures import DiscreteMeasure
 
 
@@ -17,9 +18,6 @@ def selection_weights(domain: Domain, xs: np.ndarray) -> np.ndarray:
     Vertex order matches ``Domain.vertices()``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if domain.kind == INTERVAL:
-        x = xs[:, 0]
-        return np.stack([1.0 - x, x], axis=1)
     if domain.kind == SIMPLEX:
         return np.concatenate([(1.0 - xs.sum(axis=1))[:, None], xs], axis=1)
     # Sd: running product over coordinates, most significant axis first

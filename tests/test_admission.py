@@ -43,6 +43,12 @@ Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
 
+
+def _case_id(dom: Domain) -> str:
+    """Test id of a domain case: ``interval1`` for I, which is the 1-cube,
+    else its kind and dimension."""
+    return "interval1" if dom == I else f"{dom.kind}{dom.dim}"
+
 N = 3
 
 
@@ -142,7 +148,7 @@ def points(domain):
     )
 
 
-@pytest.mark.parametrize("domain", (I, Q2, K2, K3), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("domain", (I, Q2, K2, K3), ids=_case_id)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_every_entry_point_admits_a_point_as_contains_does(domain, data):

@@ -38,6 +38,12 @@ K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
 
 
+def _case_id(dom: Domain) -> str:
+    """Test id of a domain case: ``interval1`` for I, which is the 1-cube,
+    else its kind and dimension."""
+    return "interval1" if dom == I else f"{dom.kind}{dom.dim}"
+
+
 def cfg_for(domain, a, measures=None):
     return OperatorConfig(domain, a, measures or constant_lebesgue())
 
@@ -127,7 +133,7 @@ def test_omega_total_bound_grid_modulus():
 
 @pytest.mark.parametrize("dom,name", [(Q2, "product12"), (Q2, "runge"), (I, "runge"),
                                       (K2, "runge"), (Q3, "runge"), (K3, "runge")],
-                         ids=lambda c: c if isinstance(c, str) else f"{c.kind}{c.dim}")
+                         ids=lambda c: c if isinstance(c, str) else _case_id(c))
 def test_grid_modulus_of_the_bound_checks_is_omega1(dom, name):
     # every modulus of an unsorted delta array, with a duplicate, a delta
     # below one grid step and 0.29 (0.29 * 100 is 28.999999999999996),
@@ -312,7 +318,7 @@ def _dense_lp_error(cfg, n, f, p, level):
     (K2, 1.0, None, 64, 8),
     (K2, 2.0, power_of_base(lebesgue_measure(), 2), 5, 6),
     (K3, 1.0, None, 6, 4),
-], ids=lambda c: f"{c.kind}{c.dim}" if isinstance(c, Domain) else None)
+], ids=lambda c: _case_id(c) if isinstance(c, Domain) else None)
 def test_lp_error_matches_dense_path(dom, a, measures, n, level):
     cfg = cfg_for(dom, a, measures)
     f = lookup("exp_sum", (), dom)
@@ -375,7 +381,7 @@ def _record_contractions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dom", (I, Q2, Q3, K2), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (I, Q2, Q3, K2), ids=_case_id)
 def test_uniform_grid_checks_contract_on_a_product_grid_off_the_simplex(dom, monkeypatch):
     # on the interval and cube the grid's rows contract axis by axis, to
     # within a few ulp of the basis values times the lattice values; the
@@ -413,7 +419,7 @@ _TABLE_CONFIGS = {
 
 
 @pytest.mark.parametrize("kind", _TABLE_CONFIGS)
-@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=_case_id)
 def test_tables_equal_the_per_n_calls_bit_for_bit(dom, kind):
     cfg, m = _TABLE_CONFIGS[kind](dom), 12
     for f in (lookup("exp_sum", (), dom), lookup("abs_dist", [0.5] * dom.dim, dom)):
@@ -437,7 +443,7 @@ def _calls_on(calls, pts):
     return sum(1 for c in calls if c.shape == pts.shape and np.array_equal(c, pts))
 
 
-@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=_case_id)
 def test_tables_evaluate_f_once_per_grid(dom):
     # whatever the number of n: once on the uniform grid and once on the
     # lp_grid per table; the omega_total check adds omega1's own pass over

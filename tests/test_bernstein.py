@@ -22,12 +22,20 @@ from kantorov.bernstein import (
 )
 from kantorov.errors import ConfigError, NumericError
 from kantorov.geometry import Domain, ProductGrid, uniform_grid
+from kantorov.kantorovich import OperatorConfig, eval_Cn
+from kantorov.measures import constant_lebesgue
 
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
 Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
+
+
+def _case_id(dom: Domain) -> str:
+    """Test id of a domain case: ``interval1`` for I, which is the 1-cube,
+    else its kind and dimension."""
+    return "interval1" if dom == I else f"{dom.kind}{dom.dim}"
 
 ALL = (I, Q2, Q3, K2, K3)
 
@@ -64,7 +72,17 @@ def test_simplex_lattice_is_colexicographic():
             assert got.dtype == int and got.tolist() == expect, (d, n)
 
 
-@pytest.mark.parametrize("dom", ALL, ids=lambda d: f"{d.kind}{d.dim}")
+def test_cached_lattice_is_read_only():
+    # a write into the cached array would move every later C_n on I
+    for dom in ALL:
+        assert not bernstein.lattice(dom, 3).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        bernstein.lattice(I, 8)[:] = 0
+    cfg = OperatorConfig(I, 1.0, constant_lebesgue())
+    assert eval_Cn(cfg, 8, lambda p: p[:, 0], 0.5) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("dom", ALL, ids=_case_id)
 @pytest.mark.parametrize("n", [1, 3, 9])
 def test_partition_of_unity(dom, n):
     xs = uniform_grid(dom, 5)
@@ -108,7 +126,7 @@ def _unity_points(dom):
                      st.builds(beyond, positive, st.integers(0, d - 1), st.floats(0.0, 0.9e-12)))
 
 
-@pytest.mark.parametrize("dom", ALL, ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", ALL, ids=_case_id)
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_basis_is_a_partition_of_unity(dom, data):
@@ -278,7 +296,7 @@ def test_apply_lattice_values_matches_weights():
         np.testing.assert_allclose(apply_lattice_values(dom, n, vals, xs), direct, atol=1e-12)
 
 
-@pytest.mark.parametrize("dom", (K2, K3), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (K2, K3), ids=_case_id)
 def test_simplex_contraction_builds_no_basis(dom, monkeypatch):
     rng = np.random.default_rng(5)
     xs = rng.dirichlet(np.ones(dom.dim + 1), 50)[:, : dom.dim]
@@ -319,7 +337,7 @@ GRID_CASES = [(I, 1), (I, 9), (I, 150), (Q2, 1), (Q2, 7), (Q2, 40), (Q3, 1), (Q3
 
 
 @pytest.mark.parametrize("dom,n", GRID_CASES, ids=lambda c: str(c) if isinstance(c, int)
-                         else f"{c.kind}{c.dim}")
+                         else _case_id(c))
 def test_grid_contraction_matches_scattered_points(dom, n):
     # the contraction on lp_norm's grid, on shared nodes, equals the
     # per-point one at the grid's points (n = 64, 80 pass _DIRECT_N)
@@ -343,7 +361,7 @@ def test_grid_contraction_checks_domain():
         apply_lattice_values(Q2, 2, np.ones(9), lp_grid(K2, 2))
 
 
-@pytest.mark.parametrize("dom", ALL, ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", ALL, ids=_case_id)
 def test_contraction_checks_lattice_size(dom):
     size = lattice_points(dom, 3).shape[0]
     for x in (np.full(dom.dim, 0.25), np.full((2, dom.dim), 0.25), lp_grid(dom, 2)):
@@ -366,7 +384,7 @@ def test_scattered_cube_contraction_is_chunked(monkeypatch):
         np.testing.assert_allclose(chunked, basis_weights(dom, 6, pts) @ vals, atol=1e-13)
 
 
-@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=_case_id)
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 def test_nonfinite_coordinates_rejected(dom, bad):
     xs = np.full((2, dom.dim), 0.25)

@@ -94,11 +94,22 @@ def test_axis_kinks_are_declared_on_the_interval_and_cube():
     assert lookup("abs_dist", [0.3], I).meta.breakpoints == (0.3,)
     assert lookup("abs_dist", [0.5, 0.25, 1.0], Q3).meta.breakpoints == (0.5, 0.25, 1.0)
     assert lookup("abs_dist_coord", [2, 0.75], Q2).meta.breakpoints == (None, 0.75)
-    # the simplex, a diagonal kink and smooth functions declare none
-    assert lookup("abs_dist", [0.3, 0.3], K2).meta.breakpoints is None
-    assert lookup("abs_dist_coord", [1, 0.5], K2).meta.breakpoints is None
+    # the simplex declares them too (the engine does not cut there); a
+    # diagonal kink and smooth functions declare none
+    assert lookup("abs_dist", [0.3, 0.2], K2).meta.breakpoints == (0.3, 0.2)
+    assert lookup("abs_dist_coord", [1, 0.5], K2).meta.breakpoints == (0.5, None)
     for name, params in (("abs_diff12", []), ("exp_sum", []), ("product12", [])):
         assert lookup(name, params, Q2).meta.breakpoints is None
+        assert lookup(name, params, K2).meta.breakpoints is None
+
+
+@pytest.mark.parametrize("dom,top", [
+    (I, math.exp(1.0)), (Q2, math.exp(2.0)), (Domain.hypercube(3), math.exp(3.0)),
+    (Domain.simplex(1), math.exp(1.0)), (K2, math.exp(1.0)), (Domain.simplex(3), math.exp(1.0)),
+], ids=["I", "Q2", "Q3", "K1", "K2", "K3"])
+def test_exp_sum_lipschitz_is_e_to_the_largest_vertex_sum(dom, top):
+    # the per-kind literals: e^d on Q_d, e on K_d
+    assert lookup("exp_sum", [], dom).meta.lipschitz_l1 == top
 
 
 def test_exact_omega_matches_grid_estimate():

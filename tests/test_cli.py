@@ -297,6 +297,31 @@ def test_operator_markov_accepts_the_domains_operator(tmp_path, capsys):
     assert csv.read_text() == plain.read_text()
 
 
+@pytest.mark.parametrize("command,experiment", [
+    ("converge", {"n_list": [4, 16], "p": 2, "grid_resolution": 50}),
+    ("preserve", {"n_list": [4, 16], "grid_resolution": 40}),
+    ("moduli", {"delta_list": [0.5, 0.25], "grid_resolution": 40}),
+], ids=["converge", "preserve", "moduli"])
+def test_interval_spells_the_1_cube(tmp_path, command, experiment):
+    # "interval" with T1 and a 1-d "hypercube" with Sd name one operator
+    written = []
+    for name, domain, markov in (("i", {"kind": "interval"}, "T1"),
+                                 ("q", {"kind": "hypercube", "dim": 1}, "Sd")):
+        csv = tmp_path / f"{name}.csv"
+        cfgp = write_config(tmp_path, f"{name}.json", domain=domain, operator={"markov": markov},
+                            experiment=experiment, output={"csv_path": str(csv)})
+        assert main([command, "--config", str(cfgp)]) == 0
+        written.append(csv.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_operator_markov_on_the_1_cube_spelled_hypercube_is_sd(tmp_path, capsys):
+    cfgp = write_config(tmp_path, "c.json", domain={"kind": "hypercube", "dim": 1},
+                        operator={"markov": "T1"})
+    assert main(["converge", "--config", str(cfgp)]) == 2
+    assert "the hypercube's Markov operator is 'Sd', got 'T1'" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
     # invalid JSON
     bad = tmp_path / "bad.json"
@@ -310,6 +335,7 @@ def test_exit_code_2_on_malformed_configs(tmp_path, capsys):
     cases = [
         ({"operator": {"a": -2.0}}, "operator.a"),
         ({"domain": {"kind": "triangle"}}, "domain.kind"),
+        ({"domain": {"kind": "interval", "dim": 2}}, "domain: interval domain must have dim=1"),
         ({"function": {"name": "nope"}}, "function"),
         ({"experiment": {"n_list": [4], "stride": 2}}, "experiment"),
         # the Gauss ladder's levels are fixed; no config sets them

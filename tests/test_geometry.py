@@ -24,9 +24,18 @@ K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
 
 
+def _case_id(dom: Domain) -> str:
+    """Test id of a domain case: ``interval1`` for I, which is the 1-cube,
+    else its kind and dimension."""
+    return "interval1" if dom == I else f"{dom.kind}{dom.dim}"
+
+
 def test_domain_constructors():
-    assert I.dim == 1 and I.kind == "interval"
+    # the unit interval is the 1-cube; "interval" names no domain kind
+    assert I == Domain.hypercube(1) and I.dim == 1 and I.kind == "hypercube"
     assert Q2.dim == 2 and K3.dim == 3
+    with pytest.raises(ConfigError, match="unknown domain kind"):
+        Domain("interval", 1)
     with pytest.raises(ConfigError):
         Domain.hypercube(0)
     with pytest.raises(ConfigError):
@@ -38,9 +47,10 @@ def test_volume_and_diameter():
     assert Q3.volume == 1.0
     assert K2.volume == 0.5
     assert K3.volume == pytest.approx(1.0 / 6.0)
+    # the largest vertex distance: sqrt(d) on Q_d, sqrt(2) on K_d for d >= 2
     assert I.diameter == 1.0
-    assert Q2.diameter == pytest.approx(math.sqrt(2.0))
-    assert K2.diameter == pytest.approx(math.sqrt(2.0))
+    assert Q2.diameter == math.sqrt(2) and Q3.diameter == math.sqrt(3)
+    assert K2.diameter == math.sqrt(2.0) and K3.diameter == math.sqrt(2.0)
     assert Domain.simplex(1).diameter == 1.0
 
 
@@ -83,7 +93,7 @@ def _trapezoid_weights(d, m):
     return w
 
 
-@pytest.mark.parametrize("dom", (I, Q2, Q3), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (I, Q2, Q3), ids=_case_id)
 @pytest.mark.parametrize("m", [1, 4, 7, 40])
 def test_uniform_product_grid_is_the_uniform_grid(dom, m):
     grid = uniform_product_grid(dom, m)
@@ -209,7 +219,7 @@ def _meshgrid_tensor(nodes_1d, weights_1d, d):
 
 
 @pytest.mark.parametrize("dom", (I, Q2, Q3, Domain.simplex(1), K2, K3),
-                         ids=lambda d: f"{d.kind}{d.dim}")
+                         ids=_case_id)
 def test_product_grid_bytes_equal_the_meshgrid_construction(dom):
     rng = np.random.default_rng(dom.dim)
     nodes, weights = np.sort(rng.uniform(0.0, 1.0, 9)), rng.uniform(0.1, 1.0, 9)

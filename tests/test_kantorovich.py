@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -47,6 +48,12 @@ Q2 = Domain.hypercube(2)
 Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
+
+
+def _case_id(dom: Domain) -> str:
+    """Test id of a domain case: ``interval1`` for I, which is the 1-cube,
+    else its kind and dimension."""
+    return "interval1" if dom == I else f"{dom.kind}{dom.dim}"
 
 ID = lambda p: p[:, 0]
 SQ = lambda p: p[:, 0] ** 2
@@ -337,7 +344,7 @@ def test_affine_moment_spec_value():
     assert eval_Cn(KANT1, 4, h, [0.0]) == pytest.approx(0.1, abs=1e-12)
 
 
-@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=_case_id)
 @pytest.mark.parametrize("a", (0.0, 0.7, 2.0))
 def test_affine_moments_match_operator(dom, a):
     rng = np.random.default_rng(42)
@@ -351,7 +358,7 @@ def test_affine_moments_match_operator(dom, a):
             )
 
 
-@pytest.mark.parametrize("dom", (I, Q2, K2), ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", (I, Q2, K2), ids=_case_id)
 def test_quadratic_moments_match_operator(dom):
     for a, measures in (
         (1.0, constant_lebesgue()),
@@ -696,7 +703,7 @@ def test_undeclared_integrands_climb_as_before(family):
         assert vals.tobytes() == kantorovich._blend_at_level(cfg, mu, n, f, base, 16).tobytes()
 
 
-@pytest.mark.parametrize("dom", [I, Q2, K2, K3], ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", [I, Q2, K2, K3], ids=_case_id)
 def test_moment_integrands_take_one_level(dom):
     # verify's affine forms and coordinate squares: level 8 is exact
     cfg = cfg_for(dom, 1.0)
@@ -891,8 +898,9 @@ def test_integrand_blocks_are_axis_major(dom, name):
     d = dom.dim
     params = (0.3,) * d if name == "abs_dist" else ()
     base = lookup(name, params, dom)
-    cut = base.meta.breakpoints is not None
-    assert cut == (name == "abs_dist" and dom.kind != "simplex")
+    # abs_dist declares its kinks on every domain; only the cube's rules cut
+    assert (base.meta.breakpoints is not None) == (name == "abs_dist")
+    cut = name == "abs_dist" and dom.kind != "simplex"
     cfg, rec, x = cfg_for(dom, 1.0), _LayoutRecorder(base), np.full((5, d), 0.2)
     mu = resolve(cfg.measures, 5, dom)
     for pts in (lattice(dom, 5) / 6, x * 5 / 6):  # the rows of eval_Cn and eval_In
@@ -904,3 +912,20 @@ def test_integrand_blocks_are_axis_major(dom, name):
         assert len(shape) == 2 and shape[1] == d and dtype == np.float64
         # contiguous columns: one row step is one float
         assert strides[0] == 8 and strides[1] == 8 * shape[0]
+
+
+@pytest.mark.parametrize("dom", [K2, K3], ids=_case_id)
+def test_simplex_kinks_are_declared_and_left_uncut(dom):
+    # the catalog declares abs_dist's axis kinks on K_d as on Q_d; the
+    # engine alone refuses to cut there, so the values equal an undeclared copy's
+    f = lookup("abs_dist", (0.3,) * dom.dim, dom)
+    assert f.meta.breakpoints == (0.3,) * dom.dim
+    plain = dataclasses.replace(f, meta=dataclasses.replace(f.meta, breakpoints=None))
+    for a in (0.5, 1.0, 2.0):
+        cfg = cfg_for(dom, a)
+        for n in (3, 6):
+            mu = resolve(cfg.measures, n, dom)
+            rows = lattice(dom, n) / (n + a)
+            assert kantorovich._row_cuts(cfg, mu, n, f, rows) is None
+            got = kantorovich._inner_values.__wrapped__(cfg, n, f)
+            assert np.array_equal(got, kantorovich._inner_values.__wrapped__(cfg, n, plain))

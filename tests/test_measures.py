@@ -36,6 +36,12 @@ Q3 = Domain.hypercube(3)
 K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
 
+
+def _case_id(dom: Domain) -> str:
+    """Test id of a domain case: ``interval1`` for I, which is the 1-cube,
+    else its kind and dimension."""
+    return "interval1" if dom == I else f"{dom.kind}{dom.dim}"
+
 COIN = discrete_measure([[0.0], [1.0]], [0.5, 0.5], I)
 
 
@@ -108,7 +114,7 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dom", [I, Q2, Q3, K2, K3], ids=lambda d: f"{d.kind}{d.dim}")
+@pytest.mark.parametrize("dom", [I, Q2, Q3, K2, K3], ids=_case_id)
 def test_lebesgue_rule_is_the_quadrature_rule_bitwise(dom):
     # exponent 1 of the B-spline product rule is Gauss-Legendre on I and
     # Q_d; on K_d the 1-fold tensor is the collapsed rule, of mass 1
