@@ -14,7 +14,13 @@ where it has a kink across that axis (or ``None``).  The inner integrals
 cut their rules there on the hypercube; the simplex's rules are not
 products of axis rules and stay uncut.  A polynomial may
 declare its total ``degree``; the inner integrals then stop at the first
-rule exact for it.
+rule exact for it.  A smooth function may declare ``derivative_bound``, a
+callable ``(lo, hi, r) -> float`` that bounds ``|d^r f / dx_i^r|`` on the
+box ``[lo, hi]`` for every axis i; on the interval and the hypercube the
+inner integrals then stop at their first Gauss level when the error bound
+it gives is below the ladder's tolerance.  ``exp_sum`` declares
+``exp(sum(hi))`` and ``runge`` declares ``r! 5^r``; every other function
+declares none.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ class FunctionMeta:
     exact_omega: Optional[Callable[[float], float]] = None
     breakpoints: Optional[tuple] = None
     degree: Optional[int] = None
+    derivative_bound: Optional[Callable[[np.ndarray, np.ndarray, int], float]] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +201,20 @@ def _exp_sum(domain: Domain, params) -> CatalogFunction:
         axially_convex=True,
         lipschitz_l1=top,
         exact_omega=exact,
+        # every partial derivative of e^{x_1 + ... + x_d} is itself
+        derivative_bound=lambda lo, hi, r: math.exp(hi.sum()),
     )
     return CatalogFunction("exp_sum", (), domain, lambda p: np.exp(p.sum(axis=1)), meta)
 
 
 _RUNGE_LIP = 15.0 * math.sqrt(3.0) / 8.0
+
+
+def _runge_derivative(lo, hi, r: int) -> float:
+    """Along any axis, f = 1/(A + 25 t^2) with A >= 1, which is
+    (1/(t - i b) - 1/(t + i b)) / (50 i b) for b = sqrt(A)/5 >= 1/5, so
+    |f^(r)| <= r! / (25 b^(r+2)) <= r! 5^r."""
+    return math.factorial(r) * 5.0**r
 
 
 def _runge(domain: Domain, params) -> CatalogFunction:
@@ -207,6 +223,7 @@ def _runge(domain: Domain, params) -> CatalogFunction:
         coordinate_convex=False,
         axially_convex=False,
         lipschitz_l1=_RUNGE_LIP,
+        derivative_bound=_runge_derivative,
     )
     return CatalogFunction(
         "runge", (), domain, lambda p: 1.0 / (1.0 + 25.0 * (p**2).sum(axis=1)), meta

@@ -211,37 +211,31 @@ def gauss01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _tensor(nodes_1d: np.ndarray, weights_1d: np.ndarray, d: int):
+def _tensor(nodes_1d: np.ndarray, weights_1d: np.ndarray, d: int, collapse: bool = False):
     """The ``(q^d, d)`` points and ``(q^d,)`` weights of the product of a
     ``q``-node rule with itself, in C order.  Each axis is broadcast into
-    a preallocated array; the weights are multiplied in axis order."""
+    a preallocated array; the weights are multiplied in axis order.
+
+    ``collapse`` maps the cube onto the simplex: ``x_1 = u_1``, ``x_j =
+    u_j prod_{i<j} (1 - u_i)``, and the weights then carry the Jacobian
+    ``prod_{j<d} (1 - u_j)^(d-j)``.  Its factors broadcast from the 1-D
+    nodes, multiplied in axis order.
+    """
     q = nodes_1d.size
     nodes = np.empty((q,) * d + (d,))
     weights = np.ones((q,) * d)
+    shrink = jac = 1.0
     for i in range(d):
         along = (1,) * i + (q,) + (1,) * (d - 1 - i)
-        nodes[..., i] = nodes_1d.reshape(along)
+        u = nodes_1d.reshape(along)
+        nodes[..., i] = u * shrink
         weights *= weights_1d.reshape(along)
+        if collapse and i < d - 1:
+            shrink = shrink * (1.0 - u)
+            jac = jac * (1.0 - u) ** (d - 1 - i)
+    if collapse:
+        weights *= jac
     return nodes.reshape(-1, d), weights.reshape(-1)
-
-
-def simplex_from_cube(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse map from the unit cube onto the simplex.
-
-    ``x_1 = u_1``, ``x_j = u_j * prod_{i<j}(1 - u_i)``.  Returns the
-    mapped points and the Jacobian ``prod_{j<d} (1-u_j)^(d-j)``.
-    """
-    u = np.atleast_2d(u)
-    d = u.shape[1]
-    x = np.empty_like(u)
-    shrink = np.ones(u.shape[0])
-    jac = np.ones(u.shape[0])
-    for j in range(d):
-        x[:, j] = u[:, j] * shrink
-        if j < d - 1:
-            shrink = shrink * (1.0 - u[:, j])
-            jac = jac * (1.0 - u[:, j]) ** (d - 1 - j)
-    return x, jac
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +243,8 @@ class ProductGrid:
     """Tensor grid with the same 1-D nodes and weights on every axis.
 
     On the interval/hypercube the points are ``nodes_1d^d``; on the
-    simplex they are the image of that cube grid under
-    :func:`simplex_from_cube`, and the weights carry its Jacobian.
+    simplex they are the image of that cube grid under the collapse map
+    of :func:`_tensor`, and the weights carry its Jacobian.
     Points are in C order over the axis indices (first axis slowest).
     ``shape``, ``ndim`` and ``len`` are those of the ``(G, d)`` point
     batch the grid stands for.
@@ -281,11 +275,8 @@ class ProductGrid:
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = _tensor(self.nodes_1d, self.weights_1d, self.domain.dim)
-        if self.domain.kind == SIMPLEX:
-            nodes, jac = simplex_from_cube(nodes)
-            weights = weights * jac
-        return nodes, weights
+        return _tensor(self.nodes_1d, self.weights_1d, self.domain.dim,
+                       self.domain.kind == SIMPLEX)
 
     @property
     def points(self) -> np.ndarray:

@@ -58,15 +58,20 @@ def ladder_record():
 
     The dict counts "ladders"; "exact", those that stopped at their first
     level because its rule is exact for the integrand (every discrete
-    measure's is); "unconverged_at_cap", those that reached _MAX_LEVEL
-    without two successive levels agreeing to _LADDER_TOL; and
+    measure's is); "certified", those that stopped at their first level
+    because :func:`_gauss_bound` bounds its error by _LADDER_TOL;
+    "unconverged_at_cap", those that reached _MAX_LEVEL without two
+    successive levels agreeing to _LADDER_TOL; and
     "stopped_by_node_budget", those that MAX_RULE_NODES stopped before two
     levels agreed.  "max_level" is the highest level a ladder ended at,
-    and "max_residual" the largest difference between the last two levels
-    a ladder compared (None while no ladder has compared two).
+    "max_residual" the largest difference between the last two levels a
+    ladder compared (None while no ladder has compared two), and
+    "max_certified_bound" the largest error bound of a certified ladder
+    (None while none is).
     """
-    record = {"ladders": 0, "exact": 0, "unconverged_at_cap": 0,
-              "stopped_by_node_budget": 0, "max_level": 0, "max_residual": None}
+    record = {"ladders": 0, "exact": 0, "certified": 0, "unconverged_at_cap": 0,
+              "stopped_by_node_budget": 0, "max_level": 0, "max_residual": None,
+              "max_certified_bound": None}
     _RECORDS.append(record)
     try:
         yield record
@@ -195,16 +200,20 @@ def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
     return vals
 
 
-def _ladder(at_level, fits=lambda level: True, exact=False) -> np.ndarray:
+def _ladder(at_level, fits=lambda level: True, exact=False, bound=None) -> np.ndarray:
     """Values of ``at_level`` from ``BASE_LEVEL`` on: that level alone when
-    its rule is ``exact`` for the integrand, else doubling the level
-    until two successive values agree within ``_LADDER_TOL`` (capped at
-    ``_MAX_LEVEL``, and only to levels for which ``fits`` holds); the
-    outcome goes to every open :func:`ladder_record`."""
+    its rule is ``exact`` for the integrand or ``bound`` (an upper bound
+    on that level's error, or None) is at most ``_LADDER_TOL``, else
+    doubling the level until two successive values agree within
+    ``_LADDER_TOL`` (capped at ``_MAX_LEVEL``, and only to levels for
+    which ``fits`` holds); the outcome goes to every open
+    :func:`ladder_record`."""
     level = BASE_LEVEL
     vals = at_level(level)
-    residual, outcome = None, "exact" if exact else "unconverged_at_cap"
-    while not exact and level < _MAX_LEVEL:
+    certified = bound is not None and bound <= _LADDER_TOL
+    stop = "exact" if exact else "certified" if certified else None
+    residual, outcome = None, stop or "unconverged_at_cap"
+    while stop is None and level < _MAX_LEVEL:
         nxt = min(2 * level, _MAX_LEVEL)
         if not fits(nxt):
             outcome = "stopped_by_node_budget"
@@ -222,6 +231,8 @@ def _ladder(at_level, fits=lambda level: True, exact=False) -> np.ndarray:
         record["max_level"] = max(record["max_level"], level)
         if residual is not None:
             record["max_residual"] = max(record["max_residual"] or 0.0, residual)
+        if stop == "certified":
+            record["max_certified_bound"] = max(record["max_certified_bound"] or 0.0, bound)
     return vals
 
 
@@ -255,6 +266,47 @@ def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray)
     return None if all(cut is None for cut in cuts) else cuts
 
 
+def _gauss_bound(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray):
+    """An upper bound on the error of the uncut ``BASE_LEVEL`` values of
+    :func:`_blend_at_level` on the rows ``p`` of ``base``, from the
+    ``meta.derivative_bound`` f declares; None when f declares none, on
+    the simplex and for a discrete mu.
+
+    Row p integrates s -> f(p + c s), c = a/(n+a), over the cell
+    ``[p, p + c]``, so f is seen on the box ``[min p, max p + c]``; let
+    D_r bound ``|d^r f/dx_i^r|`` there for every axis i, and L =
+    ``BASE_LEVEL``.
+
+    - The tensor rule telescopes axis by axis:
+      ``Q_1...Q_d - I_1...I_d = sum_i Q_1...Q_{i-1} (Q_i - I_i) I_{i+1}...I_d``.
+      The other axes' weights are positive and sum to 1, so the error is
+      at most the sum of the d per-axis errors.
+    - Per axis, mu = Lebesgue^k has the density ``k M_k(k t)``, M_k the
+      cardinal B-spline, and its rule (``measures._bspline_rule``) takes
+      Gauss with L nodes on each of the k knot intervals of width 1/k.
+      In the local coordinate u in [0, 1] of interval j that integrates
+      ``phi(u) = g((j + u)/k) M_k(j + u)``, where ``g(t) = f(.. + c t e_i)``
+      has ``|g^(r)| <= c^r D_r``.  Gauss with L nodes on an interval of
+      length h errs by ``h^(2L+1) (L!)^4 / ((2L+1) ((2L)!)^3) |phi^(2L)(xi)|``
+      (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed.,
+      1984), here with h = 1.
+    - M_k is a polynomial of degree k - 1 on each knot interval, so
+      Leibniz gives ``|phi^(2L)| <= sum_{j<k} C(2L, j) (c/k)^(2L-j)
+      D_{2L-j} |M_k^(j)|``, and ``M_k^(j) = sum_i (-1)^i C(j, i)
+      M_{k-j}(. - i)`` with ``0 <= M_{k-j} <= 1`` gives ``|M_k^(j)| <=
+      2^j``.  The k knot intervals add up.
+    """
+    derivative = getattr(getattr(f, "meta", None), "derivative_bound", None)
+    if derivative is None or cfg.domain.kind == SIMPLEX or is_discrete(mu):
+        return None
+    c, k, r = cfg.a / (n + cfg.a), mu.exponent, 2 * BASE_LEVEL
+    lo, hi = base.min(axis=0), base.max(axis=0) + c
+    gauss = math.factorial(BASE_LEVEL) ** 4 / ((r + 1) * math.factorial(r) ** 3)
+    leibniz = sum(math.comb(r, j) * (c / k) ** (r - j) * derivative(lo, hi, r - j) * 2.0**j
+                  for j in range(k))
+    return cfg.domain.dim * k * gauss * leibniz
+
+
 def _degree(f) -> float:
     """The total degree of the polynomial f declares itself to be: 1 for
     an :class:`AffineForm`, else its ``meta.degree``; ``math.inf`` when f
@@ -269,7 +321,9 @@ def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.nda
     """Adaptive version of :func:`_blend_at_level`: the :func:`_ladder`,
     bounded by the rule node budget, with mu's rules cut at the kinks f
     declares, and stopped at its first level when that rule is exact for
-    the degree f declares (a discrete mu's rule is exact for any f).
+    the degree f declares (a discrete mu's rule is exact for any f) or
+    when :func:`_gauss_bound` bounds the uncut rule's error by
+    ``_LADDER_TOL``.
     """
     if cfg.a == 0.0:
         return values(f, base)
@@ -279,6 +333,7 @@ def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.nda
         lambda level: _blend_at_level(cfg, mu, n, f, base, level, cuts),
         lambda level: rule_node_count(mu, cfg.domain, level) <= MAX_RULE_NODES,
         _degree(f) <= exact_degree(mu, cfg.domain, BASE_LEVEL, cuts is not None),
+        None if cuts is not None else _gauss_bound(cfg, mu, n, f, base),
     )
 
 

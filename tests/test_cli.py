@@ -489,8 +489,8 @@ def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("warning: 2 of 2 quadrature ladder(s)")
     quad = json.loads(js.read_text())["meta"]["quadrature"]
     assert quad.pop("max_residual") > 1e-11
-    assert quad == {"ladders": 2, "exact": 0, "unconverged_at_cap": 2,
-                    "stopped_by_node_budget": 0, "max_level": 32}
+    assert quad == {"ladders": 2, "exact": 0, "certified": 0, "unconverged_at_cap": 2,
+                    "stopped_by_node_budget": 0, "max_level": 32, "max_certified_bound": None}
 
 
 def test_declared_kinks_converge_with_a_rounding_residual(tmp_path, capsys):
@@ -505,24 +505,53 @@ def test_declared_kinks_converge_with_a_rounding_residual(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     quad = json.loads(js.read_text())["meta"]["quadrature"]
     assert quad.pop("max_residual") <= 1e-15
-    assert quad == {"ladders": 2, "exact": 0, "unconverged_at_cap": 0,
-                    "stopped_by_node_budget": 0, "max_level": 16}
+    assert quad == {"ladders": 2, "exact": 0, "certified": 0, "unconverged_at_cap": 0,
+                    "stopped_by_node_budget": 0, "max_level": 16, "max_certified_bound": None}
 
 
 def test_converged_ladders_do_not_warn(tmp_path, capsys):
+    # runge at n = 2 and 4 is too steep for a certificate: both ladders
+    # climb, and they agree at the cap, which is converged, not stalled
     js = tmp_path / "out.json"
     cfgp = write_config(
         tmp_path, "c.json",
-        function={"name": "exp_sum", "params": []},
-        experiment={"n_list": [4, 16], "p": 2, "grid_resolution": 100},
+        function={"name": "runge", "params": []},
+        experiment={"n_list": [2, 4], "p": 2, "grid_resolution": 100},
         output={"json_path": str(js)},
     )
     assert main(["converge", "--config", str(cfgp)]) == 0
     assert capsys.readouterr().err == ""
     quad = json.loads(js.read_text())["meta"]["quadrature"]
     assert quad.pop("max_residual") <= 1e-11
-    assert quad == {"ladders": 2, "exact": 0, "unconverged_at_cap": 0,
-                    "stopped_by_node_budget": 0, "max_level": 16}
+    assert quad == {"ladders": 2, "exact": 0, "certified": 0, "unconverged_at_cap": 0,
+                    "stopped_by_node_budget": 0, "max_level": 32, "max_certified_bound": None}
+
+
+@pytest.mark.parametrize("name,dom,n_list,certified", [
+    ("exp_sum", {"kind": "hypercube", "dim": 2}, [2, 4, 16], True),
+    ("runge", {"kind": "interval", "dim": 1}, [2], False),
+], ids=["exp_sum-Q2", "runge-n2"])
+def test_certified_ladders_are_counted(tmp_path, capsys, name, dom, n_list, certified):
+    # exp_sum's derivative bound certifies level 8 on Q2 at every n; runge's
+    # poles at +-i/5 are too near at n = 2, so its ladder climbs
+    js = tmp_path / "out.json"
+    cfgp = write_config(
+        tmp_path, "c.json",
+        domain=dom,
+        function={"name": name, "params": []},
+        experiment={"n_list": n_list, "p": 2, "grid_resolution": 40},
+        output={"json_path": str(js)},
+    )
+    assert main(["converge", "--config", str(cfgp)]) == 0
+    assert capsys.readouterr().err == ""
+    quad = json.loads(js.read_text())["meta"]["quadrature"]
+    assert quad["ladders"] == len(n_list)
+    if certified:
+        assert quad["certified"] == quad["ladders"] and quad["max_level"] == 8
+        assert 0.0 < quad["max_certified_bound"] <= 1e-11 and quad["max_residual"] is None
+    else:
+        assert quad["certified"] == 0 and quad["max_certified_bound"] is None
+        assert quad["max_level"] > 8
 
 
 def test_short_explicit_list_is_a_config_error(tmp_path, capsys):

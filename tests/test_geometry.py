@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kantorov.analysis import lp_grid
 from kantorov.errors import ConfigError, NumericError
 from kantorov.geometry import (
     Domain,
@@ -10,7 +11,6 @@ from kantorov.geometry import (
     contains,
     gauss01,
     quadrature_rule,
-    simplex_from_cube,
     trapezoid_weights,
     uniform_grid,
     uniform_product_grid,
@@ -28,6 +28,23 @@ def _case_id(dom: Domain) -> str:
     """Test id of a domain case: ``interval1`` for I, which is the 1-cube,
     else its kind and dimension."""
     return "interval1" if dom == I else f"{dom.kind}{dom.dim}"
+
+
+def simplex_from_cube(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference collapse map from the unit cube onto the simplex, point
+    by point: ``x_1 = u_1``, ``x_j = u_j * prod_{i<j}(1 - u_i)``.  Returns
+    the mapped points and the Jacobian ``prod_{j<d} (1-u_j)^(d-j)``."""
+    u = np.atleast_2d(u)
+    d = u.shape[1]
+    x = np.empty_like(u)
+    shrink = np.ones(u.shape[0])
+    jac = np.ones(u.shape[0])
+    for j in range(d):
+        x[:, j] = u[:, j] * shrink
+        if j < d - 1:
+            shrink = shrink * (1.0 - u[:, j])
+            jac = jac * (1.0 - u[:, j]) ** (d - 1 - j)
+    return x, jac
 
 
 def test_domain_constructors():
@@ -231,3 +248,20 @@ def test_product_grid_bytes_equal_the_meshgrid_construction(dom):
     assert grid.points.flags.c_contiguous and grid.points.shape == ref_nodes.shape
     assert grid.points.tobytes() == ref_nodes.tobytes()
     assert grid.weights.tobytes() == ref_weights.tobytes()
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: lp_grid(Domain.simplex(1)),
+    lambda: lp_grid(K2),
+    lambda: lp_grid(K3),
+    lambda: quadrature_rule(K3, 8),
+    lambda: quadrature_rule(K2, 32),
+], ids=["lp_grid-K1", "lp_grid-K2", "lp_grid-K3", "rule-K3-8", "rule-K2-32"])
+def test_simplex_grids_equal_the_pointwise_collapse(grid):
+    # the collapse broadcasts from the 1-D nodes in the same multiplication
+    # order as the map applied to the cube grid's points one by one
+    grid = grid()
+    cube = ProductGrid(Domain.hypercube(grid.domain.dim), grid.nodes_1d, grid.weights_1d)
+    ref_nodes, jac = simplex_from_cube(cube.points)
+    assert np.array_equal(grid.points, ref_nodes)
+    assert np.array_equal(grid.weights, cube.weights * jac)

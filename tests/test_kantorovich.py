@@ -633,10 +633,30 @@ def test_ladder_record_keeps_the_final_level_and_largest_residual():
         kantorovich._ladder(lambda level: np.array([1.0 / level]))
         # agrees at 16: last step 1e-12
         kantorovich._ladder(lambda level: np.array([1.0 + 1e-12 * (level == 8)]))
-    assert inner == {"ladders": 1, "exact": 0, "unconverged_at_cap": 0,
-                     "stopped_by_node_budget": 1, "max_level": 8, "max_residual": None}
-    assert outer == {"ladders": 3, "exact": 0, "unconverged_at_cap": 1,
-                     "stopped_by_node_budget": 1, "max_level": 32, "max_residual": 1.0 / 32}
+    assert inner == {"ladders": 1, "exact": 0, "certified": 0, "unconverged_at_cap": 0,
+                     "stopped_by_node_budget": 1, "max_level": 8, "max_residual": None,
+                     "max_certified_bound": None}
+    assert outer == {"ladders": 3, "exact": 0, "certified": 0, "unconverged_at_cap": 1,
+                     "stopped_by_node_budget": 1, "max_level": 32, "max_residual": 1.0 / 32,
+                     "max_certified_bound": None}
+
+
+def test_ladder_stops_where_its_bound_certifies():
+    levels = []
+
+    def stalls(level):
+        levels.append(level)
+        return np.array([1.0 / level])
+
+    with ladder_record() as record:
+        kantorovich._ladder(stalls, bound=1e-12)
+        kantorovich._ladder(stalls, bound=2e-12)
+        kantorovich._ladder(stalls, bound=1e-10)  # too loose: climbs to the cap
+        kantorovich._ladder(stalls, exact=True, bound=3e-12)  # exact comes first
+    assert levels == [8, 8, 8, 16, 32, 8]
+    assert record == {"ladders": 4, "exact": 1, "certified": 2, "unconverged_at_cap": 1,
+                      "stopped_by_node_budget": 0, "max_level": 32, "max_residual": 1.0 / 32,
+                      "max_certified_bound": 2e-12}
 
 
 def _ladders_of(cfg, n, f):
@@ -689,14 +709,21 @@ def test_a_polynomial_of_the_exact_degree_takes_one_level(family):
     assert record["max_level"] > BASE_LEVEL
 
 
+def _uncertified(f):
+    """A copy of the catalog function ``f`` that declares no derivative
+    bound, so that its ladders climb as they did before certificates."""
+    return dataclasses.replace(f, meta=dataclasses.replace(f.meta, derivative_bound=None))
+
+
 @pytest.mark.parametrize("family", [k for k, v in _RULE_FAMILIES.items() if v[3] is None])
 def test_undeclared_integrands_climb_as_before(family):
-    # a bare callable and exp_sum declare no degree: their values are the
-    # level-16 rule's, where the ladder converges, to the bit
+    # a bare callable and a copy of exp_sum without its derivative bound
+    # declare no degree and no certificate: their values are the level-16
+    # rule's, where the ladder converges, to the bit
     dom, measures, n, _ = _RULE_FAMILIES[family]
     cfg = cfg_for(dom, 1.0, measures)
     mu = kantorovich._resolved(cfg, n)
-    for f in (lambda p: np.exp(p.sum(axis=1)), lookup("exp_sum", (), dom)):
+    for f in (lambda p: np.exp(p.sum(axis=1)), _uncertified(lookup("exp_sum", (), dom))):
         vals, base, record = _ladders_of(cfg, n, f)
         assert record["ladders"] == 1 and record["exact"] == 0
         assert record["unconverged_at_cap"] == 0 and record["max_level"] == 16
@@ -740,9 +767,73 @@ def test_discrete_measures_take_the_one_level_path(dom, measures, n):
             got = kantorovich._inner_values(cfg, n, f)
         want = kantorovich._blend_at_level(cfg, mu, n, f, base, BASE_LEVEL)
         assert got.tobytes() == want.tobytes()
-        assert record == {"ladders": 1, "exact": 1, "unconverged_at_cap": 0,
+        assert record == {"ladders": 1, "exact": 1, "certified": 0, "unconverged_at_cap": 0,
                           "stopped_by_node_budget": 0, "max_level": BASE_LEVEL,
-                          "max_residual": None}
+                          "max_residual": None, "max_certified_bound": None}
+
+
+# A certified value is the level-8 rule's.  Against the level-32 rule it
+# may differ by its certified bound plus the rounding of both sums: each
+# value sums at most 2^18 positive terms of at most |J|, and 1e-14 |J|
+# (about 45 ulp) covers what the two rules round.
+_ROUNDOFF = 1e-14
+
+
+def _certified_against_level_32(cfg, n, f):
+    """Whether the inner integrals of C_n f were certified, and whether
+    they lie within their bound (plus ``_ROUNDOFF``) of the level-32 rule."""
+    base = lattice(cfg.domain, n) / (n + cfg.a)
+    mu = kantorovich._resolved(cfg, n)
+    with ladder_record() as record:
+        vals = kantorovich._blend_integrals(cfg, n, f, base)
+    top = kantorovich._blend_at_level(cfg, mu, n, f, base, kantorovich._MAX_LEVEL)
+    if not record["certified"]:
+        return False, None
+    assert record["max_level"] == BASE_LEVEL and record["max_residual"] is None
+    allowed = record["max_certified_bound"] + _ROUNDOFF * np.abs(top).max()
+    return True, bool(np.abs(vals - top).max() <= allowed)
+
+
+@pytest.mark.parametrize("measures", [constant_lebesgue(), power_of_base(lebesgue_measure(), 2)],
+                         ids=["lebesgue", "power2"])
+@pytest.mark.parametrize("dom", [I, Q2, Q3], ids=_case_id)
+def test_certified_values_lie_within_their_bound(dom, measures):
+    f = lookup("exp_sum", (), dom)
+    for a in (0.5, 1.0, 2.0):
+        for n in (1, 2, 5) if dom.dim < 3 else (1, 2, 3):
+            certified, sound = _certified_against_level_32(cfg_for(dom, a, measures), n, f)
+            assert certified and sound, (a, n)
+
+
+def test_too_small_a_derivative_bound_fails_the_check():
+    # 1/(1 + 400 t^2) has poles at +-i/20, and |f^(r)| reaches r! 20^r;
+    # declaring runge's r! 5^r certifies a level-8 value that is far off
+    f = lookup("runge", (), I)
+    steep = dataclasses.replace(f, eval=lambda p: 1.0 / (1.0 + 400.0 * (p**2).sum(axis=1)))
+    assert _certified_against_level_32(cfg_for(I, 1.0), 8, steep) == (True, False)
+    assert _certified_against_level_32(cfg_for(I, 1.0), 8, f) == (True, True)
+
+
+def test_runge_is_certified_only_where_its_poles_are_far():
+    # c = a/(n+a) shrinks the cells: at n = 2 the bound is about 1e-6
+    f = lookup("runge", (), I)
+    assert _certified_against_level_32(cfg_for(I, 1.0), 2, f) == (False, None)
+    assert _certified_against_level_32(cfg_for(I, 1.0), 64, f) == (True, True)
+
+
+def test_certificates_apply_to_uncut_cube_rules_only():
+    # K_d's collapsed rule, a discrete mu and a cut rule keep the ladder
+    dirac = cfg_for(Q2, 1.0, dirac_shift([0.25, 0.5]))
+    for cfg, f in ((cfg_for(K2, 1.0), lookup("exp_sum", (), K2)),
+                   (dirac, lookup("exp_sum", (), Q2))):
+        base = lattice(cfg.domain, 4) / 5
+        assert kantorovich._gauss_bound(cfg, kantorovich._resolved(cfg, 4), 4, f, base) is None
+    f = lookup("exp_sum", (), I)
+    kinked = dataclasses.replace(f, meta=dataclasses.replace(f.meta, breakpoints=(0.3,)))
+    _, _, record = _ladders_of(cfg_for(I, 1.0), 4, kinked)
+    assert record["certified"] == 0 and record["max_level"] > BASE_LEVEL
+    _, _, record = _ladders_of(cfg_for(I, 1.0), 4, f)
+    assert record["certified"] == 1 and record["max_level"] == BASE_LEVEL
 
 
 # Prints, per block budget, the bytes of the inner values of one case at
@@ -882,10 +973,11 @@ def test_axis_major_blocks_keep_the_row_major_bits(monkeypatch):
 
 class _LayoutRecorder:
     """An integrand that records the layout of every block it is handed;
-    it carries ``meta`` so that declared kinks take the cut path."""
+    it carries ``meta`` so that declared kinks take the cut path, without
+    a derivative bound, so that its ladders run two levels."""
 
     def __init__(self, f):
-        self.f, self.meta, self.blocks = f, f.meta, []
+        self.f, self.meta, self.blocks = f, _uncertified(f).meta, []
 
     def __call__(self, p):
         self.blocks.append((p.shape, p.dtype, p.strides))
