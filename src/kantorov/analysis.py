@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bernstein import eval_Bn
+from .catalog import FunctionMeta
 from .errors import ConfigError, check_count, check_n, check_p
 from .geometry import (SIMPLEX, Domain, ProductGrid, gauss01, uniform_grid,
                        uniform_product_grid, values)
@@ -482,16 +483,35 @@ class SandwichReport(_Verdict):
     tol: float
 
 
+@dataclass(frozen=True)
+class _MarkovImage:
+    """T f as an integrand.  It is hashable, so every C_n(T f) of one f
+    shares its inner integrals, and it declares its degree, so they take
+    the lowest exact level: T f is multilinear on Q_d (total degree d)
+    and affine on K_d."""
+
+    domain: Domain
+    f: Callable
+
+    @property
+    def meta(self) -> FunctionMeta:
+        return FunctionMeta(degree=1 if self.domain.kind == SIMPLEX else self.domain.dim)
+
+    def __call__(self, pts) -> np.ndarray:
+        return markov_values(self.domain, self.f, pts)
+
+
 def sandwich_check(cfg: OperatorConfig, n: int, f, m: int) -> SandwichReport:
     """Grid check of f <= B_n(f) <= T(f) and C_n(f) <= C_n(T f)."""
     xs, grid = uniform_grid(cfg.domain, m), _grid(cfg.domain, m)
+    image = _MarkovImage(cfg.domain, f)
     fv = values(f, xs)
     bn = eval_Bn(cfg.domain, n, f, grid)
-    tf = markov_values(cfg.domain, f, xs)
+    tf = image(xs)
     below = float(np.max(fv - bn))
     above = float(np.max(bn - tf))
     cnf = eval_Cn(cfg, n, f, grid)
-    cntf = eval_Cn(cfg, n, lambda pts: markov_values(cfg.domain, f, pts), grid)
+    cntf = eval_Cn(cfg, n, image, grid)
     blend = float(np.max(cnf - cntf))
     passed = max(below, above, blend) <= TOL_SANDWICH
     return SandwichReport(passed, below, above, blend, TOL_SANDWICH)

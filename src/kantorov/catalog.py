@@ -13,14 +13,15 @@ A function may declare ``breakpoints``: per axis, the one coordinate
 where it has a kink across that axis (or ``None``).  The inner integrals
 cut their rules there on the hypercube; the simplex's rules are not
 products of axis rules and stay uncut.  A polynomial may
-declare its total ``degree``; the inner integrals then stop at the first
-rule exact for it.  A smooth function may declare ``derivative_bound``, a
-callable ``(lo, hi, r) -> float`` that bounds ``|d^r f / dx_i^r|`` on the
-box ``[lo, hi]`` for every axis i; on the interval and the hypercube the
-inner integrals then stop at their first Gauss level when the error bound
-it gives is below the ladder's tolerance.  ``exp_sum`` declares
-``exp(sum(hi))`` and ``runge`` declares ``r! 5^r``; every other function
-declares none.
+declare its total ``degree``; the inner integrals then take the lowest
+level whose rule is exact for it.  A smooth function may declare
+``derivative_bound``, a callable ``(lo, hi, r) -> float`` that bounds the
+r-th derivative of f along every direction v with ``|v|_1 = 1`` on the
+box ``[lo, hi]``; the inner integrals then stop at their first Gauss
+level when the error bound it gives is below the ladder's tolerance.
+``exp_sum`` declares ``exp(sum(hi))`` (its r-th derivative along v is
+``(sum v)^r f``, and ``|sum v| <= 1``) and ``runge`` declares ``r! 5^r``
+(:func:`_runge_derivative`); every other function declares none.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ def _exp_sum(domain: Domain, params) -> CatalogFunction:
         axially_convex=True,
         lipschitz_l1=top,
         exact_omega=exact,
-        # every partial derivative of e^{x_1 + ... + x_d} is itself
+        # the r-th derivative of e^{x_1 + ... + x_d} along v is (sum v)^r
+        # times itself, and |sum v| <= |v|_1 = 1
         derivative_bound=lambda lo, hi, r: math.exp(hi.sum()),
     )
     return CatalogFunction("exp_sum", (), domain, lambda p: np.exp(p.sum(axis=1)), meta)
@@ -211,9 +213,10 @@ _RUNGE_LIP = 15.0 * math.sqrt(3.0) / 8.0
 
 
 def _runge_derivative(lo, hi, r: int) -> float:
-    """Along any axis, f = 1/(A + 25 t^2) with A >= 1, which is
-    (1/(t - i b) - 1/(t + i b)) / (50 i b) for b = sqrt(A)/5 >= 1/5, so
-    |f^(r)| <= r! / (25 b^(r+2)) <= r! 5^r."""
+    """Along a unit-l1 direction v, f(x + s v) = 1/(A + 25 t^2) in t =
+    |v|_2 (s - s_0), with A >= 1 and |v|_2 <= 1.  That is (1/(t - i b) -
+    1/(t + i b)) / (50 i b) for b = sqrt(A)/5 >= 1/5, so its r-th
+    derivative in s is at most r! / (25 b^(r+2)) <= r! 5^r."""
     return math.factorial(r) * 5.0**r
 
 

@@ -200,15 +200,16 @@ def _cut_block(f, pb: np.ndarray, c: float, nodes, weights, rows) -> np.ndarray:
     return vals
 
 
-def _ladder(at_level, fits=lambda level: True, exact=False, bound=None) -> np.ndarray:
-    """Values of ``at_level`` from ``BASE_LEVEL`` on: that level alone when
+def _ladder(at_level, fits=lambda level: True, exact=False, bound=None,
+            first=BASE_LEVEL) -> np.ndarray:
+    """Values of ``at_level`` from level ``first`` on: that level alone when
     its rule is ``exact`` for the integrand or ``bound`` (an upper bound
     on that level's error, or None) is at most ``_LADDER_TOL``, else
     doubling the level until two successive values agree within
     ``_LADDER_TOL`` (capped at ``_MAX_LEVEL``, and only to levels for
     which ``fits`` holds); the outcome goes to every open
     :func:`ladder_record`."""
-    level = BASE_LEVEL
+    level = first
     vals = at_level(level)
     certified = bound is not None and bound <= _LADDER_TOL
     stop = "exact" if exact else "certified" if certified else None
@@ -266,45 +267,71 @@ def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray)
     return None if all(cut is None for cut in cuts) else cuts
 
 
+def _gauss_error(nodes: int) -> float:
+    """The constant of Gauss-Legendre with ``nodes`` nodes on [0, 1]: its
+    error is this times ``|phi^(2 nodes)(xi)|`` (Davis & Rabinowitz,
+    *Methods of Numerical Integration*, 2nd ed., 1984)."""
+    return math.factorial(nodes) ** 4 / ((2 * nodes + 1) * math.factorial(2 * nodes) ** 3)
+
+
 def _gauss_bound(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray):
     """An upper bound on the error of the uncut ``BASE_LEVEL`` values of
     :func:`_blend_at_level` on the rows ``p`` of ``base``, from the
-    ``meta.derivative_bound`` f declares; None when f declares none, on
-    the simplex and for a discrete mu.
+    ``meta.derivative_bound`` f declares; None when f declares none, for a
+    discrete mu and for a power k > 1 of Lebesgue on K_d.
 
-    Row p integrates s -> f(p + c s), c = a/(n+a), over the cell
-    ``[p, p + c]``, so f is seen on the box ``[min p, max p + c]``; let
-    D_r bound ``|d^r f/dx_i^r|`` there for every axis i, and L =
-    ``BASE_LEVEL``.
+    Row p integrates s -> f(p + c s), c = a/(n+a), over the cell p + c K,
+    K the unit cube or simplex, so f is seen on the box ``[min p, max p +
+    c]``; let D_r bound the r-th derivative of f along every unit-l1
+    direction there, and L = ``BASE_LEVEL``.  Gauss with N nodes on an
+    interval of length h errs by ``h^(2N+1) (N!)^4 / ((2N+1) ((2N)!)^3)
+    |phi^(2N)(xi)|`` (:func:`_gauss_error`).
 
-    - The tensor rule telescopes axis by axis:
+    - Both rules are tensor rules in some coordinates u of the unit cube,
+      and telescope axis by axis:
       ``Q_1...Q_d - I_1...I_d = sum_i Q_1...Q_{i-1} (Q_i - I_i) I_{i+1}...I_d``.
       The other axes' weights are positive and sum to 1, so the error is
-      at most the sum of the d per-axis errors.
-    - Per axis, mu = Lebesgue^k has the density ``k M_k(k t)``, M_k the
-      cardinal B-spline, and its rule (``measures._bspline_rule``) takes
-      Gauss with L nodes on each of the k knot intervals of width 1/k.
-      In the local coordinate u in [0, 1] of interval j that integrates
-      ``phi(u) = g((j + u)/k) M_k(j + u)``, where ``g(t) = f(.. + c t e_i)``
-      has ``|g^(r)| <= c^r D_r``.  Gauss with L nodes on an interval of
-      length h errs by ``h^(2L+1) (L!)^4 / ((2L+1) ((2L)!)^3) |phi^(2L)(xi)|``
-      (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed.,
-      1984), here with h = 1.
-    - M_k is a polynomial of degree k - 1 on each knot interval, so
-      Leibniz gives ``|phi^(2L)| <= sum_{j<k} C(2L, j) (c/k)^(2L-j)
-      D_{2L-j} |M_k^(j)|``, and ``M_k^(j) = sum_i (-1)^i C(j, i)
-      M_{k-j}(. - i)`` with ``0 <= M_{k-j} <= 1`` gives ``|M_k^(j)| <=
-      2^j``.  The k knot intervals add up.
+      at most the sum of the d per-axis errors, each with the other
+      coordinates fixed.
+    - On I and Q_d, per axis, mu = Lebesgue^k has the density ``k M_k(k
+      t)``, M_k the cardinal B-spline, and its rule
+      (``measures._bspline_rule``) takes Gauss with L nodes on each of the
+      k knot intervals of width 1/k.  In the local coordinate u in [0, 1]
+      of interval j that integrates ``phi(u) = g((j + u)/k) M_k(j + u)``,
+      where ``g(t) = f(.. + c t e_i)`` has ``|g^(r)| <= c^r D_r``.  M_k is
+      a polynomial of degree k - 1 on each knot interval, so Leibniz gives
+      ``|phi^(2L)| <= sum_{j<k} C(2L, j) (c/k)^(2L-j) D_{2L-j}
+      |M_k^(j)|``, and ``M_k^(j) = sum_i (-1)^i C(j, i) M_{k-j}(. - i)``
+      with ``0 <= M_{k-j} <= 1`` gives ``|M_k^(j)| <= 2^j``.  The k knot
+      intervals add up.
+    - On K_d, mu = d! lambda and the collapsed rule
+      (``geometry.quadrature_rule``) takes N = L + 1 Gauss nodes per axis
+      for ``phi(u) = f(p + c x(u)) J(u)``, ``x_j = u_j prod_{l<j} (1 -
+      u_l)``, ``J = prod_{j<d} (1 - u_j)^(d-j)``, weighted by the mass d!.
+      Along u_i, x(u) is affine: ``dx/du_i`` is ``prod_{l<i} (1 - u_l)``
+      in place i, ``-x_j/(1 - u_i)`` for j > i and 0 before.  Since ``1 -
+      x_1 - ... - x_i = prod_{l<=i} (1 - u_l)``, the entries after i sum
+      to at least ``-prod_{l<i} (1 - u_l)``, so ``||dx/du_i||_1 <= 2`` and
+      ``|d^r f(p + c x(u))/du_i^r| <= (2c)^r D_r``.  J has degree m = d -
+      i in u_i, with ``|d^j J/du_i^j| <= m!/(m-j)!`` (its other factors
+      are at most 1), so Leibniz gives ``|phi^(2N)| <= sum_{j<=m} C(2N, j)
+      (2c)^(2N-j) D_{2N-j} m!/(m-j)!``; the axes, m = 0..d-1, add up.
     """
     derivative = getattr(getattr(f, "meta", None), "derivative_bound", None)
-    if derivative is None or cfg.domain.kind == SIMPLEX or is_discrete(mu):
+    simplex = cfg.domain.kind == SIMPLEX
+    if derivative is None or is_discrete(mu) or (simplex and mu.exponent > 1):
         return None
-    c, k, r = cfg.a / (n + cfg.a), mu.exponent, 2 * BASE_LEVEL
+    c, d = cfg.a / (n + cfg.a), cfg.domain.dim
     lo, hi = base.min(axis=0), base.max(axis=0) + c
-    gauss = math.factorial(BASE_LEVEL) ** 4 / ((r + 1) * math.factorial(r) ** 3)
+    if simplex:
+        r = 2 * (BASE_LEVEL + 1)
+        leibniz = sum(math.comb(r, j) * (2 * c) ** (r - j) * derivative(lo, hi, r - j)
+                      * math.perm(m, j) for m in range(d) for j in range(m + 1))
+        return math.factorial(d) * _gauss_error(BASE_LEVEL + 1) * leibniz
+    k, r = mu.exponent, 2 * BASE_LEVEL
     leibniz = sum(math.comb(r, j) * (c / k) ** (r - j) * derivative(lo, hi, r - j) * 2.0**j
                   for j in range(k))
-    return cfg.domain.dim * k * gauss * leibniz
+    return d * k * _gauss_error(BASE_LEVEL) * leibniz
 
 
 def _degree(f) -> float:
@@ -317,23 +344,36 @@ def _degree(f) -> float:
     return math.inf if degree is None else degree
 
 
+def _exact_level(f, mu: MeasureSpec, domain: Domain, cut: bool):
+    """The lowest level up to ``BASE_LEVEL`` whose rule
+    :func:`~kantorov.measures.exact_degree` proves exact for the total
+    degree f declares; ``BASE_LEVEL`` for an f that declares none against
+    a discrete mu (its rule is the same at every level); None when no
+    level is exact."""
+    degree = _degree(f)
+    levels = range(1, BASE_LEVEL + 1) if degree < math.inf else (BASE_LEVEL,)
+    return next((level for level in levels if degree <= exact_degree(mu, domain, level, cut)),
+                None)
+
+
 def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.ndarray:
     """Adaptive version of :func:`_blend_at_level`: the :func:`_ladder`,
     bounded by the rule node budget, with mu's rules cut at the kinks f
-    declares, and stopped at its first level when that rule is exact for
-    the degree f declares (a discrete mu's rule is exact for any f) or
-    when :func:`_gauss_bound` bounds the uncut rule's error by
-    ``_LADDER_TOL``.
+    declares.  It runs one level alone when that rule is exact for f (the
+    lowest such level, :func:`_exact_level`), or when :func:`_gauss_bound`
+    bounds the uncut ``BASE_LEVEL`` rule's error by ``_LADDER_TOL``.
     """
     if cfg.a == 0.0:
         return values(f, base)
     mu = _resolved(cfg, n)
     cuts = _row_cuts(cfg, mu, n, f, base)
+    exact = _exact_level(f, mu, cfg.domain, cuts is not None)
     return _ladder(
         lambda level: _blend_at_level(cfg, mu, n, f, base, level, cuts),
         lambda level: rule_node_count(mu, cfg.domain, level) <= MAX_RULE_NODES,
-        _degree(f) <= exact_degree(mu, cfg.domain, BASE_LEVEL, cuts is not None),
+        exact is not None,
         None if cuts is not None else _gauss_bound(cfg, mu, n, f, base),
+        exact or BASE_LEVEL,
     )
 
 
@@ -396,7 +436,9 @@ def cn_product(cfg: OperatorConfig, n: int, h: AffineForm, x, k: AffineForm | No
     resolved.
     """
     check_n(n)
-    if k is None:
+    # T fixes affine functions: with k = 1 the gap T(hk) - hk is 0
+    affine = k is None
+    if affine:
         k = AffineForm(1.0, (0.0,) * cfg.domain.dim)
     for form in (h, k):
         if form.dim != cfg.domain.dim:
@@ -405,7 +447,7 @@ def cn_product(cfg: OperatorConfig, n: int, h: AffineForm, x, k: AffineForm | No
     xs, single = admit(cfg.domain, x)
     a = cfg.a
     hx, kx = h(xs), k(xs)
-    gap = markov_values(cfg.domain, lambda pts: h(pts) * k(pts), xs) - hx * kx
+    gap = 0.0 if affine else markov_values(cfg.domain, lambda pts: h(pts) * k(pts), xs) - hx * kx
     dh = dk = spread = 0.0
     if a > 0.0:
         m1, cov = mean_and_covariance(_resolved(cfg, n), cfg.domain)

@@ -263,6 +263,29 @@ def test_sandwich_between_f_and_markov():
             assert rep, (dom.kind, n, rep)
 
 
+@pytest.mark.parametrize("dom,level", [(I, 1), (Q2, 2), (Q3, 2), (K2, 1), (K3, 1)],
+                         ids=["interval1", "hypercube2", "hypercube3", "simplex2", "simplex3"])
+def test_sandwich_blend_integrand_is_cached_and_exact(dom, level):
+    # C_n(T f) takes the lowest level exact for T f (multilinear on Q_d,
+    # affine on K_d), matches the level-8 rule, and a second check of the
+    # same f finds both inner integrals in the cache
+    cfg, n = cfg_for(dom, 1.0), 3
+    f = lookup("exp_sum", [], dom)
+    tf = analysis._MarkovImage(dom, f)
+    assert tf == analysis._MarkovImage(dom, f) and hash(tf) == hash(analysis._MarkovImage(dom, f))
+    base = bernstein.lattice(dom, n) / (n + cfg.a)
+    with kantorovich.ladder_record() as record:
+        vals = kantorovich._blend_integrals(cfg, n, tf, base)
+    assert record["exact"] == record["ladders"] == 1 and record["max_level"] == level
+    at_base = kantorovich._blend_at_level(cfg, kantorovich._resolved(cfg, n), n, tf, base, 8)
+    np.testing.assert_allclose(vals, at_base, rtol=0.0, atol=1e-14)
+    kantorovich._inner_values.cache_clear()
+    first = sandwich_check(cfg, n, f, 8)
+    assert kantorovich._inner_values.cache_info().currsize == 2
+    assert sandwich_check(cfg, n, f, 8) == first
+    assert kantorovich._inner_values.cache_info().currsize == 2
+
+
 def test_sandwich_detects_violation():
     # concave function flips the lower inequality
     cfg = KANT1

@@ -732,21 +732,38 @@ def test_undeclared_integrands_climb_as_before(family):
 
 @pytest.mark.parametrize("dom", [I, Q2, K2, K3], ids=_case_id)
 def test_moment_integrands_take_one_level(dom):
-    # verify's affine forms and coordinate squares: level 8 is exact
+    # verify's affine forms and coordinate squares: one level, the lowest
+    # that is exact for their degree (1 for an affine form, 2 for a
+    # square), which agrees with level 8 up to round-off
     cfg = cfg_for(dom, 1.0)
     xs = uniform_grid(dom, 4)
     h = AffineForm(0.3, tuple(np.linspace(-1.0, 1.0, dom.dim)))
-    with ladder_record() as record:
-        for n in (4, 16):
-            gap = eval_Cn(cfg, n, h, xs) - cn_product(cfg, n, h, xs)
-            assert np.abs(gap).max() <= 1e-14
-            for i in range(dom.dim):
-                square = lookup("monomial", (i + 1, 2), dom)
-                pr = coordinate_form(dom, i)
-                gap = eval_Cn(cfg, n, square, xs) - cn_product(cfg, n, pr, xs, pr)
-                assert np.abs(gap).max() <= 1e-14
-    assert record["ladders"] == record["exact"] == 2 * (1 + dom.dim)
-    assert record["max_level"] == BASE_LEVEL
+    for n in (4, 16):
+        mu = kantorovich._resolved(cfg, n)
+        cases = [(h, cn_product(cfg, n, h, xs), 1)]
+        for i in range(dom.dim):
+            pr = coordinate_form(dom, i)
+            cases.append((lookup("monomial", (i + 1, 2), dom), cn_product(cfg, n, pr, xs, pr), 2))
+        for f, want, level in cases:
+            assert np.abs(eval_Cn(cfg, n, f, xs) - want).max() <= 1e-14
+            vals, base, record = _ladders_of(cfg, n, f)
+            assert record["ladders"] == record["exact"] == 1 and record["max_level"] == level
+            at_base = kantorovich._blend_at_level(cfg, mu, n, f, base, BASE_LEVEL)
+            np.testing.assert_allclose(vals, at_base, rtol=0.0, atol=1e-15)
+
+
+def test_polynomial_ladders_start_at_their_lowest_exact_level():
+    # the first level is the lowest whose rule exact_degree proves exact,
+    # never above BASE_LEVEL; a higher degree climbs from BASE_LEVEL
+    power2 = power_of_base(lebesgue_measure(), 2)
+    for dom, measures, degree, level in ((Q2, None, 3, 2), (Q2, None, 4, 3), (K2, None, 3, 2),
+                                         (I, power2, 2, 2), (I, power2, 3, 3), (K2, power2, 1, 1),
+                                         (Q3, None, 15, BASE_LEVEL)):
+        cfg = cfg_for(dom, 1.0, measures)
+        _, _, record = _ladders_of(cfg, 3, _polynomial(dom, degree))
+        assert record["exact"] == 1 and record["max_level"] == level, (dom, degree)
+    _, _, record = _ladders_of(cfg_for(Q2, 1.0), 3, _polynomial(Q2, 16))
+    assert record["exact"] == 0 and record["max_level"] > BASE_LEVEL
 
 
 _COIN2 = discrete_spec(discrete_measure([[0.1, 0.2], [0.6, 0.3]], [0.25, 0.75], Q2))
@@ -808,10 +825,12 @@ def test_certified_values_lie_within_their_bound(dom, measures):
 def test_too_small_a_derivative_bound_fails_the_check():
     # 1/(1 + 400 t^2) has poles at +-i/20, and |f^(r)| reaches r! 20^r;
     # declaring runge's r! 5^r certifies a level-8 value that is far off
-    f = lookup("runge", (), I)
-    steep = dataclasses.replace(f, eval=lambda p: 1.0 / (1.0 + 400.0 * (p**2).sum(axis=1)))
-    assert _certified_against_level_32(cfg_for(I, 1.0), 8, steep) == (True, False)
-    assert _certified_against_level_32(cfg_for(I, 1.0), 8, f) == (True, True)
+    # (on K2 at n = 16: 2.8e-11 off, against a bound of 1.2e-14)
+    for dom, n in ((I, 8), (K2, 16)):
+        f = lookup("runge", (), dom)
+        steep = dataclasses.replace(f, eval=lambda p: 1.0 / (1.0 + 400.0 * (p**2).sum(axis=1)))
+        assert _certified_against_level_32(cfg_for(dom, 1.0), n, steep) == (True, False), dom
+        assert _certified_against_level_32(cfg_for(dom, 1.0), n, f) == (True, True), dom
 
 
 def test_runge_is_certified_only_where_its_poles_are_far():
@@ -821,13 +840,49 @@ def test_runge_is_certified_only_where_its_poles_are_far():
     assert _certified_against_level_32(cfg_for(I, 1.0), 64, f) == (True, True)
 
 
-def test_certificates_apply_to_uncut_cube_rules_only():
-    # K_d's collapsed rule, a discrete mu and a cut rule keep the ladder
+@pytest.mark.parametrize("dom", [Domain.simplex(1), K2, K3], ids=_case_id)
+def test_certified_simplex_values_lie_within_their_bound(dom):
+    # the collapsed rule's level 8 (9 Gauss nodes per axis) is certified
+    # for exp_sum at every a and n below
+    f = lookup("exp_sum", (), dom)
+    for a in (0.5, 1.0, 2.0):
+        for n in (1, 2, 5):
+            certified, sound = _certified_against_level_32(cfg_for(dom, a), n, f)
+            assert certified and sound, (a, n)
+
+
+@pytest.mark.parametrize("dom", [K2, K3], ids=_case_id)
+def test_simplex_bound_holds_along_long_directions(dom):
+    # exp(8 (x_1 - x_2 - ...)) grows along dx/du_1 = (1, -u_2, ...) as fast
+    # as its l1 norm, up to 2: the bound holds of every level-8 value,
+    # certified or not, and with c in place of 2c it would fail here
+    v = np.array([1.0] + [-1.0] * (dom.dim - 1))
+    meta = FunctionMeta(derivative_bound=lambda lo, hi, r: 8.0**r * math.exp(
+        8.0 * np.maximum(lo * v, hi * v).sum()))
+    f = CatalogFunction("exp_diff", (), dom, lambda p: np.exp(8.0 * (p @ v)), meta)
+    for a in (0.5, 1.0, 2.0):
+        for n in (1, 2, 5):
+            cfg = cfg_for(dom, a)
+            mu, base = kantorovich._resolved(cfg, n), lattice(dom, n) / (n + a)
+            bound = kantorovich._gauss_bound(cfg, mu, n, f, base)
+            top = kantorovich._blend_at_level(cfg, mu, n, f, base, kantorovich._MAX_LEVEL)
+            vals = kantorovich._blend_at_level(cfg, mu, n, f, base, BASE_LEVEL)
+            assert np.abs(vals - top).max() <= bound + _ROUNDOFF * np.abs(top).max(), (a, n)
+
+
+def test_certificates_skip_discrete_cut_and_simplex_power_rules():
+    # a discrete mu is exact already, a cut rule and a power k > 1 of
+    # Lebesgue on K_d keep the ladder; Lebesgue on K_d is certified
     dirac = cfg_for(Q2, 1.0, dirac_shift([0.25, 0.5]))
-    for cfg, f in ((cfg_for(K2, 1.0), lookup("exp_sum", (), K2)),
-                   (dirac, lookup("exp_sum", (), Q2))):
+    power2 = cfg_for(K2, 1.0, power_of_base(lebesgue_measure(), 2))
+    for cfg in (dirac, power2):
+        f = lookup("exp_sum", (), cfg.domain)
         base = lattice(cfg.domain, 4) / 5
         assert kantorovich._gauss_bound(cfg, kantorovich._resolved(cfg, 4), 4, f, base) is None
+    _, _, record = _ladders_of(power2, 4, lookup("exp_sum", (), K2))
+    assert record["certified"] == 0 and record["max_level"] > BASE_LEVEL
+    _, _, record = _ladders_of(cfg_for(K2, 1.0), 4, lookup("exp_sum", (), K2))
+    assert record["certified"] == 1 and record["max_level"] == BASE_LEVEL
     f = lookup("exp_sum", (), I)
     kinked = dataclasses.replace(f, meta=dataclasses.replace(f.meta, breakpoints=(0.3,)))
     _, _, record = _ladders_of(cfg_for(I, 1.0), 4, kinked)
