@@ -22,6 +22,12 @@ _DIRECT_N = 60
 
 _CHUNK = 2048
 
+# Degree elevation takes its weights from the binomials up to this order,
+# where C(n, n/2) is still a float; above it, from log-form tables, one per
+# block of this many output indices (see _elevation_blocks).
+_ELEVATE_N = 1000
+_ELEVATE_BLOCK = 64
+
 # ln 2 = _LN2_HI + _LN2_LO (fdlibm); s * _LN2_HI is exact for s < 2^21.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -40,14 +46,22 @@ def _log_int(c: int) -> float:
     return math.fsum((math.log(c >> s), s * _LN2_HI, s * _LN2_LO))
 
 
+def _binomials(n: int) -> list:
+    """The exact integers ``C(n, k)``, k = 0..n, each from the one before."""
+    out = [1]
+    for k in range(n):
+        out.append(out[-1] * (n - k) // (k + 1))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _binom_row(n: int) -> np.ndarray:
-    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    return np.array(_binomials(n), dtype=float)
 
 
 @lru_cache(maxsize=None)
 def _log_binom_row(n: int) -> np.ndarray:
-    return np.array([_log_int(math.comb(n, k)) for k in range(n + 1)])
+    return np.array([_log_int(c) for c in _binomials(n)])
 
 
 @lru_cache(maxsize=None)
@@ -77,16 +91,20 @@ def _pow_table(t: np.ndarray, n: int) -> np.ndarray:
 def _rows(t, n: int):
     """The Bernstein rows ``m -> b^m(t)``, shape ``(G, m+1)``, for ``m <= n``.
 
-    Orders up to ``_DIRECT_N`` are sliced from one pair of power tables:
-    a ``cumprod`` prefix is exact, so each slice is bitwise the table of
-    its own order.  Higher orders take the logs of the exact binomials.
+    Orders up to ``_DIRECT_N`` are sliced from one pair of power tables,
+    built when the first such order is asked for: a ``cumprod`` prefix is
+    exact, so each slice is bitwise the table of its own order.  Higher
+    orders take the logs of the exact binomials.
     """
     t = np.asarray(t, dtype=float)
-    top = min(n, _DIRECT_N)
-    tk, sk = _pow_table(t, top), _pow_table(1.0 - t, top)
+    powers = []
 
     def row(m: int) -> np.ndarray:
         if m <= _DIRECT_N:
+            if not powers:
+                top = min(n, _DIRECT_N)
+                powers.extend((_pow_table(t, top), _pow_table(1.0 - t, top)))
+            tk, sk = powers
             return _binom_row(m) * tk[:, : m + 1] * sk[:, m::-1]
         k = np.arange(m + 1)
         out = np.zeros((t.shape[0], m + 1))
@@ -144,43 +162,123 @@ def basis_weights(domain: Domain, n: int, xs) -> np.ndarray:
     return _basis_columns(domain, n, xs, lattice(domain, n))
 
 
-def _apply_collapsed(domain: Domain, n: int, values: np.ndarray, u: np.ndarray,
-                     grid: bool) -> np.ndarray:
-    """Axis-by-axis contraction of the lattice values, innermost axis first.
+def _elevation_blocks(n: int):
+    """``(ks, win, alpha)`` triples, the slices ``ks`` covering ``0..n``.  For
+    k in ``ks`` the weights that raise a row of lead sum s from order
+    ``n - s`` to n, ``C(n-s, j) C(s, k-j) / C(n, k)``, are
+    ``win[s, k, n - j] * alpha[s, n - j]`` divided by their sum over j.
+    Here ``win[s, k, n - j] = T[s, k - j]`` is a view of row s of a table T
+    slid along k (zero where ``k - j`` leaves ``0..s``), and
+    ``alpha[s, n - j] = T[n - s, j]``; j runs backwards so that every
+    stride is positive.
 
-    On the cube every axis applies the rows ``b^n(u_i)``.  On the simplex,
-    in the collapsed coordinates ``u``, the basis factors as
-    ``B_h(x) = prod_i b^{n-h_1-...-h_{i-1}}_{h_i}(u_i)`` (Ainsworth,
-    Andriamaro & Davydov 2011), so axis i applies the row of order
-    ``n - |h_<i|``.  With ``grid``, ``u`` holds the q nodes all axes of a
-    product grid share, and the result is in C order over the grid, at
-    cost O(q n^d + q^d n).  Otherwise ``u`` holds each point's own
-    coordinates, at cost O(G L).
+    Any ``T[m, j] = C(m, j) x^j (1-x)^(m-j)`` gives these weights, since
+    ``j + (k - j) = k`` is fixed in the sum.  Up to ``_ELEVATE_N``, T holds
+    the binomials, in one block.  Above it, ``C(n, n/2)`` leaves the float
+    range, and each block of ``_ELEVATE_BLOCK`` indices k takes the
+    Bernstein values in log form at x = k/n for the block's centre (kept
+    inside (0, 1)): there the products sum to ``b^n_k(x)``, above 1e-8,
+    and none overflows.
+    """
+    lower = np.tri(n + 1, dtype=bool)  # row by row, as the rows concatenate
+    log_form = n > _ELEVATE_N
+    if log_form:
+        m, j = np.nonzero(lower)
+        logc = np.concatenate([_log_binom_row(r) for r in range(n + 1)])
+    step = _ELEVATE_BLOCK if log_form else n + 1
+    for lo in range(0, n + 1, step):
+        ks = slice(lo, min(lo + step, n + 1))
+        pad = np.zeros((n + 1, 2 * n + 1))
+        tri = pad[:, n:]
+        if log_form:
+            x = min(max(lo + ks.stop - 1, 1), 2 * n - 1) / (2 * n)
+            tri[lower] = np.exp(logc + j * math.log(x) + (m - j) * math.log1p(-x))
+        else:
+            tri[lower] = np.concatenate([_binom_row(r) for r in range(n + 1)])
+        st = pad.strides
+        win = np.lib.stride_tricks.as_strided(pad, (n + 1,) * 3, (st[0], st[1], st[1]),
+                                              writeable=False)
+        yield ks, win[:, ks], np.ascontiguousarray(tri[::-1, ::-1])
+
+
+def _elevate(domain: Domain, n: int, values: np.ndarray) -> np.ndarray:
+    """The lattice values as tensor-product Bernstein coefficients of order
+    n in the collapsed coordinates, shape ``(n+1,)*d``.
+
+    On the cube (and K1) this is a reshape.  On the simplex, in the
+    collapsed coordinates ``u``, the basis factors as
+    ``B_h(x) = prod_i b^{n-|h_<i|}_{h_i}(u_i)`` (Ainsworth, Andriamaro &
+    Davydov 2011).  From the innermost axis out, each row of lead sum
+    ``s = |h_<i|`` is raised from order ``n - s`` to n by degree elevation
+    (Farouki & Rajan 1988), with the convex weights of
+    :func:`_elevation_blocks`: a convolution with row s of Pascal's
+    triangle.  The weights do not depend on the points; the cost is
+    O(n^(d+1)), and no array is larger than O(n^d).  The coefficients
+    are filled with each summed index ``j`` stored at ``n - j``, to match
+    :func:`_elevation_blocks`.
     """
     d = domain.dim
-    if domain.kind == SIMPLEX:
-        coeffs = np.zeros((n + 1,) * d)
-        coeffs[tuple(lattice(domain, n).T)] = values
-    else:
-        coeffs = values.reshape((n + 1,) * d)
+    if domain.kind != SIMPLEX or d == 1:
+        return values.reshape((n + 1,) * d)
+    h = lattice(domain, n).T
+    if d == 2:
+        # one row per s = h_0; a power of two brings the values into
+        # [-1, 1] exactly, so that no sum of binomial products overflows
+        scale = np.frexp(np.abs(values).max(initial=0.0))[1]
+        c = np.zeros((n + 1, n + 1))
+        c[h[0], n - h[1]] = np.ldexp(values, -scale)
+        out = np.empty_like(c)
+        for ks, win, alpha in _elevation_blocks(n):
+            num = np.einsum("skw,sw->sk", win, alpha * c)
+            out[:, ks] = num / np.einsum("skw,sw->sk", win, alpha)
+        return np.ldexp(out, scale)
+    # K3: the normalized weights w[s, k, n - j] as arrays, for batched products
+    weights = []
+    for ks, win, alpha in _elevation_blocks(n):
+        w = win * alpha[:, None, :]
+        w /= w.sum(axis=2, keepdims=True)
+        weights.append((ks, w))
+    # the last axis: rows batched by b = n - s = n - h_0 - h_1, so that
+    # skew[b, n - h_1, n - h_2] holds the value at h
+    skew = np.zeros((n + 1,) * 3)
+    r = n - h[1]
+    skew[r - h[0], r, n - h[2]] = values
+    out = np.zeros((2 * n + 1, n + 1, n + 1))
+    for ks, w in weights:
+        np.matmul(skew, w[::-1].transpose(0, 2, 1), out=out[n:, :, ks])
+    # the middle axis, s = h_0, reads c[h_0, n - h_1, k_2] = out[n + b, n - h_1, k_2]
+    # through a view whose core strides are positive; b < 0 reads zeros
+    st = out.strides
+    c = np.lib.stride_tricks.as_strided(out[n:], (n + 1,) * 3, (-st[0], st[0] + st[1], st[2]),
+                                        writeable=False)
+    coeffs = np.empty((n + 1,) * 3)
+    for ks, w in weights:
+        np.matmul(w, c, out=coeffs[:, ks])
+    return coeffs
+
+
+def _apply_collapsed(n: int, coeffs: np.ndarray, u: np.ndarray, grid: bool) -> np.ndarray:
+    """Axis-by-axis contraction of the ``(n+1,)*d`` coefficients of
+    :func:`_elevate` with the rows ``b^n(u_i)``, innermost axis first.
+
+    With ``grid``, ``u`` holds the q nodes all axes of a product grid
+    share, and the result is in C order over the grid, at cost
+    O(q n^d + q^d n).  Otherwise ``u`` holds each point's own
+    coordinates, at cost O(G n^d).
+    """
+    d = coeffs.ndim
+    # every axis of a grid shares its rows; scattered points take each axis's own
+    rows = _rows(u, n)(n) if grid else _rows(u.T.reshape(-1), n)(n).reshape(d, len(u), n + 1)
     for axis in reversed(range(d)):
-        row = _rows(u if grid else u[:, axis], n)
-        lead = coeffs.shape[:axis]
-        flat = coeffs.reshape(math.prod(lead), n + 1, -1)
-        used = sum(np.indices(lead, sparse=True)) if domain.kind == SIMPLEX else 0
-        budget = np.broadcast_to(n - used, lead).reshape(-1)
-        out = np.zeros((flat.shape[0], len(u)) + (flat.shape[2:] if grid else ()))
-        # a set, not np.unique, whose first call imports numpy.ma (13 ms)
-        for m in sorted(set(budget[budget >= 0].tolist())):
-            sel = budget == m
-            block = flat[sel, : m + 1]
-            if grid:
-                out[sel] = row(m) @ block
-            elif axis == d - 1:
-                out[sel] = block[:, :, 0] @ row(m).T
-            else:
-                out[sel] = np.einsum("gh,phg->pg", row(m), block)
-        coeffs = out.reshape(lead + (-1,))
+        row = rows if grid else rows[axis]
+        flat = coeffs.reshape(math.prod(coeffs.shape[:axis]), n + 1, -1)
+        if grid:
+            out = row @ flat
+        elif axis == d - 1:
+            out = flat[:, :, 0] @ row.T
+        else:
+            out = np.einsum("gh,phg->pg", row, flat)
+        coeffs = out.reshape(coeffs.shape[:axis] + (-1,))
     return coeffs.reshape(-1)
 
 
@@ -199,26 +297,28 @@ def apply_lattice_values(domain: Domain, n: int, values: np.ndarray, x):
     values[h]``, with one value per lattice multi-index (in ``lattice``
     order).
 
-    At a single point the sum is compensated and returned as a float.  A
-    :class:`ProductGrid` is contracted axis by axis on its shared nodes
-    (results in the order of ``grid.points``); a ``(G, d)`` batch of
-    scattered points is contracted point by point, in blocks of
-    ``_CHUNK`` rows on three axes.
+    At a single point the sum is compensated and returned as a float.
+    Otherwise the values become the ``(n+1,)*d`` coefficients of
+    :func:`_elevate` once, and a :class:`ProductGrid` is contracted axis by
+    axis on its shared nodes (results in the order of ``grid.points``); a
+    ``(G, d)`` batch of scattered points is contracted point by point, in
+    blocks of ``_CHUNK`` rows on three axes.
     """
     idx, values = lattice(domain, n), np.asarray(values, dtype=float)
     if values.shape != (len(idx),):
         raise ConfigError(f"lattice values of shape {values.shape} do not match "
                           f"the {len(idx)} multi-indices of order {n} on the {domain.kind}")
     x, single = admit_points(domain, x)
-    if isinstance(x, ProductGrid):
-        return _apply_collapsed(domain, n, values, x.nodes_1d, grid=True)
     if single:
         return math.fsum((_basis_columns(domain, n, x, idx)[0] * values).tolist())
+    coeffs = _elevate(domain, n, values)
+    if isinstance(x, ProductGrid):
+        return _apply_collapsed(n, coeffs, x.nodes_1d, grid=True)
     # below three axes the intermediates take O(G n) memory, like the output
     step = _CHUNK if domain.dim == 3 else x.shape[0]
     out = np.empty(x.shape[0])
     for i in range(0, x.shape[0], step):
-        out[i : i + step] = _apply_collapsed(domain, n, values, _collapsed(domain, x[i : i + step]),
+        out[i : i + step] = _apply_collapsed(n, coeffs, _collapsed(domain, x[i : i + step]),
                                              grid=False)
     return out
 

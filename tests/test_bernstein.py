@@ -28,6 +28,7 @@ from kantorov.measures import constant_lebesgue
 I = Domain.interval()
 Q2 = Domain.hypercube(2)
 Q3 = Domain.hypercube(3)
+K1 = Domain.simplex(1)
 K2 = Domain.simplex(2)
 K3 = Domain.simplex(3)
 
@@ -296,16 +297,26 @@ def test_apply_lattice_values_matches_weights():
         np.testing.assert_allclose(apply_lattice_values(dom, n, vals, xs), direct, atol=1e-12)
 
 
+def _weights_times(dom, n, pts, vals):
+    """``basis_weights(dom, n, pts) @ vals`` in blocks of points: on K3 at
+    n = 40 one ``(G, L)`` array for lp_grid(K3, 2) would take 270 MB."""
+    return np.concatenate([basis_weights(dom, n, pts[i : i + 256]) @ vals
+                           for i in range(0, len(pts), 256)])
+
+
 @pytest.mark.parametrize("dom", (K2, K3), ids=_case_id)
 def test_simplex_contraction_builds_no_basis(dom, monkeypatch):
+    # the values, elevated to the cube's order n, contract to the dense
+    # basis sum at scattered points and on lp_norm's grid (n = 64, 80, 150
+    # take the log-form rows above _DIRECT_N)
     rng = np.random.default_rng(5)
     xs = rng.dirichlet(np.ones(dom.dim + 1), 50)[:, : dom.dim]
     grid = lp_grid(dom, 2)
     cases = []
-    for n in (3, 16, 64 if dom.dim == 2 else 20):
+    for n in (1, 3, 16, 64, 80, 150) if dom.dim == 2 else (1, 6, 20, 40):
         vals = rng.uniform(-1.0, 1.0, lattice_points(dom, n).shape[0])
-        cases.append((n, vals, basis_weights(dom, n, xs) @ vals,
-                      basis_weights(dom, n, grid.points) @ vals))
+        cases.append((n, vals, _weights_times(dom, n, xs, vals),
+                      _weights_times(dom, n, grid.points, vals)))
 
     def refuse(*args):
         raise AssertionError("basis values built for a contraction")
@@ -313,8 +324,74 @@ def test_simplex_contraction_builds_no_basis(dom, monkeypatch):
     monkeypatch.setattr(bernstein, "basis_weights", refuse)
     monkeypatch.setattr(bernstein, "_basis_columns", refuse)
     for n, vals, at_points, on_grid in cases:
-        np.testing.assert_allclose(apply_lattice_values(dom, n, vals, xs), at_points, atol=1e-13)
-        np.testing.assert_allclose(apply_lattice_values(dom, n, vals, grid), on_grid, atol=1e-13)
+        np.testing.assert_allclose(apply_lattice_values(dom, n, vals, xs), at_points,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(apply_lattice_values(dom, n, vals, grid), on_grid,
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dom,n", [(K1, 7), (K1, 150), (K2, 1), (K2, 16), (K2, 64), (K2, 150),
+                                   (K3, 1), (K3, 6), (K3, 20)],
+                         ids=lambda c: str(c) if isinstance(c, int) else _case_id(c))
+def test_elevation_of_ones_is_ones(dom, n):
+    # the elevation weights are convex and sum to 1, so constants stay put
+    coeffs = bernstein._elevate(dom, n, np.ones(lattice_points(dom, n).shape[0]))
+    assert coeffs.shape == (n + 1,) * dom.dim
+    np.testing.assert_array_max_ulp(coeffs, np.ones_like(coeffs), maxulp=2)
+
+
+@pytest.mark.parametrize("dom,n", [(K2, 64), (K3, 24)], ids=lambda c: str(c) if isinstance(c, int)
+                         else _case_id(c))
+def test_elevation_log_branch(dom, n, monkeypatch):
+    # above _ELEVATE_N (where C(n, n/2) leaves the float range) the weights
+    # come from log-form Bernstein tables, one per block of output indices;
+    # with the threshold lowered, a small n takes that branch
+    monkeypatch.setattr(bernstein, "_ELEVATE_N", 8)
+    monkeypatch.setattr(bernstein, "_ELEVATE_BLOCK", 5)
+    assert len(list(bernstein._elevation_blocks(n))) == -(-(n + 1) // 5)
+    rng = np.random.default_rng(n)
+    vals = rng.uniform(-1.0, 1.0, lattice_points(dom, n).shape[0])
+    xs = rng.dirichlet(np.ones(dom.dim + 1), 40)[:, : dom.dim]
+    grid = lp_grid(dom, 2)
+    for x, pts in ((xs, xs), (grid, grid.points)):
+        np.testing.assert_allclose(apply_lattice_values(dom, n, vals, x),
+                                   _weights_times(dom, n, pts, vals), rtol=0, atol=1e-13)
+    coeffs = bernstein._elevate(dom, n, np.ones(lattice_points(dom, n).shape[0]))
+    np.testing.assert_allclose(coeffs, 1.0, rtol=0, atol=1e-15)
+
+
+def test_elevation_past_the_float_range_of_binomials():
+    # C(n, n/2) is no longer a float from n = 1030 on, and b^n_k(1/2)
+    # underflows at k = 0 from n = 1075 on; each block's Bernstein table,
+    # at its own x, keeps the weights finite (interior, face and vertex points)
+    n = 1100
+    with pytest.raises(OverflowError):
+        float(math.comb(n, n // 2))
+    xs = np.array([[0.2, 0.3], [0.01, 0.98], [0.5, 0.0], [0.0, 1.0]])
+    vals = np.random.default_rng(0).uniform(-1.0, 1.0, lattice_points(K2, n).shape[0])
+    got = apply_lattice_values(K2, n, vals, xs)
+    np.testing.assert_allclose(got, basis_weights(K2, n, xs) @ vals, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dom", (K2, K3), ids=_case_id)
+def test_simplex_contraction_asks_for_rows_of_order_n_only(dom, monkeypatch):
+    # the simplex contracts through the cube's loop: every axis takes the
+    # rows b^n, never one table per order n - |h_<i|
+    asked = []
+    rows = bernstein._rows
+
+    def recording(t, n):
+        row = rows(t, n)
+        return lambda m: asked.append(m) or row(m)
+
+    monkeypatch.setattr(bernstein, "_rows", recording)
+    rng = np.random.default_rng(2)
+    n = 12
+    vals = rng.uniform(-1.0, 1.0, lattice_points(dom, n).shape[0])
+    xs = rng.dirichlet(np.ones(dom.dim + 1), 30)[:, : dom.dim]
+    apply_lattice_values(dom, n, vals, xs)
+    apply_lattice_values(dom, n, vals, lp_grid(dom, 2))
+    assert asked and set(asked) == {n}
 
 
 def test_bn_rejects_nonfinite_values():
