@@ -14,8 +14,11 @@ where it has a kink across that axis (or ``None``).  The inner integrals
 cut their rules there on the hypercube; the simplex's rules are not
 products of axis rules and stay uncut.  A polynomial may
 declare its total ``degree``; the inner integrals then take the lowest
-level whose rule is exact for it.  A smooth function may declare
-``derivative_bound``, a callable ``(lo, hi, r) -> float`` that bounds the
+level whose rule is exact for it.  A function with breakpoints may
+declare ``piece_degree``, its total degree on each box between them (1
+for ``abs_dist`` and ``abs_dist_coord``); where the rules are cut, the
+inner integrals take the lowest level exact on every piece.  A smooth
+function may declare ``derivative_bound``, a callable ``(lo, hi, r) -> float`` that bounds the
 r-th derivative of f along every direction v with ``|v|_1 = 1`` on the
 box ``[lo, hi]``; the inner integrals then stop at their first Gauss
 level when the error bound it gives is below the ladder's tolerance.
@@ -45,6 +48,7 @@ class FunctionMeta:
     lipschitz_l1: Optional[float] = None
     exact_omega: Optional[Callable[[float], float]] = None
     breakpoints: Optional[tuple] = None
+    piece_degree: Optional[int] = None
     degree: Optional[int] = None
     derivative_bound: Optional[Callable[[np.ndarray, np.ndarray, int], float]] = None
 
@@ -130,6 +134,7 @@ def _product12(domain: Domain, params) -> CatalogFunction:
         coordinate_convex=True,
         axially_convex=False,
         lipschitz_l1=1.0,
+        degree=2,
     )
     return CatalogFunction("product12", (), domain, lambda p: p[:, 0] * p[:, 1], meta)
 
@@ -149,6 +154,7 @@ def _abs_dist(domain: Domain, params) -> CatalogFunction:
         lipschitz_l1=1.0,
         exact_omega=exact,
         breakpoints=tuple(c.tolist()),
+        piece_degree=1,
     )
     return CatalogFunction(
         "abs_dist", tuple(params), domain, lambda p: np.abs(p - c).sum(axis=1), meta
@@ -169,6 +175,7 @@ def _abs_dist_coord(domain: Domain, params) -> CatalogFunction:
         lipschitz_l1=1.0,
         exact_omega=lambda delta: min(delta, reach),
         breakpoints=tuple(c if i == ax else None for i in range(domain.dim)),
+        piece_degree=1,
     )
     return CatalogFunction(
         "abs_dist_coord", tuple(params), domain, lambda p: np.abs(p[:, ax] - c), meta

@@ -237,6 +237,19 @@ def _ladder(at_level, fits=lambda level: True, exact=False, bound=None,
     return vals
 
 
+def _resolves_kinks(cfg: OperatorConfig, mu: MeasureSpec, f) -> bool:
+    """Whether :func:`_row_cuts` resolves every kink f declares: f
+    declares them per axis (``meta.breakpoints``), the domain is I or
+    Q_d and mu is Lebesgue or a power of it.  Each row's kink on each
+    axis then lies at a cut of its rule, on a knot of it or outside its
+    cell.  Not on the simplex, whose rules are not products of axis
+    rules, nor for a discrete mu, whose rule has no knots.
+    """
+    marks = getattr(getattr(f, "meta", None), "breakpoints", None)
+    return (marks is not None and len(marks) == cfg.domain.dim
+            and cfg.domain.kind != SIMPLEX and not is_discrete(mu))
+
+
 def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray):
     """Where the inner integrals of the rows ``p`` of ``base`` are cut.
 
@@ -246,12 +259,11 @@ def _row_cuts(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarray)
     each row's index into them (a lattice has at most n+1 per axis).  An
     axis is not cut when f declares no kink across it, or when no row's
     kink falls inside a knot interval of mu's rule.  None when no axis is
-    cut, on the simplex, and for a discrete mu, whose rule has no knots.
+    cut, or when not :func:`_resolves_kinks`.
     """
-    marks = getattr(getattr(f, "meta", None), "breakpoints", None)
-    if (marks is None or len(marks) != cfg.domain.dim or cfg.domain.kind == SIMPLEX
-            or is_discrete(mu)):
+    if not _resolves_kinks(cfg, mu, f):
         return None
+    marks = f.meta.breakpoints
     c = cfg.a / (n + cfg.a)
     cuts = []
     for i, b in enumerate(marks):
@@ -334,23 +346,49 @@ def _gauss_bound(cfg: OperatorConfig, mu: MeasureSpec, n: int, f, base: np.ndarr
     return d * k * _gauss_error(BASE_LEVEL) * leibniz
 
 
-def _degree(f) -> float:
+def _degree(f, resolved: bool) -> float:
     """The total degree of the polynomial f declares itself to be: 1 for
-    an :class:`AffineForm`, else its ``meta.degree``; ``math.inf`` when f
-    declares none."""
+    an :class:`AffineForm`, else its ``meta.degree``; with ``resolved``
+    kinks (:func:`_resolves_kinks`), its ``meta.piece_degree`` on the
+    boxes between them when it declares one; ``math.inf`` when f declares
+    none."""
     if isinstance(f, AffineForm):
         return 1
-    degree = getattr(getattr(f, "meta", None), "degree", None)
+    meta = getattr(f, "meta", None)
+    degree = getattr(meta, "degree", None)
+    if resolved and getattr(meta, "piece_degree", None) is not None:
+        degree = meta.piece_degree
     return math.inf if degree is None else degree
 
 
-def _exact_level(f, mu: MeasureSpec, domain: Domain, cut: bool):
+def _exact_level(f, mu: MeasureSpec, domain: Domain, cut: bool, resolved: bool):
     """The lowest level up to ``BASE_LEVEL`` whose rule
-    :func:`~kantorov.measures.exact_degree` proves exact for the total
-    degree f declares; ``BASE_LEVEL`` for an f that declares none against
-    a discrete mu (its rule is the same at every level); None when no
-    level is exact."""
-    degree = _degree(f)
+    :func:`~kantorov.measures.exact_degree` proves exact for the degree
+    f declares (:func:`_degree`); ``BASE_LEVEL`` for an f that declares
+    none against a discrete mu (its rule is the same at every level); None
+    when no level is exact.
+
+    With ``resolved`` kinks, f's piece degree p stands for its degree.
+    Per axis, the rule is Gauss (weighted by mu's density) on each knot
+    interval, and on each side of a cut.  Every kink of a row lies at a
+    cut, on a knot or outside the cell, so each of these sub-rules sees
+    one polynomial piece of f, and the product of the sub-rules over a
+    box between kinks integrates its piece exactly when ``p <=
+    exact_degree``.  A kink that :func:`~kantorov.measures.splits` leaves
+    uncut lies within ``delta = _KNOT_TOL/k`` of a knot (k = mu's
+    exponent).  The sub-rule there is exact for the piece P that covers
+    most of its interval, and no node lies in the sliver between the
+    kink and the knot (the nearest of ``BASE_LEVEL`` or fewer Gauss nodes
+    on an interval of width 1/k is 0.0198/k from its end), so the rule
+    misses only the integral of f - P over the sliver.  For a continuous,
+    piecewise affine f with axis Lipschitz constant Lambda, ``|f(p + c
+    s) - P| <= 2 Lambda c delta`` there and the density is at most k, so
+    the miss is at most ``2 Lambda c k delta^2 <= 2e-24 Lambda/k``.  The
+    other axes' weights are positive and sum to 1, so the misses of the
+    d axes add up: for ``abs_dist`` (Lambda = 1, d <= 3) at most 6e-24,
+    far below ``_LADDER_TOL``.
+    """
+    degree = _degree(f, resolved)
     levels = range(1, BASE_LEVEL + 1) if degree < math.inf else (BASE_LEVEL,)
     return next((level for level in levels if degree <= exact_degree(mu, domain, level, cut)),
                 None)
@@ -360,14 +398,15 @@ def _blend_integrals(cfg: OperatorConfig, n: int, f, base: np.ndarray) -> np.nda
     """Adaptive version of :func:`_blend_at_level`: the :func:`_ladder`,
     bounded by the rule node budget, with mu's rules cut at the kinks f
     declares.  It runs one level alone when that rule is exact for f (the
-    lowest such level, :func:`_exact_level`), or when :func:`_gauss_bound`
-    bounds the uncut ``BASE_LEVEL`` rule's error by ``_LADDER_TOL``.
+    lowest such level, :func:`_exact_level`; for a piecewise polynomial
+    once its kinks are resolved), or when :func:`_gauss_bound` bounds the
+    uncut ``BASE_LEVEL`` rule's error by ``_LADDER_TOL``.
     """
     if cfg.a == 0.0:
         return values(f, base)
     mu = _resolved(cfg, n)
     cuts = _row_cuts(cfg, mu, n, f, base)
-    exact = _exact_level(f, mu, cfg.domain, cuts is not None)
+    exact = _exact_level(f, mu, cfg.domain, cuts is not None, _resolves_kinks(cfg, mu, f))
     return _ladder(
         lambda level: _blend_at_level(cfg, mu, n, f, base, level, cuts),
         lambda level: rule_node_count(mu, cfg.domain, level) <= MAX_RULE_NODES,

@@ -494,7 +494,8 @@ def test_unconverged_ladders_warn_and_are_counted(tmp_path, capsys):
 
 
 def test_declared_kinks_converge_with_a_rounding_residual(tmp_path, capsys):
-    # |t - 1/2| declares its kink: the cut rule is exact at levels 8 and 16
+    # |t - 1/2| declares its kink and its piece degree 1: the cut rule is
+    # exact from level 2, so each ladder runs that level alone
     js = tmp_path / "out.json"
     cfgp = write_config(
         tmp_path, "c.json",
@@ -504,9 +505,9 @@ def test_declared_kinks_converge_with_a_rounding_residual(tmp_path, capsys):
     assert main(["converge", "--config", str(cfgp)]) == 0
     assert capsys.readouterr().err == ""
     quad = json.loads(js.read_text())["meta"]["quadrature"]
-    assert quad.pop("max_residual") <= 1e-15
-    assert quad == {"ladders": 2, "exact": 0, "certified": 0, "unconverged_at_cap": 0,
-                    "stopped_by_node_budget": 0, "max_level": 16, "max_certified_bound": None}
+    assert quad == {"ladders": 2, "exact": 2, "certified": 0, "unconverged_at_cap": 0,
+                    "stopped_by_node_budget": 0, "max_level": 2, "max_residual": None,
+                    "max_certified_bound": None}
 
 
 def test_converged_ladders_do_not_warn(tmp_path, capsys):

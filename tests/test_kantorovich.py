@@ -245,6 +245,13 @@ def _exact_kink_inner(domain, n, a, centres, density):
 _POWER2 = power_of_base(lebesgue_measure(), 2)
 
 
+def _kink_centres(domain, name, params):
+    """Per axis, the centre of the catalog kink ``name(*params)``, or None."""
+    if name == "abs_dist":
+        return params
+    return [params[1] if i == params[0] - 1 else None for i in range(domain.dim)]
+
+
 @pytest.mark.parametrize("domain, name, params, a, measures, n", [
     (I, "abs_dist", (0.5,), 1.0, None, 7),
     (I, "abs_dist", (0.3,), 2.0, None, 9),
@@ -259,11 +266,10 @@ _POWER2 = power_of_base(lebesgue_measure(), 2)
     (Q2, "abs_dist_coord", (1, 0.45), 2.0, _POWER2, 5),
 ])
 def test_declared_kinks_give_exact_inner_values(domain, name, params, a, measures, n):
-    # the rule is cut at the kink of every row, so levels 8 and 16 are both
-    # exact and the ladder stops at 16
+    # the rule is cut at the kink of every row, so its first level is
+    # exact on each affine piece and the ladder stops there
     f = lookup(name, params, domain)
-    centres = params if name == "abs_dist" else [
-        params[1] if i == params[0] - 1 else None for i in range(domain.dim)]
+    centres = _kink_centres(domain, name, params)
     exact = _exact_kink_inner(domain, n, a, centres,
                               _UNIFORM if measures is None else _TRIANGLE)
     got, outcome = _ladder_outcome_of(
@@ -294,6 +300,45 @@ def test_cut_inner_values_are_exact_for_any_centre(centre, n, a, power):
     exact = _exact_kink_inner(I, n, a, (centre,), _TRIANGLE if power else _UNIFORM)
     np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-14)
     assert outcome["unconverged_at_cap"] == 0
+
+
+@pytest.mark.parametrize("domain, name, params, a, measures, n, cut, level", [
+    # a = 1, n = 4: row 2's cell [0.4, 0.6] is cut at its kink 1/2
+    (I, "abs_dist", (0.5,), 1.0, None, 4, True, 2),
+    (Q2, "abs_dist", (0.5, 0.5), 1.0, None, 4, True, 2),
+    (Q2, "abs_dist_coord", (2, 0.5), 1.0, None, 4, True, 2),
+    # a = 2, even n: every kink (n + 2)/4 - h/2 is a knot of the
+    # triangle's rule or outside the cell, so no rule is cut
+    (I, "abs_dist", (0.5,), 2.0, _POWER2, 8, False, 2),
+    (Q2, "abs_dist", (0.5, 0.5), 2.0, _POWER2, 6, False, 2),
+    # a cut rule of the power 2 is exact on each piece from level 4
+    (I, "abs_dist", (0.3,), 1.0, _POWER2, 8, True, 4),
+])
+def test_resolved_kinks_stop_at_the_exact_level(domain, name, params, a, measures, n, cut, level):
+    # the piece degree 1 takes the lowest level exact on every affine piece,
+    # alone, and its values are the exact rationals'
+    f = lookup(name, params, domain)
+    cfg = cfg_for(domain, a, measures)
+    mu = kantorovich._resolved(cfg, n)
+    centres = _kink_centres(domain, name, params)
+    exact = _exact_kink_inner(domain, n, a, centres, _UNIFORM if measures is None else _TRIANGLE)
+    vals, base, record = _ladders_of(cfg, n, f)
+    assert (kantorovich._row_cuts(cfg, mu, n, f, base) is not None) == cut
+    assert record == {"ladders": 1, "exact": 1, "certified": 0, "unconverged_at_cap": 0,
+                      "stopped_by_node_budget": 0, "max_level": level, "max_residual": None,
+                      "max_certified_bound": None}
+    np.testing.assert_allclose(vals, exact, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dom", [K2, K3], ids=_case_id)
+def test_simplex_kinks_keep_the_ladder(dom):
+    # the simplex's rules are not cut, so abs_dist's piece degree proves no
+    # level exact there: its ladder climbs past BASE_LEVEL
+    f = lookup("abs_dist", (0.3,) * dom.dim, dom)
+    assert f.meta.piece_degree == 1
+    _, _, record = _ladders_of(cfg_for(dom, 1.0), 3, f)
+    assert record["ladders"] == 1 and record["exact"] == record["certified"] == 0
+    assert record["max_level"] > BASE_LEVEL
 
 
 def test_single_points_and_batches_are_admitted_alike():
@@ -1029,10 +1074,12 @@ def test_axis_major_blocks_keep_the_row_major_bits(monkeypatch):
 class _LayoutRecorder:
     """An integrand that records the layout of every block it is handed;
     it carries ``meta`` so that declared kinks take the cut path, without
-    a derivative bound, so that its ladders run two levels."""
+    a derivative bound or a piece degree, so that its ladders run two
+    levels."""
 
     def __init__(self, f):
-        self.f, self.meta, self.blocks = f, _uncertified(f).meta, []
+        self.f, self.blocks = f, []
+        self.meta = dataclasses.replace(f.meta, derivative_bound=None, piece_degree=None)
 
     def __call__(self, p):
         self.blocks.append((p.shape, p.dtype, p.strides))
