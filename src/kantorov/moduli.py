@@ -29,7 +29,7 @@ import math
 from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, check_p
 from .geometry import SIMPLEX, Domain, trapezoid_weights, uniform_grid, uniform_product_grid, values
@@ -110,29 +110,48 @@ def _slices(a: np.ndarray, width: int) -> list:
     return [()] if a.ndim == 1 else [slice(s, s + step) for s in range(0, len(a), step)]
 
 
+def _runs(ks: np.ndarray) -> list:
+    """``(start, stop)`` of each run of ``ks`` (sorted half offsets): the
+    offsets that share all but their last entry, with consecutive last
+    entries."""
+    if not len(ks):
+        return []
+    cut = np.any(ks[1:, :-1] != ks[:-1, :-1], axis=1) | (np.diff(ks[:, -1]) != 1)
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(ks)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _windows(slab: np.ndarray, first: int, rows: int, count: int, step: int = 1,
+             stride: int = 1) -> np.ndarray:
+    """The view ``w[..., r, c] = slab[..., first + step * r + stride * c]``,
+    ``r < rows`` and ``c < count``, of a copy of the entries of ``slab``'s
+    last axis it reads, NaN off its ends."""
+    n, last = slab.shape[-1], first + step * (rows - 1) + stride * (count - 1)
+    padded = np.full(slab.shape[:-1] + (last - first + 1,), np.nan)
+    lo, hi = max(first, 0), min(last + 1, n)
+    padded[..., lo - first:hi - first] = slab[..., lo:hi]
+    *lead, s = padded.strides
+    return as_strided(padded, padded.shape[:-1] + (rows, count), (*lead, step * s, stride * s),
+                      writeable=False)
+
+
 def _run(op, t: np.ndarray, lead, l0: int, l1: int, midpoints: bool) -> np.ndarray:
     """:func:`_extrema` of the offsets ``lead + (l,)``, ``l0 <= l <= l1``:
-    each partner slab, padded with NaN, is read as a sliding window whose
-    column ``l`` holds row ``i``'s partner ``i + l`` (``2i + l`` for the
-    midpoints), in groups of at most ``_BUDGET`` elements (or one row)."""
+    each partner slab is read through :func:`_windows`, column ``l`` holding
+    row ``i``'s partner ``i + l`` (``2i + l`` for the midpoints), in groups
+    of at most ``_BUDGET`` elements (or one row)."""
     m = (t.shape[0] - 1) // (1 + midpoints)
     a, *slabs = _pair_views(t, lead, midpoints)
-    count, pad = l1 - l0 + 1, (max(-l0, 0), max(l1, 0))
+    count = l1 - l0 + 1
     out = np.full(count, np.nan)
     for part in _slices(a, 4):
-        views = [a[part][..., None]]
-        for stride, slab in enumerate(slabs, 1):
-            slab = slab[part]
-            padded = np.full(slab.shape[:-1] + (slab.shape[-1] + sum(pad),), np.nan)
-            padded[..., pad[0]:pad[0] + slab.shape[-1]] = slab
-            windows = sliding_window_view(padded, count, axis=-1)
-            views.append(windows[..., pad[0] + l0::stride, :][..., :m + 1, :])
-        width = max(1, min(count, _BUDGET // views[0].size))
+        views = [_windows(slab[part], l0, m + 1, count, step) for step, slab in enumerate(slabs, 1)]
+        width = max(1, min(count, _BUDGET // a[part].size))
         for lo in range(0, count, width):
             hi = min(lo + width, count)
             # the rows i that have a partner i + l on the grid for some l here
             rows = slice(max(0, -(l0 + hi - 1)), m + 1 - max(0, l0 + lo))
-            vals = op(views[0][..., rows, :], *(v[..., rows, lo:hi] for v in views[1:]))
+            vals = op(a[part][..., rows, None], *(v[..., rows, lo:hi] for v in views))
             out[lo:hi] = np.fmax(out[lo:hi], np.fmax.reduce(vals.reshape(-1, hi - lo), axis=0))
     return out
 
@@ -140,12 +159,10 @@ def _run(op, t: np.ndarray, lead, l0: int, l1: int, midpoints: bool) -> np.ndarr
 def _extrema(op, t: np.ndarray, ks: np.ndarray, midpoints: bool = False) -> np.ndarray:
     """The largest elementwise ``op(a, b)`` (``op(a, b, mid)``) over the
     pairs of each offset in ``ks`` (sorted half offsets), NaN for none.
-    Offsets that share all but a consecutive last entry go to :func:`_run`
-    together; any other is read as one box of each operand, in slices."""
-    cut = np.any(ks[1:, :-1] != ks[:-1, :-1], axis=1) | (np.diff(ks[:, -1]) != 1)
-    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(ks)] if len(ks) else [0]
+    Each of :func:`_runs` of two or more offsets goes to :func:`_run`; a
+    lone offset is read as one box of each operand, in slices."""
     out = [np.full(0, np.nan)]
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in _runs(ks):
         k = ks[start].tolist()
         if stop - start > 1:
             out.append(_run(op, t, k[:-1], k[-1], int(ks[stop - 1, -1]), midpoints))
@@ -207,7 +224,8 @@ def tau_p(f, domain: Domain, delta, p: float, m: int):
     hi, lo = t.copy(), t.copy()
     ks, order, ends = _shells(domain.dim, m, deltas * m / 2.0)
     norms, done = {}, 0
-    for end in np.unique(ends).tolist():
+    # not np.unique, whose plain call imports numpy.ma
+    for end in sorted(set(ends.tolist())):
         for k in ks[order[done:end]].tolist():
             a, b = _boxes(k, m)
             np.fmax(hi[a], t[b], out=hi[a])
@@ -231,40 +249,102 @@ def difference_coeffs(k: int) -> np.ndarray:
         ) from None
 
 
+def _kp_sums(t: np.ndarray, coeffs: np.ndarray, lead, l0: int, l1: int, p: float,
+             weight) -> list:
+    """The sums :func:`omega_kp` takes the root of, for the offsets ``j =
+    lead + (l,)``, ``l0 <= l <= l1``: each offset's ``|Δ^k_j f(i)|^p``
+    times the weight of row ``i`` (the box's trapezoid rule, or
+    ``weight`` on K_d), over its rows ``i``.  A group of offsets, at most
+    ``_BUDGET`` elements or one offset's rows, gets its differences in one
+    array, offsets first; partner ``i + c j`` is read through a
+    :func:`_windows` view of stride ``c``.  Each offset's terms are then
+    summed by one ``.sum()`` of one contiguous array: its box in C order,
+    or on K_d its rows inside the simplex, gathered before ``abs`` and
+    ``** p``."""
+    m, k = t.shape[0] - 1, len(coeffs) - 1
+    # an offset with k |l| > m, or a leading entry with k |c| > m, has no rows
+    steps = [m - k * abs(c) for c in lead]
+    la, lb = max(l0, -(m // k)), min(l1, m // k)
+    if min(steps, default=0) < 0 or la > lb:
+        return [0.0] * (l1 - l0 + 1)
+    first, *slabs = [t[tuple(slice(max(-k * c, 0) + l * c, max(-k * c, 0) + l * c + s + 1)
+                             for c, s in zip(lead, steps))] for l in range(k + 1)]
+    count = lb - la + 1
+    wins = [_windows(slab, c * la, m + 1, count, 1, c) for c, slab in enumerate(slabs, 1)]
+    offsets_first = (first.ndim, *range(first.ndim))
+    if weight is None:
+        # the product trapezoid weights of the leading axes' box, and those
+        # times the last axis's weight off its ends (the ends get theirs below)
+        lead_w = reduce(np.multiply.outer, [trapezoid_weights(s, m) for s in steps], np.ones(()))
+        inner = (lead_w * (1.0 / m))[None, ..., None]
+    sums = [0.0] * (la - l0)
+    width = max(1, min(count, _BUDGET // first.size))
+    # the differences, and a scratch array for the terms past the second
+    bufs = np.empty((min(k, 2), width * first.size))
+    for lo in range(0, count, width):
+        hi = min(lo + width, count)
+        # each offset's rows i on the last axis (those with i + k l on the
+        # grid), and their union: both ends fall as l grows
+        starts = [max(-k * l, 0) for l in range(la + lo, la + hi)]
+        stops = [m + 1 - max(k * l, 0) for l in range(la + lo, la + hi)]
+        rows = slice(starts[-1], stops[0])
+        shape = (hi - lo,) + first.shape[:-1] + (rows.stop - rows.start,)
+        acc, *tmp = (buf[:math.prod(shape)].reshape(shape) for buf in bufs)
+        # c_0 f(i) + c_1 f(i + l) (two terms add the same either way), then
+        # + c_2 f(i + 2l) + ... in order
+        np.multiply(coeffs[1], wins[0][..., rows, lo:hi].transpose(offsets_first), out=acc)
+        acc += coeffs[0] * first[..., rows]
+        for c, win in zip(coeffs[2:], wins[1:]):
+            acc += np.multiply(c, win[..., rows, lo:hi].transpose(offsets_first), out=tmp[0])
+        if weight is None:
+            np.abs(acc, out=acc)
+            acc **= p
+            cols = range(hi - lo)
+            heads = [a - rows.start for a in starts]
+            tails = [b - 1 - rows.start for b in stops]
+            ends = np.multiply.outer([0.5 / m if b - a > 1 else 0.0 for a, b in zip(starts, stops)],
+                                     lead_w)
+            head, tail = acc[cols, ..., heads] * ends, acc[cols, ..., tails] * ends
+            acc *= inner
+            acc[cols, ..., heads], acc[cols, ..., tails] = head, tail
+            sums.extend(acc[c, ..., a:b + 1].ravel().sum() for c, a, b in zip(cols, heads, tails))
+        else:
+            # a row inside the simplex whose last partner is inside has
+            # every partner inside (the simplex is convex)
+            keep = ~(np.isnan(first[..., rows])
+                     | np.isnan(wins[-1][..., rows, lo:hi].transpose(offsets_first)))
+            terms = acc[keep]
+            np.abs(terms, out=terms)
+            terms **= p
+            terms *= weight
+            cuts = np.cumsum(np.count_nonzero(keep.reshape(hi - lo, -1), axis=1)).tolist()
+            sums.extend(terms[a:b].sum() for a, b in zip([0] + cuts, cuts))
+    return sums + [0.0] * (l1 - lb)
+
+
 def omega_kp(f, domain: Domain, k: int, delta, p: float, m: int):
     """Order-k L^p modulus: max over the lattice steps ``h = j/m``,
     ``|h| <= delta``, of the L^p norm of the k-th forward difference over
     the grid rows ``i`` with ``i + k j`` on the grid: a box on I and Q_d,
     integrated by its own trapezoid rule, and the simplex grid's equal
     weights on K_d.  ``f`` is evaluated once, on the grid.  A step and its
-    negative give the same norm, so only half the offsets are walked."""
+    negative give the same norm, so only half the offsets are walked, in
+    the runs of :func:`_runs` (:func:`_kp_sums`).
+
+    Each offset's weighted terms are summed as one contiguous array,
+    which numpy adds pairwise, so no norm depends on how the offsets are
+    grouped.  ``np.add.reduceat`` (left to right) or rows padded with
+    zeros to one length would move the last bits."""
     deltas, like = _deltas(delta)
     coeffs = difference_coeffs(k)
     check_p(p)
     t, pts = _scan_grid(f, domain, m)
     weight = domain.volume / len(pts) if domain.kind == SIMPLEX else None
-
-    def norm(j):
-        # grid steps the box of rows i spans on each axis
-        steps = [m - k * abs(c) for c in j]
-        if min(steps) < 0:
-            return 0.0
-        lo = [max(-k * c, 0) for c in j]
-        terms = [t[tuple(slice(a + l * c, a + l * c + s + 1) for a, c, s in zip(lo, j, steps))]
-                 for l in range(k + 1)]
-        acc = coeffs[0] * terms[0]
-        for c, term in zip(coeffs[1:], terms[1:]):
-            acc += c * term
-        if weight is None:
-            weights = reduce(np.multiply.outer, [trapezoid_weights(s, m) for s in steps])
-        else:
-            # a row inside the simplex whose last point is inside has every point inside
-            acc = acc[~(np.isnan(terms[0]) | np.isnan(terms[-1]))]
-            weights = np.full(acc.size, weight)
-        return float((np.abs(acc) ** p * weights).ravel().sum() ** (1.0 / p))
-
     ks, order, ends = _shells(domain.dim, m, deltas * m)
-    return like(_radius_max(np.array([norm(j) for j in ks.tolist()]), order, ends))
+    sums = [s for start, stop in _runs(ks)
+            for s in _kp_sums(t, coeffs, ks[start, :-1].tolist(), int(ks[start, -1]),
+                              int(ks[stop - 1, -1]), p, weight)]
+    return like(_radius_max(np.array([float(s ** (1.0 / p)) for s in sums]), order, ends))
 
 
 def lipschitz_estimate(f, domain: Domain, m: int) -> float:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,10 +506,57 @@ def _omega_kp_exact_reference(f, dom, k, deltas, p, m):
 
 @pytest.mark.parametrize("k,p", [(1, 1.0), (2, 1.5), (3, 2.0)])
 @pytest.mark.parametrize("fname", sorted(_F))
-@pytest.mark.parametrize("dom,m", _SMALL)
-def test_omega_kp_is_the_lattice_step_maximum_bit_for_bit(dom, m, fname, k, p):
+@pytest.mark.parametrize("dom,m", _SMALL + [(Q3, 3), (K3, 4)])
+def test_omega_kp_is_the_lattice_step_maximum_bit_for_bit(dom, m, fname, k, p, monkeypatch):
+    # at the default element budget, and at budgets that split each run
+    # into groups of one offset (7) or a few (64)
     expect = _omega_kp_exact_reference(_F[fname], dom, k, _DELTAS, p, m)
-    assert omega_kp(_F[fname], dom, k, _DELTAS, p, m).tolist() == expect
+    got = omega_kp(_F[fname], dom, k, _DELTAS, p, m).tolist()
+    assert got == expect
+    for budget in (7, 64):
+        monkeypatch.setattr(moduli, "_BUDGET", budget)
+        assert omega_kp(_F[fname], dom, k, _DELTAS, p, m).tolist() == got == expect
+
+
+@pytest.mark.parametrize("dom,m", [(I, 1024), (Q2, 32), (K2, 32)])
+def test_omega_kp_temporaries_stay_small(dom, m):
+    # the benchmark's moduli of t^2: omega_kp's peak (about 0.25-0.3 MiB)
+    # stays below omega2's on the same grid (0.6-0.7 MiB), so it does not
+    # set the moduli's high-water mark
+    tracemalloc.start()
+    try:
+        omega_kp(SQ, dom, 1, np.array([0.0625, 0.125, 0.25, 0.5]), 1.0, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+_NO_NUMPY_MA_SCRIPT = """
+import sys
+import numpy as np
+from kantorov.geometry import Domain
+from kantorov.moduli import lipschitz_estimate, omega1, omega2, omega_kp, tau_p
+
+f = lambda p: np.sin(3.0 * p.sum(axis=1))
+for dom in (Domain.interval(), Domain.hypercube(2), Domain.simplex(2)):
+    deltas = np.array([0.25, 0.5])
+    omega1(f, dom, deltas, 8), omega2(f, dom, deltas, 8), lipschitz_estimate(f, dom, 8)
+    tau_p(f, dom, deltas, 2.0, 8), omega_kp(f, dom, 2, deltas, 1.5, 8)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_moduli_import_no_numpy_ma():
+    # numpy's plain np.unique calls np.ma.is_masked, whose first import
+    # cost tau_p about 13 ms and 1.3 MB
+    src = os.path.dirname(os.path.dirname(moduli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("fname", sorted(_F))
